@@ -79,10 +79,13 @@ from .rates import (
     RateBreakdown,
     both_hops_rate,
     feasibility_check,
+    loss_penalty_bits,
     per_level_receiver_bits,
     per_level_source_entropy_bits,
+    product_bounds,
     random_loss_rate,
     require_informative_second_hop,
+    second_hop_bounds,
     second_hop_rate,
     uniform_policy,
 )

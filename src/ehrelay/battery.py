@@ -289,23 +289,40 @@ def check_regularity(kernel) -> RegularityReport:
     return RegularityReport(indecomposable=(closed == 1), self_loop_state=self_loop)
 
 
-def _solve_stationary(k: np.ndarray) -> Optional[np.ndarray]:
-    n = k.shape[0]
-    a = k.T - np.eye(n)
-    a[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
+def _solve_stationary(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct solve of the balance equations for one kernel or a stack of them.
+
+    ``k`` has shape (..., n, n). Returns ``(pi, ok)`` with shapes (..., n)
+    and (...): ``ok`` is False where the solve is singular, non-finite or
+    has an entry below -1e-9; elsewhere ``pi`` is clipped at zero and
+    renormalized. A stacked ``np.linalg.solve`` fails as a whole when any
+    one matrix is singular, so on that error each kernel is solved on its
+    own and only the singular ones are marked. Every kernel goes through
+    the same LAPACK call either way, so a row's result does not depend on
+    the stack it came in.
+    """
+    n = k.shape[-1]
+    a = np.swapaxes(k, -1, -2) - np.eye(n)
+    a[..., -1, :] = 1.0
+    b = np.zeros(a.shape[:-1] + (1,))
+    b[..., -1, 0] = 1.0
     try:
-        pi = np.linalg.solve(a, b)
+        pi = np.linalg.solve(a, b)[..., 0]
     except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(pi)) or float(pi.min()) < -1e-9:
-        return None
+        pi = np.full(a.shape[:-1], np.nan)
+        for idx in np.ndindex(a.shape[:-2]):
+            try:
+                pi[idx] = np.linalg.solve(a[idx], b[idx])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+    ok = np.isfinite(pi).all(axis=-1)
+    pi = np.where(ok[..., None], pi, 0.0)
+    ok &= pi.min(axis=-1) >= -1e-9
     pi = np.clip(pi, 0.0, None)
-    total = pi.sum()
-    if total <= 0.0:
-        return None
-    return pi / total
+    total = pi.sum(axis=-1)
+    ok &= total > 0.0
+    pi = pi / np.where(ok, total, 1.0)[..., None]
+    return pi, ok
 
 
 def _power_stationary(k: np.ndarray) -> Optional[np.ndarray]:
@@ -336,8 +353,8 @@ def stationary(kernel) -> Pmf:
         if report.self_loop_state is None:
             parts.append("no state with a self-loop")
         raise NumericalError("no steady state: " + " and ".join(parts))
-    pi = _solve_stationary(k)
-    if pi is None or float(np.abs(pi @ k - pi).max()) > STATIONARY_RESIDUAL:
+    pi, ok = _solve_stationary(k)
+    if not ok or float(np.abs(pi @ k - pi).max()) > STATIONARY_RESIDUAL:
         pi = _power_stationary(k)
     if pi is None or float(np.abs(pi @ k - pi).max()) > STATIONARY_RESIDUAL:
         raise NumericalError("stationary solve did not reach the required residual")

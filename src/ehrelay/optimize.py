@@ -26,19 +26,19 @@ from .battery import (
     BatterySpec,
     StatePolicy,
     _solve_stationary,
-    energy_profile,
     transition_tensor,
 )
 from .errors import ConstraintError, EhRelayError, ValidationError
-from .pmf import BinaryChannel, Pmf, binary_entropy, entropy
+from .pmf import BinaryChannel, Pmf
 from .rates import (
     Model,
     RateBreakdown,
     both_hops_rate,
-    per_level_receiver_bits,
-    per_level_source_entropy_bits,
+    loss_penalty_bits,
+    product_bounds,
     random_loss_rate,
     require_informative_second_hop,
+    second_hop_bounds,
     second_hop_rate,
 )
 from .timing import TimingRateResult, timing_rate
@@ -46,6 +46,7 @@ from .timing import TimingRateResult, timing_rate
 _STEP0 = 0.25
 _STEP_FLOOR = 1e-9
 _RESIDUAL_GATE = 1e-8
+_CHUNK = 512
 _TIMING_BOX = (0.01, 0.99)
 
 
@@ -97,28 +98,64 @@ def _search_rng(opts: OptimizeOptions, label: str) -> np.random.Generator:
 
 
 class _CubeProblem:
-    """Value oracle over the unit cube with an evaluation counter."""
+    """Batched value oracle over the unit cube with an evaluation counter.
+
+    ``values`` scores a stack of points, shape (B, dims), and returns shape
+    (B,), with -inf for an infeasible point. Calling the problem scores in
+    chunks of at most ``_CHUNK`` rows, so memory stays flat however many
+    points a search hands it, and counts one evaluation per point.
+    """
 
     dims: int
 
     def __init__(self):
         self.evaluations = 0
 
-    def value(self, theta: np.ndarray) -> float:
+    def values(self, thetas: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, theta: np.ndarray) -> float:
-        self.evaluations += 1
-        return self.value(theta)
+    def __call__(self, thetas: np.ndarray) -> np.ndarray:
+        self.evaluations += len(thetas)
+        return np.concatenate([self.values(thetas[i:i + _CHUNK])
+                               for i in range(0, len(thetas), _CHUNK)])
 
 
-def _chain_value(joint: np.ndarray, tensor: np.ndarray):
-    """Steady state of the kernel induced by stacked joint tables, or None."""
-    kernel = np.einsum("uab,uabv->uv", joint, tensor)
-    pi = _solve_stationary(kernel)
-    if pi is None or float(np.abs(pi @ kernel - pi).max()) > _RESIDUAL_GATE:
-        return None
-    return pi
+def _dims(model: Model, spec: BatterySpec) -> int:
+    """Number of cube coordinates a model's search runs over."""
+    funded = max(spec.states - spec.cost, 0)
+    if model is Model.SECOND_HOP:
+        return min(spec.cost, spec.states) + 3 * funded
+    if model is Model.TIMING:
+        return 1
+    return 1 + funded
+
+
+def _chain_values(joint: np.ndarray, tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steady states of the kernels induced by a stack of joint tables.
+
+    ``joint`` has shape (B, L, 2, 2) and ``tensor`` is the (L, 2, 2, L)
+    transition tensor; returns ``(pi, ok)`` with shapes (B, L) and (B,).
+    The search's rule for a steady state: one direct solve per kernel
+    (``_solve_stationary``, which marks singular, non-finite and clearly
+    negative solutions), then a residual max|pi K - pi| of at most
+    ``_RESIDUAL_GATE``. There is no power-iteration fallback and no
+    regularity check here; a kernel that fails scores -inf. The public
+    ``stationary`` stays the strict path, and ``finalize`` re-checks the
+    winning policy through it.
+    """
+    # Summed cell by cell in a fixed order, so that a row's kernel, and with
+    # it the row's value, is the same in any batch.
+    kernel = sum(joint[..., a, b, None] * tensor[:, a, b, :]
+                 for a in (0, 1) for b in (0, 1))
+    pi, ok = _solve_stationary(kernel)
+    flow = (pi[..., None] * kernel).sum(axis=-2)
+    ok &= np.abs(flow - pi).max(axis=-1) <= _RESIDUAL_GATE
+    return pi, ok
+
+
+def _scores(ok: np.ndarray, relay: np.ndarray, receiver: np.ndarray) -> np.ndarray:
+    """Each row's rate, min of its two bounds, or -inf where its chain failed."""
+    return np.where(ok, np.minimum(relay, receiver), -np.inf)
 
 
 class _SecondHopProblem(_CubeProblem):
@@ -139,36 +176,34 @@ class _SecondHopProblem(_CubeProblem):
         self.ch2 = ch2
         self.eps = eps
         self.funded = max(spec.states - spec.cost, 0)
-        self.dims = min(spec.cost, spec.states) + 3 * self.funded
+        self.dims = _dims(Model.SECOND_HOP, spec)
         self.tensor = transition_tensor(spec, ArrivalModel.deterministic())
 
-    def decode(self, theta: np.ndarray) -> np.ndarray:
+    def decode(self, thetas: np.ndarray) -> np.ndarray:
+        """Joint tables, shape (B, L, 2, 2), for points of shape (B, dims)."""
         eps = self.eps
         m = min(self.spec.cost, self.spec.states)
-        joint = np.zeros((self.spec.states, 2, 2))
-        bias = eps + (1.0 - 2.0 * eps) * theta[:m]
-        joint[:m, 0, 0] = 1.0 - bias
-        joint[:m, 1, 0] = bias
+        joint = np.zeros((len(thetas), self.spec.states, 2, 2))
+        bias = eps + (1.0 - 2.0 * eps) * thetas[:, :m]
+        joint[:, :m, 0, 0] = 1.0 - bias
+        joint[:, :m, 1, 0] = bias
         if self.funded:
-            abc = theta[m:].reshape(self.funded, 3)
-            a, b, c = abc[:, 0], abc[:, 1], abc[:, 2]
+            abc = thetas[:, m:].reshape(len(thetas), self.funded, 3)
+            a, b, c = abc[..., 0], abc[..., 1], abc[..., 2]
             cells = np.stack(
-                [a * b, a * (1.0 - b), (1.0 - a) * c, (1.0 - a) * (1.0 - c)], axis=1
+                [a * b, a * (1.0 - b), (1.0 - a) * c, (1.0 - a) * (1.0 - c)], axis=-1
             )
-            joint[m:] = (eps + (1.0 - 4.0 * eps) * cells).reshape(self.funded, 2, 2)
+            joint[:, m:] = (eps + (1.0 - 4.0 * eps) * cells).reshape(
+                len(thetas), self.funded, 2, 2)
         return joint
 
-    def value(self, theta: np.ndarray) -> float:
-        joint = self.decode(theta)
-        pi = _chain_value(joint, self.tensor)
-        if pi is None:
-            return -np.inf
-        receiver = float(pi @ per_level_receiver_bits(joint.sum(axis=1), self.ch2))
-        relay = float(pi @ per_level_source_entropy_bits(joint))
-        return min(relay, receiver)
+    def values(self, thetas: np.ndarray) -> np.ndarray:
+        joint = self.decode(thetas)
+        pi, ok = _chain_values(joint, self.tensor)
+        return _scores(ok, *second_hop_bounds(joint, pi, self.ch2))
 
     def finalize(self, theta: np.ndarray):
-        joint = self.decode(theta)
+        joint = self.decode(theta[None])[0]
         policy = StatePolicy.joint_policy(self.spec, list(joint), tol=1e-9)
         breakdown = second_hop_rate(self.spec, policy, self.ch2)
         return breakdown, {"policy": policy, "policy_digest": _digest([joint])}
@@ -199,41 +234,34 @@ class _ProductProblem(_CubeProblem):
         self.lo = sqrt(eps)
         self.span = 1.0 - 2.0 * self.lo
         self.funded = max(spec.states - spec.cost, 0)
-        self.dims = 1 + self.funded
+        self.dims = _dims(model, spec)
         self.tensor = transition_tensor(spec, arrival)
-        profile = energy_profile(arrival, spec)
         if model is Model.RANDOM_LOSS:
-            self.penalty = np.array([entropy(Pmf(profile[0], tol=1e-9)),
-                                     entropy(Pmf(profile[1], tol=1e-9))])
+            self.penalty = loss_penalty_bits(arrival, spec)
         else:
-            self.penalty = np.array([binary_entropy(ch1.q1), binary_entropy(ch1.q2)])
-        self.relay_cond = np.array([binary_entropy(ch1.q1), binary_entropy(ch1.q2)])
+            self.penalty = ch1.noise_bits
 
-    def decode(self, theta: np.ndarray):
-        vals = self.lo + self.span * theta
-        p1 = float(vals[0])
-        rows = np.zeros((self.spec.states, 2))
-        rows[:, 0] = 1.0
+    def decode(self, thetas: np.ndarray):
+        """Source laws (B, 2) and relay rows (B, L, 2) for points (B, dims)."""
+        vals = self.lo + self.span * thetas
+        p1 = vals[:, 0]
+        src = np.stack([1.0 - p1, p1], axis=-1)
+        rows = np.zeros((len(thetas), self.spec.states, 2))
+        rows[:, :, 0] = 1.0
         if self.funded:
-            rows[self.spec.cost:, 1] = vals[1:]
-            rows[self.spec.cost:, 0] = 1.0 - vals[1:]
-        return p1, rows
+            rows[:, self.spec.cost:, 1] = vals[:, 1:]
+            rows[:, self.spec.cost:, 0] = 1.0 - vals[:, 1:]
+        return src, rows
 
-    def value(self, theta: np.ndarray) -> float:
-        p1, rows = self.decode(theta)
-        src = np.array([1.0 - p1, p1])
-        joint = src[None, :, None] * rows[:, None, :]
-        pi = _chain_value(joint, self.tensor)
-        if pi is None:
-            return -np.inf
-        receiver = float(pi @ per_level_receiver_bits(rows, self.ch2)) - float(src @ self.penalty)
-        out0 = src[0] * self.ch1.q1 + src[1] * (1.0 - self.ch1.q2)
-        relay = max(binary_entropy(out0) - float(src @ self.relay_cond), 0.0)
-        return min(relay, receiver)
+    def values(self, thetas: np.ndarray) -> np.ndarray:
+        src, rows = self.decode(thetas)
+        joint = src[:, None, :, None] * rows[:, :, None, :]
+        pi, ok = _chain_values(joint, self.tensor)
+        return _scores(ok, *product_bounds(src, rows, pi, self.ch1, self.ch2, self.penalty))
 
     def finalize(self, theta: np.ndarray):
-        p1, rows = self.decode(theta)
-        src = Pmf.binary(p1)
+        probs, rows = self.decode(theta[None])
+        src, rows = Pmf.binary(float(probs[0, 1])), rows[0]
         if self.model is Model.RANDOM_LOSS:
             breakdown = random_loss_rate(self.spec, src, list(rows), self.ch1, self.ch2,
                                          self.arrival.loss[0], self.arrival.loss[1])
@@ -245,14 +273,17 @@ class _ProductProblem(_CubeProblem):
 
 
 class _TimingProblem(_CubeProblem):
-    """Source bias for the spacing scheme, one dimension per search."""
+    """Source bias for the spacing scheme, one dimension per search.
 
-    dims = 1
+    The spacing scheme is not batched: ``values`` runs ``timing_rate`` once
+    per point.
+    """
 
     def __init__(self, spec: BatterySpec, ch1: BinaryChannel, aux_size: int,
                  wait_rule: str, wait_const: int, overlap: bool):
         super().__init__()
         self.spec = spec
+        self.dims = _dims(Model.TIMING, spec)
         self.ch1 = ch1
         self.kwargs = dict(aux_size=aux_size, wait_rule=wait_rule,
                            wait_const=wait_const, overlap=overlap)
@@ -262,11 +293,14 @@ class _TimingProblem(_CubeProblem):
         p1 = lo + (hi - lo) * float(theta[0])
         return timing_rate(self.spec, Pmf.binary(p1), self.ch1, **self.kwargs)
 
-    def value(self, theta: np.ndarray) -> float:
-        try:
-            return self._rate(theta).breakdown.rate
-        except EhRelayError:
-            return -np.inf
+    def values(self, thetas: np.ndarray) -> np.ndarray:
+        out = np.full(len(thetas), -np.inf)
+        for k, theta in enumerate(thetas):
+            try:
+                out[k] = self._rate(theta).breakdown.rate
+            except EhRelayError:
+                pass
+        return out
 
     def finalize(self, theta: np.ndarray):
         result = self._rate(theta)
@@ -306,43 +340,55 @@ def _better(value: float, theta: np.ndarray, best_value: float,
     return False
 
 
-def _ascend(problem: _CubeProblem, theta: np.ndarray, iters: int):
-    """Cyclic coordinate ascent with a halving step, inside the unit cube."""
-    theta = np.clip(theta.astype(np.float64), 0.0, 1.0)
-    best = problem(theta)
-    step = _STEP0
+def _ascend(problem: _CubeProblem, starts: np.ndarray, iters: int):
+    """Cyclic coordinate ascent with a halving step, inside the unit cube.
+
+    All starts climb in lockstep, each keeping its own point, step, exit and
+    evaluations exactly as if it ran alone: at every (sweep, coordinate,
+    direction) the moved points of the ascents still running are scored in
+    one call, and each replaces its ascent's point only if strictly better.
+    Returns the final points and their values, one row per start.
+    """
+    thetas = np.clip(starts.astype(np.float64), 0.0, 1.0)
+    best = problem(thetas)
+    steps = np.full(len(thetas), _STEP0)
+    running = np.ones(len(thetas), dtype=bool)
     for _ in range(iters):
-        improved = False
-        for i in range(theta.size):
-            for delta in (step, -step):
-                cand = theta.copy()
-                cand[i] = min(max(cand[i] + delta, 0.0), 1.0)
-                if cand[i] == theta[i]:
+        if not running.any():
+            break
+        improved = np.zeros(len(thetas), dtype=bool)
+        for i in range(problem.dims):
+            for sign in (1.0, -1.0):
+                rows = np.flatnonzero(running)
+                cand = thetas[rows]
+                cand[:, i] = np.minimum(np.maximum(cand[:, i] + sign * steps[rows], 0.0), 1.0)
+                moved = cand[:, i] != thetas[rows, i]
+                rows, cand = rows[moved], cand[moved]
+                if not rows.size:
                     continue
-                value = problem(cand)
-                if value > best:
-                    best, theta, improved = value, cand, True
-        if not improved:
-            step *= 0.5
-            if step < _STEP_FLOOR:
-                break
-    return theta, best
+                values = problem(cand)
+                up = values > best[rows]
+                rows = rows[up]
+                best[rows], thetas[rows] = values[up], cand[up]
+                improved[rows] = True
+        stalled = running & ~improved
+        steps[stalled] *= 0.5
+        running &= ~(stalled & (steps < _STEP_FLOOR))
+    return thetas, best
 
 
 def _run_search(problem: _CubeProblem, opts: OptimizeOptions, label: str,
                 extra_starts) -> np.ndarray:
     rng = _search_rng(opts, label)
     starts = _start_points(problem.dims, opts, rng, extra_starts)
-    values = np.array([problem(s) for s in starts])
+    values = problem(starts)
     if not np.isfinite(values).any():
         raise ConstraintError("no feasible policy found anywhere on the search grid")
     order = np.argsort(-values, kind="stable")
-    keep = order[: max(1, opts.restarts + 1)]
+    keep = [idx for idx in order[: max(1, opts.restarts + 1)] if np.isfinite(values[idx])]
+    thetas, finals = _ascend(problem, starts[keep], opts.refine_iters)
     best_theta, best_value = None, -np.inf
-    for idx in keep:
-        if not np.isfinite(values[idx]):
-            continue
-        theta, value = _ascend(problem, starts[idx].copy(), opts.refine_iters)
+    for theta, value in zip(thetas, finals):
         if _better(value, theta, best_value, best_theta):
             best_value, best_theta = value, theta
     return best_theta
@@ -500,7 +546,7 @@ def sweep(plan: SweepSpec) -> list[dict]:
                 raise ValidationError("random-loss sweeps need a loss shape")
             extra = None
             if prev_theta is not None:
-                dims = _sweep_dims(model, spec)
+                dims = _dims(model, spec)
                 padded = np.full(dims, prev_theta[-1])
                 padded[: min(dims, prev_theta.size)] = prev_theta[: min(dims, prev_theta.size)]
                 extra = [padded]
@@ -521,11 +567,3 @@ def sweep(plan: SweepSpec) -> list[dict]:
             })
     return rows
 
-
-def _sweep_dims(model: Model, spec: BatterySpec) -> int:
-    funded = max(spec.states - spec.cost, 0)
-    if model is Model.SECOND_HOP:
-        return min(spec.cost, spec.states) + 3 * funded
-    if model is Model.TIMING:
-        return 1
-    return 1 + funded

@@ -11,6 +11,7 @@ to near machine precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -140,6 +141,13 @@ class BinaryChannel:
         """Symmetric channel that flips either symbol with probability p."""
         return cls(1.0 - p, 1.0 - p)
 
+    @cached_property
+    def noise_bits(self) -> np.ndarray:
+        """[h(q1), h(q2)]: entropy of the output given each input, in bits."""
+        bits = _h2([self.q1, self.q2])
+        bits.flags.writeable = False
+        return bits
+
     @property
     def rows(self) -> np.ndarray:
         """Transition table, rows indexed by input symbol."""
@@ -158,16 +166,27 @@ def entropy(p) -> float:
     return float(-(probs[mask] * np.log2(probs[mask])).sum()) + 0.0
 
 
+def _h2(p) -> np.ndarray:
+    """Binary entropy in bits, elementwise, without argument checks.
+
+    The unvalidated core of ``binary_entropy`` for internal hot paths whose
+    arguments are probabilities by construction; rounding slop just outside
+    [0, 1] is clipped the same way.
+    """
+    arr = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    out = np.zeros_like(arr)
+    for q in (arr, 1.0 - arr):
+        mask = q > 0.0
+        out = out - np.where(mask, q * np.log2(np.where(mask, q, 1.0)), 0.0)
+    return out
+
+
 def binary_entropy(p):
     """Entropy in bits of a (p, 1-p) split, elementwise on arrays."""
     arr = np.asarray(p, dtype=float)
     if np.any(arr < -INTERNAL_TOL) or np.any(arr > 1.0 + INTERNAL_TOL):
         raise ValidationError("binary_entropy argument must lie in [0, 1]")
-    arr = np.clip(arr, 0.0, 1.0)
-    out = np.zeros_like(arr)
-    for q in (arr, 1.0 - arr):
-        mask = q > 0.0
-        out = out - np.where(mask, q * np.log2(np.where(mask, q, 1.0)), 0.0)
+    out = _h2(arr)
     if np.isscalar(p) or getattr(p, "ndim", 1) == 0:
         return float(out)
     return out

@@ -33,14 +33,7 @@ from .battery import (
     stationary,
 )
 from .errors import ConstraintError, ValidationError
-from .pmf import (
-    BinaryChannel,
-    Pmf,
-    binary_entropy,
-    entropy,
-    mutual_information,
-    output_entropy_given_input,
-)
+from .pmf import BinaryChannel, Pmf, _h2, entropy
 
 CHANNEL_CLASS_TOL = 1e-9
 BINDING_TIE = 1e-9
@@ -85,45 +78,107 @@ def require_informative_second_hop(ch2: BinaryChannel) -> None:
 
 
 def per_level_receiver_bits(x2_rows: np.ndarray, ch2: BinaryChannel) -> np.ndarray:
-    """I(relay symbol; destination symbol) at each level, vectorized."""
-    out0 = x2_rows[:, 0] * ch2.q1 + x2_rows[:, 1] * (1.0 - ch2.q2)
-    cond = x2_rows[:, 0] * binary_entropy(ch2.q1) + x2_rows[:, 1] * binary_entropy(ch2.q2)
-    return np.maximum(binary_entropy(out0) - cond, 0.0)
+    """I(relay symbol; destination symbol) at each level, over any leading batch axes."""
+    noise = ch2.noise_bits
+    out0 = x2_rows[..., 0] * ch2.q1 + x2_rows[..., 1] * (1.0 - ch2.q2)
+    cond = x2_rows[..., 0] * noise[0] + x2_rows[..., 1] * noise[1]
+    return np.maximum(_h2(out0) - cond, 0.0)
 
 
 def per_level_source_entropy_bits(joint: np.ndarray) -> np.ndarray:
-    """H(source symbol | relay symbol) at each level from stacked joint tables."""
-    flat = joint.reshape(joint.shape[0], 4)
+    """H(source symbol | relay symbol) at each level, over any leading batch axes.
+
+    ``joint`` stacks (source x relay) tables on its last two axes.
+    """
+    flat = joint.reshape(joint.shape[:-2] + (4,))
     mask = flat > 0.0
     logs = np.zeros_like(flat)
     np.log2(flat, out=logs, where=mask)
-    h_joint = -(flat * logs).sum(axis=1)
-    h_x2 = binary_entropy(joint.sum(axis=1)[:, 1])
+    h_joint = -(flat * logs).sum(axis=-1)
+    h_x2 = _h2(joint.sum(axis=-2)[..., 1])
     return np.maximum(h_joint - h_x2, 0.0)
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner products over the last axis, one BLAS dot per row.
+
+    Each row's result is what ``a[k] @ b[k]`` gives and does not depend on
+    the other rows, so a policy scores the same in any batch.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def second_hop_bounds(joint: np.ndarray, pi: np.ndarray,
+                      ch2: BinaryChannel) -> tuple[np.ndarray, np.ndarray]:
+    """(relay, receiver) bounds of the second-hop scheme for a batch of policies.
+
+    ``joint`` holds B stacks of per-level tables, shape (B, L, 2, 2), and
+    ``pi`` their steady states, shape (B, L); both bounds come back with
+    shape (B,). The relay bound averages H(source | relay symbol), the fresh
+    randomness the source can embed per slot; the receiver bound averages the
+    per-level second-hop information. Each row is computed on its own, so a
+    policy's bounds do not depend on the batch it is scored in.
+    """
+    receiver = _dot_rows(pi, per_level_receiver_bits(joint.sum(axis=-2), ch2))
+    relay = _dot_rows(pi, per_level_source_entropy_bits(joint))
+    return relay, receiver
+
+
+def product_bounds(src: np.ndarray, rows: np.ndarray, pi: np.ndarray,
+                   ch1: BinaryChannel, ch2: BinaryChannel,
+                   penalty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(relay, receiver) bounds of the product schemes for a batch of policies.
+
+    ``src`` holds B source laws, shape (B, 2); ``rows`` the per-level relay
+    laws, shape (B, L, 2); ``pi`` the steady states, shape (B, L). The relay
+    bound is I(source; first-hop output). The receiver bound averages the
+    per-level second-hop information and pays ``penalty``, the entropy of
+    the charge given each source symbol, which the relay cannot predict.
+    Both come back with shape (B,), each row computed on its own.
+    """
+    out0 = src[:, 0] * ch1.q1 + src[:, 1] * (1.0 - ch1.q2)
+    relay = np.maximum(_h2(out0) - _dot_rows(src, ch1.noise_bits), 0.0)
+    receiver = _dot_rows(pi, per_level_receiver_bits(rows, ch2)) - _dot_rows(src, penalty)
+    return relay, receiver
+
+
+def loss_penalty_bits(arrival: ArrivalModel, spec: BatterySpec) -> np.ndarray:
+    """H(extracted energy | source symbol) for each source symbol, in bits."""
+    profile = energy_profile(arrival, spec)
+    return np.array([entropy(Pmf(profile[0], tol=1e-12)),
+                     entropy(Pmf(profile[1], tol=1e-12))])
+
+
+def _breakdown(relay: np.ndarray, receiver: np.ndarray) -> RateBreakdown:
+    return RateBreakdown.from_bounds(float(relay[0]), float(receiver[0]))
 
 
 def second_hop_rate(spec: BatterySpec, policy: StatePolicy, ch2: BinaryChannel) -> RateBreakdown:
     """Rate of the joint per-level scheme when only the second hop is noisy.
 
-    The relay bound is the steady-state average of H(source | relay symbol),
-    the fresh randomness the source can embed per slot; the receiver bound is
-    the steady-state average of the per-level second-hop information.
+    The bounds are those of ``second_hop_bounds`` at this one policy.
     """
     if policy.mode != "joint":
         raise ValidationError("second-hop rate expects a joint per-level policy")
     require_informative_second_hop(ch2)
     kernel = build_kernel(spec, policy, ArrivalModel.deterministic())
     pi = stationary(kernel).probs
-    joint = policy.tensor()
-    receiver = float(pi @ per_level_receiver_bits(joint.sum(axis=1), ch2))
-    relay = float(pi @ per_level_source_entropy_bits(joint))
-    return RateBreakdown.from_bounds(relay, receiver)
+    return _breakdown(*second_hop_bounds(policy.tensor()[None], pi[None], ch2))
 
 
 def _product_policy(spec: BatterySpec, p_x1, x2_rows) -> tuple[Pmf, StatePolicy]:
     src = p_x1 if isinstance(p_x1, Pmf) else Pmf(p_x1)
     policy = StatePolicy.product_policy(spec, src, x2_rows)
     return src, policy
+
+
+def _product_rate(spec: BatterySpec, src: Pmf, policy: StatePolicy, arrival: ArrivalModel,
+                  ch1: BinaryChannel, ch2: BinaryChannel, penalty: np.ndarray) -> RateBreakdown:
+    kernel = build_kernel(spec, policy, arrival)
+    pi = stationary(kernel).probs
+    rows = np.stack([policy.x2_row(u) for u in range(spec.states)])
+    return _breakdown(*product_bounds(src.probs[None], rows[None], pi[None],
+                                      ch1, ch2, penalty))
 
 
 def both_hops_rate(spec: BatterySpec, p_x1, x2_rows, ch1: BinaryChannel,
@@ -138,13 +193,8 @@ def both_hops_rate(spec: BatterySpec, p_x1, x2_rows, ch1: BinaryChannel,
         raise ConstraintError("both-hops scheme assumes capacity >= cost")
     require_informative_second_hop(ch2)
     src, policy = _product_policy(spec, p_x1, x2_rows)
-    kernel = build_kernel(spec, policy, ArrivalModel.first_hop(ch1))
-    pi = stationary(kernel).probs
-    rows = np.stack([policy.x2_row(u) for u in range(spec.states)])
-    receiver = float(pi @ per_level_receiver_bits(rows, ch2))
-    receiver -= output_entropy_given_input(src, ch1)
-    relay = mutual_information(src, ch1)
-    return RateBreakdown.from_bounds(relay, receiver)
+    return _product_rate(spec, src, policy, ArrivalModel.first_hop(ch1),
+                         ch1, ch2, ch1.noise_bits)
 
 
 def random_loss_rate(spec: BatterySpec, p_x1, x2_rows, ch1: BinaryChannel,
@@ -161,15 +211,8 @@ def random_loss_rate(spec: BatterySpec, p_x1, x2_rows, ch1: BinaryChannel,
     require_informative_second_hop(ch2)
     src, policy = _product_policy(spec, p_x1, x2_rows)
     arrival = ArrivalModel.lossy(ch1, loss_given_zero, loss_given_one)
-    kernel = build_kernel(spec, policy, arrival)
-    pi = stationary(kernel).probs
-    rows = np.stack([policy.x2_row(u) for u in range(spec.states)])
-    receiver = float(pi @ per_level_receiver_bits(rows, ch2))
-    profile = energy_profile(arrival, spec)
-    receiver -= float(src.probs[0] * entropy(Pmf(profile[0], tol=1e-12))
-                      + src.probs[1] * entropy(Pmf(profile[1], tol=1e-12)))
-    relay = mutual_information(src, ch1)
-    return RateBreakdown.from_bounds(relay, receiver)
+    return _product_rate(spec, src, policy, arrival, ch1, ch2,
+                         loss_penalty_bits(arrival, spec))
 
 
 # Violations are compared against the floor with a tiny absolute slack so a
