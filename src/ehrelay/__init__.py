@@ -21,7 +21,6 @@ from .battery import (
     analyze_chain,
     build_kernel,
     check_regularity,
-    emissions_injective,
     energy_profile,
     forward_loglik,
     markov_entropy_rate,

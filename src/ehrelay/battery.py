@@ -20,7 +20,7 @@ sequences seen through a binary channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,6 +30,7 @@ from .pmf import INTERNAL_TOL, USER_TOL, BinaryChannel, JointPmf, Pmf
 
 STATIONARY_RESIDUAL = 1e-10
 _POWER_ITER_MAX = 1_000_000
+_BLOCK = 1024  # forward-pass steps per batch of keys and scales
 
 
 @dataclass(frozen=True)
@@ -337,13 +338,8 @@ def _power_stationary(k: np.ndarray) -> Optional[np.ndarray]:
     return None
 
 
-def stationary(kernel) -> Pmf:
-    """Steady-state law of the battery level.
-
-    Requires the regularity check to pass on both counts; solves the balance
-    equations directly and falls back to power iteration if the direct solve
-    is ill-conditioned. The result satisfies ``max|pi K - pi| <= 1e-10``.
-    """
+def _steady_state(kernel) -> tuple[Pmf, RegularityReport]:
+    """Steady state of a kernel together with the regularity report that licenses it."""
     k = _validate_kernel(kernel)
     report = check_regularity(k)
     if not report.indecomposable or report.self_loop_state is None:
@@ -358,7 +354,17 @@ def stationary(kernel) -> Pmf:
         pi = _power_stationary(k)
     if pi is None or float(np.abs(pi @ k - pi).max()) > STATIONARY_RESIDUAL:
         raise NumericalError("stationary solve did not reach the required residual")
-    return Pmf(pi, tol=INTERNAL_TOL)
+    return Pmf(pi, tol=INTERNAL_TOL), report
+
+
+def stationary(kernel) -> Pmf:
+    """Steady-state law of the battery level.
+
+    Requires the regularity check to pass on both counts; solves the balance
+    equations directly and falls back to power iteration if the direct solve
+    is ill-conditioned. The result satisfies ``max|pi K - pi| <= 1e-10``.
+    """
+    return _steady_state(kernel)[0]
 
 
 @dataclass(frozen=True)
@@ -374,8 +380,7 @@ class StationaryAnalysis:
 def analyze_chain(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel) -> StationaryAnalysis:
     """Build the kernel and solve for its steady state in one step."""
     kernel = build_kernel(spec, policy, arrival)
-    report = check_regularity(kernel)
-    pi = stationary(kernel)
+    pi, report = _steady_state(kernel)
     return StationaryAnalysis(kernel=kernel, pi=pi,
                               indecomposable=report.indecomposable,
                               self_loop_state=report.self_loop_state)
@@ -385,24 +390,19 @@ def analyze_chain(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel)
 class PairChain:
     """Markov chain on consecutive battery levels with the relay symbol as emission.
 
-    States are (u, u') pairs with positive one-step probability. Because the
-    charge per slot is at most cost - 1 while spending removes cost units, a
-    drop in level certifies a transmitted 1 and a non-drop certifies a 0, so
-    the emission is a deterministic function of the pair. If a charge law
-    ever made both symbols consistent with the same pair, states are refined
-    to (u, u', x2) triples so the emission stays deterministic; the ``refined``
-    flag records whether that defensive path was taken.
+    States are (u, u') pairs with positive one-step probability. The charge
+    per slot is at most cost - 1 while a pulse removes cost units, so a
+    pulse always leaves u' <= u - 1 and silence always leaves u' >= u: the
+    emission is a deterministic function of the pair, and no pair ever has
+    to be split by relay symbol. ``refined`` records that and is always
+    False; the Monte Carlo substream labels include it.
     """
 
     states: tuple
     transition: np.ndarray
     pi: np.ndarray
     emissions: np.ndarray
-    refined: bool
-    index: dict = field(repr=False, default_factory=dict)
-
-    def entropy_weights(self) -> np.ndarray:
-        return self.pi
+    refined: bool = False
 
 
 def _spend_split_tensor(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel) -> np.ndarray:
@@ -425,65 +425,31 @@ def pair_chain(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel,
     if len(pi) != spec.states:
         raise ValidationError("steady state has the wrong number of levels")
     states = spec.states
-    needs_refine = False
-    for u in range(states):
-        for v in range(states):
-            if q[u, 0, v] > 0.0 and q[u, 1, v] > 0.0:
-                needs_refine = True
-    if needs_refine:
-        labels = [(u, v, x2)
-                  for u in range(states) for v in range(states) for x2 in (0, 1)
-                  if q[u, x2, v] > 0.0]
-        emissions = np.array([x2 for (_, _, x2) in labels], dtype=np.int8)
-        pis = np.array([pi[u] * q[u, x2, v] for (u, v, x2) in labels])
-        t = np.zeros((len(labels), len(labels)))
-        for i, (_, v, _) in enumerate(labels):
-            for j, (src, dst, x2n) in enumerate(labels):
-                if src == v:
-                    t[i, j] = q[src, x2n, dst]
-    else:
-        labels = [(u, v)
-                  for u in range(states) for v in range(states)
-                  if level_kernel[u, v] > 0.0]
-        emissions = np.array([1 if q[u, 1, v] > 0.0 else 0 for (u, v) in labels], dtype=np.int8)
-        pis = np.array([pi[u] * level_kernel[u, v] for (u, v) in labels])
-        t = np.zeros((len(labels), len(labels)))
-        for i, (_, v) in enumerate(labels):
-            for j, (src, dst) in enumerate(labels):
-                if src == v:
-                    t[i, j] = level_kernel[src, dst]
+    labels = [(u, v)
+              for u in range(states) for v in range(states)
+              if level_kernel[u, v] > 0.0]
+    emissions = np.array([1 if q[u, 1, v] > 0.0 else 0 for (u, v) in labels], dtype=np.int8)
+    pis = np.array([pi[u] * level_kernel[u, v] for (u, v) in labels])
+    t = np.zeros((len(labels), len(labels)))
+    for i, (_, v) in enumerate(labels):
+        for j, (src, dst) in enumerate(labels):
+            if src == v:
+                t[i, j] = level_kernel[src, dst]
     total = pis.sum()
     if abs(total - 1.0) > 1e-9:
         raise NumericalError("pair-state weights do not sum to one")
     pis = pis / total
-    index = {label: i for i, label in enumerate(labels)}
-    return PairChain(states=tuple(labels), transition=t, pi=pis,
-                     emissions=emissions, refined=needs_refine, index=index)
-
-
-def emissions_injective(chain: PairChain) -> bool:
-    """True when, from every state, distinct successors emit distinct symbols.
-
-    Exactly then does the emitted process carry the full transition
-    randomness, making ``markov_entropy_rate`` its true entropy rate.
-    """
-    t = chain.transition
-    emit = chain.emissions
-    for i in range(t.shape[0]):
-        succ = np.flatnonzero(t[i] > 0.0)
-        symbols = emit[succ]
-        if symbols.size != np.unique(symbols).size:
-            return False
-    return True
+    return PairChain(states=tuple(labels), transition=t, pi=pis, emissions=emissions)
 
 
 def markov_entropy_rate(chain: PairChain) -> float:
     """Transition entropy rate of the pair chain, in bits per step.
 
     This equals the entropy rate of the emitted relay sequence whenever the
-    emissions are injective per source state (see ``emissions_injective``).
-    Otherwise it is only an upper proxy for the emitted process and an
-    empirical estimate from the Monte Carlo lab is authoritative.
+    emissions are injective per source state: from every state, distinct
+    successors emit distinct symbols. Otherwise it is only an upper proxy
+    for the emitted process and an empirical estimate from the Monte Carlo
+    lab is authoritative.
     """
     t = chain.transition
     mask = t > 0.0
@@ -491,6 +457,52 @@ def markov_entropy_rate(chain: PairChain) -> float:
     np.log2(t, out=logs, where=mask)
     per_state = -(t * logs).sum(axis=1)
     return max(float(chain.pi @ per_state), 0.0)
+
+
+def _observation_table(chain: PairChain, channel: Optional[BinaryChannel]) -> np.ndarray:
+    """b[y, s]: probability of observing symbol y from pair state s.
+
+    ``channel`` None is a noiseless observation of the relay symbol.
+    """
+    rows = np.eye(2) if channel is None else channel.rows
+    return rows[chain.emissions].T
+
+
+def _forward_pass(chain: PairChain, table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Natural-log probabilities of observation rows, one forward recursion for all.
+
+    ``table[c, s]`` is the likelihood of symbol code c from pair state s and
+    ``codes`` holds integer code rows of shape (B, n). The hidden pair state
+    starts from the stationary law; each step renormalizes, so long rows are
+    fine. Returns shape (B,), with -inf for a row of probability zero.
+
+    Each step is one matrix product of the (B, states) forward vectors with
+    every code's step matrix side by side, each followed by a row-sum
+    column, and one gather of each row's own block: the per-step numpy
+    call count does not depend on B or on the number of codes. A row that
+    dies turns NaN from its next step on and is mapped to -inf at the end.
+    """
+    kinds, states = table.shape
+    batch, n = codes.shape
+    step = chain.transition[None] * table[:, None, :]
+    step = np.concatenate([step, step.sum(axis=2, keepdims=True)], axis=2)
+    wide = step.transpose(1, 0, 2).reshape(states, kinds * (states + 1))
+    offsets = np.arange(batch) * kinds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = chain.pi * table[codes[:, 0]]
+        scale = alpha.sum(axis=1)
+        loglik = np.log(scale)
+        alpha /= scale[:, None]
+        for start in range(1, n, _BLOCK):
+            keys = codes[:, start:start + _BLOCK].T + offsets
+            scales = np.empty(keys.shape)
+            for i, key in enumerate(keys):
+                nxt = (alpha @ wide).reshape(-1, states + 1)[key]
+                scales[i] = nxt[:, states]
+                alpha = nxt[:, :states] / nxt[:, states:]
+            loglik += np.log(scales).sum(axis=0)
+    loglik[np.isnan(loglik)] = -np.inf
+    return loglik
 
 
 def forward_loglik(chain: PairChain, channel: Optional[BinaryChannel], observed) -> float:
@@ -508,25 +520,7 @@ def forward_loglik(chain: PairChain, channel: Optional[BinaryChannel], observed)
         raise ValidationError("observed sequence must be a nonempty 1-d array")
     if np.any((obs != 0) & (obs != 1)):
         raise ValidationError("observed symbols must be 0 or 1")
-    emit = chain.emissions
-    if channel is None:
-        b = np.zeros((2, emit.size))
-        b[0, emit == 0] = 1.0
-        b[1, emit == 1] = 1.0
-    else:
-        rows = channel.rows
-        b = np.vstack([rows[emit, 0], rows[emit, 1]])
-    step = [chain.transition * b[y][None, :] for y in (0, 1)]
-    alpha = chain.pi * b[obs[0]]
-    loglik = 0.0
-    for i, y in enumerate(obs):
-        if i > 0:
-            alpha = alpha @ step[y]
-        scale = float(alpha.sum())
-        if scale <= 0.0:
-            raise NumericalError(
-                f"observed sequence has probability zero at position {i} (support mismatch)"
-            )
-        loglik += math.log(scale)
-        alpha = alpha / scale
-    return float(loglik)
+    loglik = float(_forward_pass(chain, _observation_table(chain, channel), obs[None, :])[0])
+    if loglik == -math.inf:
+        raise NumericalError("observed sequence has probability zero (support mismatch)")
+    return loglik

@@ -27,8 +27,9 @@ from .battery import (
     BatterySpec,
     PairChain,
     StatePolicy,
+    _forward_pass,
+    _observation_table,
     build_kernel,
-    forward_loglik,
     stationary,
 )
 from .errors import BudgetError, NumericalError, ValidationError
@@ -189,22 +190,22 @@ def empirical_aep(chain: PairChain, ch2: Optional[BinaryChannel], cfg: RunConfig
     The marginal uses the forward recursion over the hidden pair state; the
     joint factors into the exact chain probability of the relay sequence
     plus the memoryless channel term, so joint >= marginal holds per trial.
+    Every trial is drawn first and all sequences are then scored in one
+    forward pass: relay rows against the noiseless table, received rows
+    (codes offset by 2) against the second-hop table stacked under it.
     """
     n, trials = cfg.n, cfg.trials
     pair_cum = np.cumsum(chain.pi)
-    marginal = np.empty(trials)
-    joint = np.empty(trials)
+    codes = np.empty((trials if ch2 is None else 2 * trials, n), dtype=np.int8)
+    log_channel = np.zeros(trials)
     label = f"aep/states={len(chain.states)}/refined={chain.refined}"
     for trial in range(trials):
         rng = substream(cfg.seed, label, trial)
         start = _draw_index(pair_cum, rng)
         path = sample_path(chain.transition, start, n, rng)
         x2 = chain.emissions[path]
-        log_chain = forward_loglik(chain, None, x2)
-        if ch2 is None:
-            y = x2
-            log_channel = 0.0
-        else:
+        codes[trial] = x2
+        if ch2 is not None:
             p_one = np.where(x2 == 1, ch2.q2, 1.0 - ch2.q1)
             y = (rng.random(n) < p_one).astype(np.int8)
             correct = y == x2
@@ -213,9 +214,17 @@ def empirical_aep(chain: PairChain, ch2: Optional[BinaryChannel], cfg: RunConfig
                              np.where(correct, ch2.q1, 1.0 - ch2.q1))
             if np.any(terms <= 0.0):
                 raise NumericalError("received a symbol the channel cannot produce")
-            log_channel = float(np.log(terms).sum())
-        marginal[trial] = -forward_loglik(chain, ch2, y) / (n * _LN2)
-        joint[trial] = -(log_chain + log_channel) / (n * _LN2)
+            log_channel[trial] = float(np.log(terms).sum())
+            codes[trials + trial] = y + 2
+    table = _observation_table(chain, None)
+    if ch2 is not None:
+        table = np.vstack([table, _observation_table(chain, ch2)])
+    scores = _forward_pass(chain, table, codes)
+    if not np.all(np.isfinite(scores)):
+        raise NumericalError("a sampled sequence has probability zero (support mismatch)")
+    log_chain, log_received = scores[:trials], scores[-trials:]
+    marginal = -log_received / (n * _LN2)
+    joint = -(log_chain + log_channel) / (n * _LN2)
     return AepResult(n=n, marginal_bits=marginal, joint_bits=joint)
 
 
@@ -617,7 +626,7 @@ def receiver_smoke_trial(chain: PairChain, ch2: BinaryChannel, message_bits: int
         x2 = book[0]
         p_one = np.where(x2 == 1, ch2.q2, 1.0 - ch2.q1)
         y = (rng.random(n) < p_one).astype(np.int8)
-        scores = _batched_chain_scores(chain, book)
+        scores = _forward_pass(chain, _observation_table(chain, None), book)
         channel_rows = ch2.rows
         terms = channel_rows[book, y[None, :]]
         with np.errstate(divide="ignore"):
@@ -627,24 +636,3 @@ def receiver_smoke_trial(chain: PairChain, ch2: BinaryChannel, message_bits: int
     return ReceiverSmokeResult(n=n, message_bits=message_bits, trials=cfg.trials,
                                p_error=errors / float(cfg.trials))
 
-
-def _batched_chain_scores(chain: PairChain, sequences: np.ndarray) -> np.ndarray:
-    """log P(sequence) under the pair chain, one row per candidate."""
-    emit = chain.emissions
-    b = np.zeros((2, emit.size))
-    b[0, emit == 0] = 1.0
-    b[1, emit == 1] = 1.0
-    steps = np.stack([chain.transition * b[y][None, :] for y in (0, 1)])
-    alpha = chain.pi[None, :] * b[sequences[:, 0]]
-    scores = np.zeros(sequences.shape[0])
-    for i in range(sequences.shape[1]):
-        if i > 0:
-            alpha = np.einsum("ws,wsk->wk", alpha, steps[sequences[:, i]])
-        scale = alpha.sum(axis=1)
-        dead = scale <= 0.0
-        if np.any(dead):
-            scores[dead] = -np.inf
-            scale = np.where(dead, 1.0, scale)
-        scores = scores + np.where(dead, 0.0, np.log(scale))
-        alpha = alpha / scale[:, None]
-    return scores

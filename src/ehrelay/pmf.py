@@ -153,11 +153,6 @@ class BinaryChannel:
         """Transition table, rows indexed by input symbol."""
         return np.array([[self.q1, 1.0 - self.q1], [1.0 - self.q2, self.q2]])
 
-    def row(self, x: int) -> np.ndarray:
-        if x not in (0, 1):
-            raise ValidationError("binary channel input must be 0 or 1")
-        return self.rows[x]
-
 
 def entropy(p) -> float:
     """Shannon entropy in bits; accepts a Pmf or anything coercible to one."""
@@ -184,7 +179,7 @@ def _h2(p) -> np.ndarray:
 def binary_entropy(p):
     """Entropy in bits of a (p, 1-p) split, elementwise on arrays."""
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < -INTERNAL_TOL) or np.any(arr > 1.0 + INTERNAL_TOL):
+    if not np.all((arr >= -INTERNAL_TOL) & (arr <= 1.0 + INTERNAL_TOL)):
         raise ValidationError("binary_entropy argument must lie in [0, 1]")
     out = _h2(arr)
     if np.isscalar(p) or getattr(p, "ndim", 1) == 0:

@@ -25,6 +25,7 @@ from ehrelay import (
     pair_chain,
     stationary,
 )
+from ehrelay.battery import _forward_pass, _observation_table
 from conftest import (
     WORKED_KERNEL,
     WORKED_PAIR_ENTROPY,
@@ -226,6 +227,19 @@ class TestStationary:
             assert np.max(np.abs(pi.probs - stationary_eig_oracle(k))) <= 1e-10
             assert np.max(np.abs(pi.probs @ k - pi.probs)) <= 1e-10
 
+    def test_analyze_chain_checks_regularity_once(self, worked, monkeypatch):
+        import ehrelay.battery as battery
+        calls = []
+        real = battery.check_regularity
+
+        def counted(kernel):
+            calls.append(1)
+            return real(kernel)
+
+        monkeypatch.setattr(battery, "check_regularity", counted)
+        analyze_chain(*worked)
+        assert len(calls) == 1
+
     def test_analyze_chain_bundle(self, worked):
         spec, policy, arrival = worked
         analysis = analyze_chain(spec, policy, arrival)
@@ -273,21 +287,25 @@ class TestPairChain:
         assert all(e == 0 for e in chain.emissions)
 
     def test_shipped_arrivals_never_need_refinement(self):
-        # Arrivals never reach the pulse cost in one slot, so a level drop
-        # always means a pulse and the emission map never needs refining.
+        # A slot charges at most cost - 1 units and a pulse costs cost, so
+        # under every charge law each pair emits 1 exactly when u' < u and
+        # the emission map never needs refining.
         from ehrelay import BinaryChannel
         rng = np.random.default_rng(19)
-        spec = BatterySpec(capacity=4, cost=3)
-        policy = StatePolicy.joint_policy(spec, random_joint_tables(spec, rng))
-        for arrival in [
-            ArrivalModel.deterministic(),
-            ArrivalModel.first_hop(BinaryChannel(0.9, 0.9)),
-            ArrivalModel.lossy(BinaryChannel(0.9, 0.9),
-                               Pmf([0.7, 0.2, 0.1]), Pmf([0.1, 0.4, 0.5])),
-        ]:
-            analysis = analyze_chain(spec, policy, arrival)
-            chain = pair_chain(spec, policy, arrival, analysis.pi)
-            assert not chain.refined
+        for capacity in range(1, 9):
+            for cost in range(2, 7):
+                spec = BatterySpec(capacity=capacity, cost=cost)
+                policy = StatePolicy.joint_policy(spec, random_joint_tables(spec, rng))
+                hop = BinaryChannel(*(0.5 + 0.5 * rng.random(2)))
+                loss = [Pmf(rng.dirichlet(np.ones(cost))) for _ in range(2)]
+                for arrival in (ArrivalModel.deterministic(),
+                                ArrivalModel.first_hop(hop),
+                                ArrivalModel.lossy(hop, *loss)):
+                    analysis = analyze_chain(spec, policy, arrival)
+                    chain = pair_chain(spec, policy, arrival, analysis.pi)
+                    drops = [int(v < u) for (u, v) in chain.states]
+                    assert chain.emissions.tolist() == drops
+                    assert not chain.refined
 
 
 class TestMarkovEntropyRate:
@@ -375,3 +393,63 @@ class TestForwardLoglik:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValidationError):
             forward_loglik(self.build(), None, [])
+
+    def test_stacked_rows_match_exhaustive_path_sum(self):
+        # One call scores noiseless rows (codes 0/1) and noisy rows (codes
+        # 2/3) against the two observation tables stacked.
+        from ehrelay import BinaryChannel
+        from ehrelay.mclab import sample_path
+        chain = self.build()
+        noisy = BinaryChannel(0.9, 0.8)
+        table = np.vstack([_observation_table(chain, None),
+                           _observation_table(chain, noisy)])
+        rng = np.random.default_rng(29)
+        for n in range(1, 11):
+            clean = [chain.emissions[sample_path(chain.transition, s, n, rng)]
+                     for s in rng.integers(0, len(chain.states), size=2)]
+            received = [rng.integers(0, 2, size=n) for _ in range(3)]
+            codes = np.array(clean + [y + 2 for y in received])
+            got = _forward_pass(chain, table, codes)
+            want = ([exhaustive_observation_loglik(WORKED_KERNEL, WORKED_PI, np.eye(2), y)
+                     for y in clean]
+                    + [exhaustive_observation_loglik(WORKED_KERNEL, WORKED_PI, noisy.rows, y)
+                       for y in received])
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_long_rows_match_the_scalar_recursion(self):
+        # Rows longer than the pass's block of steps, against a plain
+        # per-symbol loop over the same recursion.
+        from ehrelay import BinaryChannel
+        from ehrelay.mclab import sample_path
+        chain = self.build()
+        noisy = BinaryChannel(0.9, 0.8)
+        rng = np.random.default_rng(37)
+        clean = chain.emissions[sample_path(chain.transition, 0, 2500, rng)]
+        received = (rng.random(2500) < 0.3).astype(int)
+        got = _forward_pass(chain, np.vstack([_observation_table(chain, None),
+                                              _observation_table(chain, noisy)]),
+                            np.array([clean, received + 2]))
+        for y, channel, score in ((clean, None, got[0]), (received, noisy, got[1])):
+            b = _observation_table(chain, channel)
+            alpha = chain.pi * b[y[0]]
+            want = 0.0
+            for i, sym in enumerate(y):
+                if i:
+                    alpha = (alpha @ chain.transition) * b[sym]
+                want += math.log(alpha.sum())
+                alpha = alpha / alpha.sum()
+            assert score == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_impossible_row_is_minus_inf_on_its_own(self):
+        chain = self.build()
+        rows = np.array([[0, 0, 1, 0, 0, 0, 1, 0],
+                         [0, 1, 1, 0, 0, 0, 0, 0],   # two pulses in a row
+                         [1, 0, 0, 0, 1, 0, 0, 1],
+                         [0, 0, 0, 0, 0, 0, 0, 0]])
+        got = _forward_pass(chain, _observation_table(chain, None), rows)
+        assert got[1] == -np.inf
+        for i in (0, 2, 3):
+            want = forward_loglik(chain, None, rows[i])
+            assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0)
+        with pytest.raises(NumericalError):
+            forward_loglik(chain, None, rows[1])

@@ -168,6 +168,15 @@ class TestEmpiricalAep:
         piped = empirical_aep(chain, BinaryChannel(1.0, 1.0), cfg)
         assert np.array_equal(alone.marginal_bits, piped.joint_bits)
 
+    def test_trials_do_not_depend_on_the_batch(self):
+        chain = worked_chain()
+        for ch2 in (None, BinaryChannel(0.9, 0.8)):
+            few = empirical_aep(chain, ch2, RunConfig(seed=11, n=3000, trials=3))
+            many = empirical_aep(chain, ch2, RunConfig(seed=11, n=3000, trials=5))
+            for got, want in ((few.marginal_bits, many.marginal_bits[:3]),
+                              (few.joint_bits, many.joint_bits[:3])):
+                assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
     def test_deterministic_chain_has_zero_description_length(self):
         spec = worked_spec()
         charge = np.array([[0.0, 0.0], [1.0, 0.0]])

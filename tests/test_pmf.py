@@ -88,6 +88,12 @@ class TestEntropy:
         out = binary_entropy(np.array([0.0, 0.5, 1.0]))
         assert np.array_equal(out, [0.0, 1.0, 0.0])
 
+    def test_binary_entropy_rejects_outside_unit_interval(self):
+        for bad in (-0.1, 1.1, float("nan"), float("inf"), -float("inf"),
+                    np.array([float("nan"), 0.5]), np.array([0.5, float("inf")])):
+            with pytest.raises(ValidationError):
+                binary_entropy(bad)
+
     @settings(max_examples=60, deadline=None)
     @given(pmfs())
     def test_bounds(self, weights):
