@@ -50,7 +50,7 @@ from .rates import (
     random_loss_rate,
     second_hop_rate,
 )
-from .timing import ZNoise, constant_wait_table, default_wait_table, t_pmf, timing_rate, TimingScheme, z_pmf
+from .timing import TimingScheme, ZNoise, _wait_rule, t_pmf, timing_rate, z_pmf
 
 _RATE_COLUMNS = ("model", "cost", "capacity", "relay_bound", "receiver_bound",
                  "rate", "achievable", "binding")
@@ -309,13 +309,8 @@ def _cmd_rate(cfg: dict, args, meta: dict):
         src = _source_pmf(node)
         first, _ = _channels(cfg, need_first=True, need_second=False)
         opts = _timing_options(cfg)
-        result = timing_rate(spec, src, first, **opts)
-        breakdown = result.breakdown
-        if opts["wait_rule"] == "mod":
-            scheme_note = (f"wait selector: uniform over {len(result.scheme.aux.probs)} "
-                           f"letters (default choice), modular wait rule")
-        else:
-            scheme_note = f"wait selector: constant wait {opts['wait_const']}"
+        breakdown = timing_rate(spec, src, first, **opts).breakdown
+        _, _, scheme_note = _wait_rule(opts["wait_rule"], opts["aux_size"], opts["wait_const"])
         pretty = _breakdown_pretty(model, spec, breakdown) + [scheme_note]
         return [_breakdown_row(model, spec, breakdown)], _RATE_COLUMNS, pretty
     elif model is Model.SECOND_HOP:
@@ -523,27 +518,14 @@ def _timing_inputs(cfg: Optional[dict], args) -> tuple[int, float, dict]:
 
 def _cmd_timing(cfg: Optional[dict], args, meta: dict):
     cost, p1, opts = _timing_inputs(cfg, args)
-    noise = ZNoise(cost=cost, p1=p1, overlap=opts["overlap"], zmax=opts["zmax"])
-    z = z_pmf(noise)
-    if opts["wait_rule"] == "mod":
-        scheme = TimingScheme(Pmf.uniform(opts["aux_size"]),
-                              default_wait_table(opts["aux_size"], z.values))
-    elif opts["wait_rule"] == "const":
-        scheme = TimingScheme(Pmf.point(1, 0),
-                              constant_wait_table(opts["wait_const"], 1, z.values))
-    else:
-        raise ValidationError(f"unknown wait rule {opts['wait_rule']!r}")
-    t = t_pmf(z, scheme)
+    z = z_pmf(ZNoise(cost=cost, p1=p1, overlap=opts["overlap"], zmax=opts["zmax"]))
+    aux, table, scheme_note = _wait_rule(opts["wait_rule"], opts["aux_size"], opts["wait_const"])
+    t = t_pmf(z, TimingScheme(aux, table(z.values)))
     rows = [{"series": "recharge", "value": int(v), "probability": float(p)}
             for v, p in zip(z.values, z.probs)]
     rows += [{"series": "spacing", "value": int(v), "probability": float(p)}
              for v, p in zip(t.values, t.probs)]
     hz, ht = z.entropy_bits(), t.entropy_bits()
-    if opts["wait_rule"] == "mod":
-        scheme_note = (f"wait selector: uniform over {opts['aux_size']} letters "
-                       f"(default choice), modular wait rule")
-    else:
-        scheme_note = f"wait selector: constant wait {opts['wait_const']}"
     pretty = [
         f"recharge time: mean {_fmt(z.mean())}, entropy {_fmt(hz)} bits",
         f"spacing: mean {_fmt(t.mean())}, entropy {_fmt(ht)} bits",

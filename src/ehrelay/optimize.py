@@ -41,7 +41,7 @@ from .rates import (
     second_hop_bounds,
     second_hop_rate,
 )
-from .timing import TimingRateResult, timing_rate
+from .timing import TimingRateResult, _timing_bounds, _wait_rule, timing_rate
 
 _STEP0 = 0.25
 _STEP_FLOOR = 1e-9
@@ -275,8 +275,10 @@ class _ProductProblem(_CubeProblem):
 class _TimingProblem(_CubeProblem):
     """Source bias for the spacing scheme, one dimension per search.
 
-    The spacing scheme is not batched: ``values`` runs ``timing_rate`` once
-    per point.
+    ``values`` scores one point at a time through the array kernel
+    ``_timing_bounds``, and keeps each distinct point's value (-inf for an
+    infeasible one), so a point the search asks for again is not
+    recomputed. The evaluation counter still counts every request.
     """
 
     def __init__(self, spec: BatterySpec, ch1: BinaryChannel, aux_size: int,
@@ -285,27 +287,40 @@ class _TimingProblem(_CubeProblem):
         self.spec = spec
         self.dims = _dims(Model.TIMING, spec)
         self.ch1 = ch1
+        self.overlap = overlap
         self.kwargs = dict(aux_size=aux_size, wait_rule=wait_rule,
                            wait_const=wait_const, overlap=overlap)
+        aux, self.table, _ = _wait_rule(wait_rule, aux_size, wait_const)
+        self.aux = aux.probs
+        self.scores: dict[float, float] = {}
 
-    def _rate(self, theta: np.ndarray) -> TimingRateResult:
+    @staticmethod
+    def _p1(theta: np.ndarray) -> float:
         lo, hi = _TIMING_BOX
-        p1 = lo + (hi - lo) * float(theta[0])
-        return timing_rate(self.spec, Pmf.binary(p1), self.ch1, **self.kwargs)
+        return lo + (hi - lo) * float(theta[0])
+
+    def _score(self, theta: np.ndarray) -> float:
+        p1 = self._p1(theta)
+        src = np.array([1.0 - p1, p1])
+        src /= src.sum()  # what Pmf.binary(p1) holds
+        try:
+            return min(_timing_bounds(src, self.ch1, self.spec.cost, self.overlap,
+                                      self.aux, self.table))
+        except EhRelayError:
+            return -np.inf
 
     def values(self, thetas: np.ndarray) -> np.ndarray:
-        out = np.full(len(thetas), -np.inf)
+        out = np.empty(len(thetas))
         for k, theta in enumerate(thetas):
-            try:
-                out[k] = self._rate(theta).breakdown.rate
-            except EhRelayError:
-                pass
+            key = float(theta[0])
+            if key not in self.scores:
+                self.scores[key] = self._score(theta)
+            out[k] = self.scores[key]
         return out
 
     def finalize(self, theta: np.ndarray):
-        result = self._rate(theta)
-        lo, hi = _TIMING_BOX
-        p1 = lo + (hi - lo) * float(theta[0])
+        p1 = self._p1(theta)
+        result = timing_rate(self.spec, Pmf.binary(p1), self.ch1, **self.kwargs)
         digest = _digest([[p1], result.scheme.aux.probs,
                           result.scheme.wait.astype(np.float64)])
         return result.breakdown, {"p_x1": Pmf.binary(p1), "timing": result,

@@ -156,7 +156,11 @@ class BinaryChannel:
 
 def entropy(p) -> float:
     """Shannon entropy in bits; accepts a Pmf or anything coercible to one."""
-    probs = p.probs if isinstance(p, Pmf) else Pmf(p).probs
+    return _entropy_bits(p.probs if isinstance(p, Pmf) else Pmf(p).probs)
+
+
+def _entropy_bits(probs: np.ndarray) -> float:
+    """The unchecked core of ``entropy``, for vectors already normalized."""
     mask = probs > 0.0
     return float(-(probs[mask] * np.log2(probs[mask])).sum()) + 0.0
 

@@ -19,7 +19,6 @@ Model map:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -32,11 +31,11 @@ from .battery import (
     energy_profile,
     stationary,
 )
+from .breakdown import BINDING_TIE, RateBreakdown  # noqa: F401  (re-exported)
 from .errors import ConstraintError, ValidationError
 from .pmf import BinaryChannel, Pmf, _h2, entropy
 
 CHANNEL_CLASS_TOL = 1e-9
-BINDING_TIE = 1e-9
 
 
 class Model(str, Enum):
@@ -44,29 +43,6 @@ class Model(str, Enum):
     TIMING = "timing"
     BOTH_HOPS = "both-hops"
     RANDOM_LOSS = "random-loss"
-
-
-@dataclass(frozen=True)
-class RateBreakdown:
-    """Both bounds, their min, the clamp at zero, and which side binds."""
-
-    relay_bound: float
-    receiver_bound: float
-    rate: float
-    achievable: float
-    binding: str
-
-    @classmethod
-    def from_bounds(cls, relay: float, receiver: float) -> "RateBreakdown":
-        rate = min(relay, receiver)
-        if abs(relay - receiver) <= BINDING_TIE:
-            binding = "both"
-        elif receiver < relay:
-            binding = "receiver"
-        else:
-            binding = "relay"
-        return cls(relay_bound=relay, receiver_bound=receiver, rate=rate,
-                   achievable=max(rate, 0.0), binding=binding)
 
 
 def require_informative_second_hop(ch2: BinaryChannel) -> None:

@@ -17,8 +17,9 @@ from math import comb
 import numpy as np
 
 from .battery import BatterySpec
+from .breakdown import RateBreakdown
 from .errors import ConstraintError, NumericalError, ValidationError
-from .pmf import BinaryChannel, Pmf, entropy, mutual_information, output_entropy_given_input
+from .pmf import BinaryChannel, Pmf, _entropy_bits, entropy
 
 MASS_TOL = 1e-12
 _SUPPORT_CAP = 1_000_000
@@ -76,15 +77,69 @@ class ZNoise:
             raise ValidationError("charge probability must be in (0, 1]; 0 never recharges")
         if self.zmax is not None and self.zmax < self.cost - (1 if self.overlap else 0):
             raise ValidationError("zmax is below the smallest possible recharge time")
+        if self.zmax is not None and self.zmax > _SUPPORT_CAP:
+            raise ValidationError(f"zmax must be at most {_SUPPORT_CAP}, the recharge support cap")
 
 
-def _nb_pmf(z: np.ndarray, k: int, p: float) -> np.ndarray:
-    """P(k-th success on trial z) for Bernoulli(p) trials."""
-    out = np.zeros(z.shape, dtype=np.float64)
-    for i, zi in enumerate(z):
-        if zi >= k:
-            out[i] = comb(int(zi) - 1, k - 1) * p**k * (1.0 - p) ** (int(zi) - k)
+def _nb_pmf(start: int, stop: int, k: int, p: float) -> np.ndarray:
+    """P(k-th success on trial z) for Bernoulli(p) trials, z in [start, stop).
+
+    Each entry is comb(z-1, k-1) * p**k * (1-p)**(z-k) exactly as the scalar
+    formula gives it: the coefficient is an exact integer, carried from one z
+    to the next by recurrence and rounded once to a double, and the powers
+    use Python's ``**`` (numpy's vector power rounds some inputs differently).
+    """
+    out = np.zeros(stop - start)
+    first = max(start, k)
+    if first >= stop:
+        return out
+    coef, c = [], comb(first - 1, k - 1)
+    for z in range(first, stop):
+        try:
+            coef.append(float(c))
+        except OverflowError:
+            raise NumericalError(
+                f"recharge-time coefficient comb({z - 1}, {k - 1}) does not fit a double"
+            ) from None
+        c = c * z // (z - k + 1)
+    q = 1.0 - p
+    powers = [q ** (z - k) for z in range(first, stop)]
+    out[first - start:] = np.array(coef) * p**k * np.array(powers)
     return out
+
+
+def _z_law(noise: ZNoise) -> tuple[np.ndarray, np.ndarray]:
+    """Support and probabilities of ``z_pmf`` before ``IntegerPmf`` renormalizes them.
+
+    Each doubling of the horizon computes only the new half of the support.
+    """
+    m, p = noise.cost, noise.p1
+    lo = m - 1 if noise.overlap else m
+
+    def mass(start: int, stop: int) -> np.ndarray:
+        if noise.overlap:
+            return p * _nb_pmf(start, stop, m - 1, p) + (1.0 - p) * _nb_pmf(start, stop, m, p)
+        return _nb_pmf(start, stop, m, p)
+
+    if noise.zmax is not None:
+        probs = mass(lo, noise.zmax + 1)
+        if probs.sum() < 1.0 - MASS_TOL:
+            raise NumericalError(
+                f"horizon {noise.zmax} truncates {1.0 - probs.sum():.3e} of the recharge mass"
+            )
+        return np.arange(lo, noise.zmax + 1, dtype=np.int64), probs / probs.sum()
+    hi = max(lo + 8, 2 * m)
+    probs = mass(lo, hi + 1)
+    while probs.sum() < 1.0 - MASS_TOL:
+        if hi > _SUPPORT_CAP:
+            raise NumericalError(
+                f"recharge-time support exceeds {_SUPPORT_CAP} points at p1={p}"
+            )
+        probs = np.concatenate([probs, mass(hi + 1, 2 * hi + 1)])
+        hi *= 2
+    cut = int(np.searchsorted(np.cumsum(probs), 1.0 - MASS_TOL)) + 1
+    probs = probs[:cut]
+    return np.arange(lo, lo + cut, dtype=np.int64), probs / probs.sum()
 
 
 def z_pmf(noise: ZNoise) -> IntegerPmf:
@@ -94,36 +149,7 @@ def z_pmf(noise: ZNoise) -> IntegerPmf:
     tail must weigh under ``MASS_TOL`` or the horizon is rejected. Without
     ``zmax`` the smallest adequate horizon is found by doubling.
     """
-    m, p = noise.cost, noise.p1
-    lo = m - 1 if noise.overlap else m
-
-    def mass(values: np.ndarray) -> np.ndarray:
-        if noise.overlap:
-            return p * _nb_pmf(values, m - 1, p) + (1.0 - p) * _nb_pmf(values, m, p)
-        return _nb_pmf(values, m, p)
-
-    if noise.zmax is not None:
-        values = np.arange(lo, noise.zmax + 1, dtype=np.int64)
-        probs = mass(values)
-        if probs.sum() < 1.0 - MASS_TOL:
-            raise NumericalError(
-                f"horizon {noise.zmax} truncates {1.0 - probs.sum():.3e} of the recharge mass"
-            )
-        return IntegerPmf(values, probs / probs.sum())
-    hi = max(lo + 8, 2 * m)
-    while True:
-        values = np.arange(lo, hi + 1, dtype=np.int64)
-        probs = mass(values)
-        if probs.sum() >= 1.0 - MASS_TOL:
-            cum = np.cumsum(probs)
-            cut = int(np.searchsorted(cum, 1.0 - MASS_TOL)) + 1
-            values, probs = values[:cut], probs[:cut]
-            return IntegerPmf(values, probs / probs.sum())
-        if hi > _SUPPORT_CAP:
-            raise NumericalError(
-                f"recharge-time support exceeds {_SUPPORT_CAP} points at p1={p}"
-            )
-        hi *= 2
+    return IntegerPmf(*_z_law(noise))
 
 
 def default_wait_table(aux_size: int, z_values: np.ndarray) -> np.ndarray:
@@ -159,18 +185,42 @@ class TimingScheme:
         object.__setattr__(self, "wait", wait)
 
 
+def _wait_rule(rule: str, aux_size: int, wait_const: int):
+    """A named wait rule as (aux law, wait-table builder, "wait selector" note).
+
+    The builder maps the recharge support to the wait table, so the scheme
+    for a given recharge law is ``TimingScheme(aux, table(z_values))``.
+    """
+    if rule == "mod":
+        return (Pmf.uniform(aux_size), lambda z: default_wait_table(aux_size, z),
+                f"wait selector: uniform over {aux_size} letters (default choice), "
+                f"modular wait rule")
+    if rule == "const":
+        return (Pmf.point(1, 0), lambda z: constant_wait_table(wait_const, 1, z),
+                f"wait selector: constant wait {wait_const}")
+    raise ValidationError(f"unknown wait rule {rule!r}")
+
+
+def _t_law(z_values: np.ndarray, z_probs: np.ndarray, aux: np.ndarray,
+           wait: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support and probabilities of ``t_pmf`` before ``IntegerPmf`` renormalizes them.
+
+    Every (aux symbol, recharge time) pair adds its weight to its spacing in
+    the order of the flattened table, as ``np.add.at`` would.
+    """
+    t_vals = z_values[None, :] + wait
+    weights = aux[:, None] * z_probs[None, :]
+    lo = int(t_vals.min())
+    acc = np.bincount((t_vals - lo).ravel(), weights=weights.ravel())
+    keep = acc > 0.0
+    return np.flatnonzero(keep) + lo, acc[keep]
+
+
 def t_pmf(z_dist: IntegerPmf, scheme: TimingScheme) -> IntegerPmf:
     """Distribution of T = Z + v(A, Z) with A independent of Z."""
     if scheme.wait.shape[1] != len(z_dist.values):
         raise ValidationError("wait table columns must cover the recharge support")
-    t_vals = z_dist.values[None, :] + scheme.wait
-    weights = scheme.aux.probs[:, None] * z_dist.probs[None, :]
-    lo, hi = int(t_vals.min()), int(t_vals.max())
-    acc = np.zeros(hi - lo + 1, dtype=np.float64)
-    np.add.at(acc, (t_vals - lo).ravel(), weights.ravel())
-    keep = acc > 0.0
-    values = np.arange(lo, hi + 1, dtype=np.int64)[keep]
-    return IntegerPmf(values, acc[keep])
+    return IntegerPmf(*_t_law(z_dist.values, z_dist.probs, scheme.aux.probs, scheme.wait))
 
 
 def induced_arrival_prob(p_x1: Pmf, ch1: BinaryChannel) -> float:
@@ -179,9 +229,45 @@ def induced_arrival_prob(p_x1: Pmf, ch1: BinaryChannel) -> float:
     return float(out[1])
 
 
+def _spacing_bounds(src: np.ndarray, ch1: BinaryChannel, t_values: np.ndarray,
+                    t_probs: np.ndarray) -> tuple[float, float]:
+    """(relay, receiver) bounds of the timing scheme from a spacing law.
+
+    ``src`` is the source law and ``t_values``/``t_probs`` the spacing law as
+    ``IntegerPmf`` holds them. The receiver bound is H(T)/E[T] minus
+    H(first-hop output | source symbol); the relay bound is the first-hop
+    mutual information. Each entropy renormalizes its vector the way
+    ``Pmf`` does (the clip to zero is the identity on these vectors), so the
+    bounds equal those computed through the validated objects.
+    """
+    charge_bits = float(src[0] * ch1.noise_bits[0] + src[1] * ch1.noise_bits[1])
+    receiver = _entropy_bits(t_probs / t_probs.sum()) / float(t_values @ t_probs)
+    receiver -= charge_bits
+    out = src @ ch1.rows
+    relay = max(_entropy_bits(out / out.sum()) - charge_bits, 0.0)
+    return relay, receiver
+
+
+def _timing_bounds(src: np.ndarray, ch1: BinaryChannel, cost: int, overlap: bool,
+                   aux: np.ndarray, table) -> tuple[float, float]:
+    """(relay, receiver) bounds of ``timing_rate`` from raw arrays.
+
+    ``src`` is the source law as ``Pmf`` holds it, ``aux`` the aux law's
+    probabilities and ``table`` the wait-table builder of ``_wait_rule``.
+    The recharge and spacing laws are renormalized where ``z_pmf``,
+    ``t_pmf`` and ``IntegerPmf`` would, so the bounds are those of
+    ``timing_rate`` bit for bit, without building its validated objects.
+    """
+    noise = ZNoise(cost=cost, p1=float((src @ ch1.rows)[1]), overlap=overlap)
+    z_values, z_probs = _z_law(noise)
+    z_probs = z_probs / float(z_probs.sum())
+    t_values, t_probs = _t_law(z_values, z_probs, aux, table(z_values))
+    return _spacing_bounds(src, ch1, t_values, t_probs / float(t_probs.sum()))
+
+
 @dataclass(frozen=True)
 class TimingRateResult:
-    breakdown: "RateBreakdown"
+    breakdown: RateBreakdown
     noise: ZNoise
     z_dist: IntegerPmf
     t_dist: IntegerPmf
@@ -206,29 +292,13 @@ def timing_rate(spec: BatterySpec, p_x1, ch1: BinaryChannel, *,
     src = p_x1 if isinstance(p_x1, Pmf) else Pmf(p_x1)
     if len(src) != 2:
         raise ValidationError("source law must be binary")
-    if z is None:
-        p1 = induced_arrival_prob(src, ch1)
-        noise = ZNoise(cost=spec.cost, p1=p1, overlap=overlap, zmax=zmax)
-        z_dist = z_pmf(noise)
-    else:
-        noise = ZNoise(cost=spec.cost, p1=induced_arrival_prob(src, ch1),
-                       overlap=overlap, zmax=zmax)
-        z_dist = z
+    noise = ZNoise(cost=spec.cost, p1=induced_arrival_prob(src, ch1),
+                   overlap=overlap, zmax=zmax)
+    z_dist = z_pmf(noise) if z is None else z
     if scheme is None:
-        if wait_rule == "mod":
-            wait = default_wait_table(aux_size, z_dist.values)
-            aux = Pmf.uniform(aux_size)
-        elif wait_rule == "const":
-            wait = constant_wait_table(wait_const, 1, z_dist.values)
-            aux = Pmf.point(1, 0)
-        else:
-            raise ValidationError(f"unknown wait rule {wait_rule!r}")
-        scheme = TimingScheme(aux, wait)
+        aux, table, _ = _wait_rule(wait_rule, aux_size, wait_const)
+        scheme = TimingScheme(aux, table(z_dist.values))
     t_dist = t_pmf(z_dist, scheme)
-    receiver = t_dist.entropy_bits() / t_dist.mean()
-    receiver -= output_entropy_given_input(src, ch1)
-    relay = mutual_information(src, ch1)
-    from .rates import RateBreakdown
-
-    return TimingRateResult(RateBreakdown.from_bounds(relay, receiver),
-                            noise, z_dist, t_dist, scheme)
+    breakdown = RateBreakdown.from_bounds(
+        *_spacing_bounds(src.probs, ch1, t_dist.values, t_dist.probs))
+    return TimingRateResult(breakdown, noise, z_dist, t_dist, scheme)

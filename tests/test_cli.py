@@ -199,6 +199,19 @@ class TestTimingCommand:
     def test_invalid_charge_probability(self, capsys):
         assert main(["timing", "--cost", "2", "--charge-p", "1.5"]) == 1
 
+    def test_cost_beyond_double_range_is_one_numerical_line(self, capsys):
+        assert main(["timing", "--cost", "600", "--charge-p", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error:") and err.count("\n") == 1
+
+    def test_horizon_over_the_support_cap_is_rejected(self, capsys):
+        from ehrelay.timing import _SUPPORT_CAP
+
+        assert main(["timing", "--cost", "3", "--charge-p", "0.5",
+                     "--zmax", str(_SUPPORT_CAP + 1)]) == 1
+        err = capsys.readouterr().err
+        assert "support cap" in err and err.count("\n") == 1
+
 
 class TestFormatting:
     def test_negative_zero_collapses(self):

@@ -2,6 +2,8 @@
 policy draws, and its own coarser configurations, and sweeps must agree with
 single calls."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ehrelay import (
     BatterySpec,
     BinaryChannel,
     ConstraintError,
+    EhRelayError,
     Model,
     OptimizeOptions,
     Pmf,
@@ -21,7 +24,11 @@ from ehrelay import (
     sweep,
     timing_rate,
 )
+from ehrelay.optimize import _TimingProblem
 from conftest import random_joint_tables
+
+# the package re-exports the function optimize under the module's name
+optimize_module = importlib.import_module("ehrelay.optimize")
 
 CH1 = BinaryChannel(0.95, 0.95)
 CH2 = BinaryChannel(0.9, 0.9)
@@ -75,6 +82,101 @@ class TestTimingSearch:
         assert res.timing is not None
         probs = np.asarray(res.p_x1)
         assert probs.min() > 0
+
+
+class TestTimingMemo:
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        real = optimize_module._timing_bounds
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optimize_module, "_timing_bounds", spy)
+        return calls
+
+    def test_repeated_point_is_scored_once_and_counted_each_time(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        problem = _TimingProblem(SPEC22, CH1, 5, "mod", 1, False)
+        first = problem(np.array([[0.3], [0.3], [0.7]]))
+        again = problem(np.array([[0.3]]))
+        assert len(calls) == 2
+        assert problem.evaluations == 4
+        assert first[0] == first[1] == again[0]
+        p1 = problem._p1(np.array([0.3]))
+        assert first[0] == timing_rate(SPEC22, Pmf.binary(p1), CH1).breakdown.rate
+
+    def test_infeasible_point_is_remembered(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        # the first-hop output is always 0, so the battery never charges
+        problem = _TimingProblem(SPEC22, BinaryChannel(1.0, 0.0), 5, "mod", 1, False)
+        values = problem(np.array([[0.5], [0.5]]))
+        assert len(calls) == 1
+        assert problem.evaluations == 2
+        assert np.all(values == -np.inf)
+
+    def test_search_equals_the_per_point_reference(self, monkeypatch):
+        def run():
+            out = []
+            for cost in (2, 4):
+                spec = BatterySpec(capacity=cost, cost=cost)
+                for kw in ({}, {"wait_rule": "const", "wait_const": 2}, {"overlap": True}):
+                    res = optimize(Model.TIMING, spec, ch1=CH1, opts=SMALL, **kw)
+                    out.append((res.theta, res.policy_digest, res.evaluations, res.breakdown))
+            return out
+
+        def reference(self, thetas):
+            out = np.full(len(thetas), -np.inf)
+            for k, theta in enumerate(thetas):
+                try:
+                    out[k] = timing_rate(self.spec, Pmf.binary(self._p1(theta)), self.ch1,
+                                         **self.kwargs).breakdown.rate
+                except EhRelayError:
+                    pass
+            return out
+
+        fast = run()
+        monkeypatch.setattr(_TimingProblem, "values", reference)
+        assert fast == run()
+
+    # (cost, wait options, theta, digest, evaluations, relay, receiver), frozen
+    # from the search that scored every request through timing_rate
+    FROZEN = [
+        (2, {}, 0.8248873598873616, "362ee61c4f75", 451,
+         0.4616275586665351, 0.19709299183709306),
+        (2, {"wait_rule": "const", "wait_const": 2}, 0.4294050492346287, "b01f08e64a48", 449,
+         0.7023875848076682, 0.1702489116593529),
+        (2, {"overlap": True}, 0.9040909986943007, "675eea3e8aa3", 437,
+         0.3071715508965391, 0.3071715504129749),
+        (4, {}, 0.8368852816522122, "e6c60126797a", 435,
+         0.44122857022423184, 0.06900266472404909),
+        (4, {"wait_rule": "const", "wait_const": 2}, 0.5594331224774713, "2b769ef32e0a", 447,
+         0.7056598122813598, 0.05445972782766201),
+        (4, {"overlap": True}, 0.9033576857298613, "20e7be37cbad", 429,
+         0.3088354214394907, 0.12103655350002263),
+        (6, {}, 0.8334557063877583, "4fbe2603364d", 437,
+         0.447159889956206, -0.0022911208403182393),
+        (6, {"wait_rule": "const", "wait_const": 2}, 0.6244482792913915, "76836d0d1b2d", 441,
+         0.6785551193268871, -0.011450196884808972),
+        (6, {"overlap": True}, 0.8794468060135842, "efdbfeb87d71", 445,
+         0.36050765585437033, 0.02805766298986423),
+    ]
+
+    def test_results_are_frozen(self):
+        opts = OptimizeOptions(grid_points=21, grid_budget=4000, refine_iters=200,
+                               restarts=4, seed=3)
+        for cost, kw, theta, digest, evaluations, relay, receiver in self.FROZEN:
+            spec = BatterySpec(capacity=cost, cost=cost)
+            res = optimize(Model.TIMING, spec, ch1=CH1, opts=opts, **kw)
+            assert res.theta == (theta,)
+            assert (res.policy_digest, res.evaluations) == (digest, evaluations)
+            assert (res.breakdown.relay_bound, res.breakdown.receiver_bound) == (relay, receiver)
+
+    def test_unknown_wait_rule_is_rejected_up_front(self):
+        with pytest.raises(ValidationError, match="unknown wait rule"):
+            optimize(Model.TIMING, SPEC22, ch1=CH1, wait_rule="bogus", opts=SMALL)
 
 
 class TestSearchQuality:

@@ -58,6 +58,15 @@ class TestRateBreakdown:
     def test_relay_binding(self):
         assert RateBreakdown.from_bounds(0.1, 0.9).binding == "relay"
 
+    def test_one_class_under_every_import_path(self):
+        import ehrelay
+        from ehrelay import breakdown, rates, timing
+
+        assert ehrelay.RateBreakdown is rates.RateBreakdown is breakdown.RateBreakdown
+        assert rates.BINDING_TIE == breakdown.BINDING_TIE
+        result = timing.timing_rate(BatterySpec(2, 2), [0.5, 0.5], BinaryChannel(0.95, 0.95))
+        assert type(result.breakdown) is RateBreakdown
+
 
 class TestChannelClassGuard:
     def test_uninformative_channel_rejected(self):

@@ -2,6 +2,8 @@
 distributions by brute-force double sums, and the timing rate's closed-form
 reductions."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -26,11 +28,37 @@ from ehrelay import (
     timing_rate,
     z_pmf,
 )
+from ehrelay.timing import MASS_TOL, _SUPPORT_CAP, _timing_bounds, _wait_rule
 
 
 def nb_oracle(values, cost, p1):
     """pmf of the slot count until the cost-th arrival, via scipy."""
     return stats.nbinom.pmf(np.asarray(values) - cost, cost, p1)
+
+
+def z_pmf_oracle(cost, p1, overlap=False):
+    """The recharge law one element at a time, rebuilt on every doubling.
+
+    Returns the support, the probabilities as ``z_pmf`` renormalizes them,
+    and how many times the horizon doubled.
+    """
+    def nb(z, k):
+        return comb(z - 1, k - 1) * p1**k * (1.0 - p1) ** (z - k) if z >= k else 0.0
+
+    def mass(z):
+        if overlap:
+            return p1 * nb(z, cost - 1) + (1.0 - p1) * nb(z, cost)
+        return nb(z, cost)
+
+    lo = cost - 1 if overlap else cost
+    hi, doublings = max(lo + 8, 2 * cost), 0
+    while True:
+        probs = np.array([mass(z) for z in range(lo, hi + 1)])
+        if probs.sum() >= 1.0 - MASS_TOL:
+            cut = int(np.searchsorted(np.cumsum(probs), 1.0 - MASS_TOL)) + 1
+            probs = probs[:cut] / probs[:cut].sum()
+            return np.arange(lo, lo + cut), probs / float(probs.sum()), doublings
+        hi, doublings = 2 * hi, doublings + 1
 
 
 class TestZNoise:
@@ -85,6 +113,27 @@ class TestZPmf:
         plain = stats.nbinom.pmf(np.asarray(dist.values) - cost, cost, p1)
         want = p1 * lighter + (1 - p1) * plain
         assert np.max(np.abs(dist.probs - want)) <= 2e-12
+
+    def test_equals_the_per_element_oracle_bit_for_bit(self):
+        seen = set()
+        for cost in (2, 3, 4, 6):
+            for p1 in (1.0, 0.93, 0.6, 0.5, 0.31, 0.12, 0.05):
+                for overlap in (False, True):
+                    values, probs, doublings = z_pmf_oracle(cost, p1, overlap)
+                    dist = z_pmf(ZNoise(cost=cost, p1=p1, overlap=overlap))
+                    assert np.array_equal(dist.values, values)
+                    assert np.array_equal(dist.probs, probs)
+                    seen.add(doublings)
+        assert {0, 1, 2, 3} <= seen
+
+    def test_coefficient_beyond_double_range_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="does not fit a double"):
+            z_pmf(ZNoise(cost=600, p1=0.5))
+
+    def test_explicit_horizon_is_capped(self):
+        ZNoise(cost=3, p1=0.5, zmax=_SUPPORT_CAP)
+        with pytest.raises(ValidationError, match="support cap"):
+            ZNoise(cost=3, p1=0.5, zmax=_SUPPORT_CAP + 1)
 
     def test_tight_horizon_is_an_error(self):
         with pytest.raises(NumericalError):
@@ -181,6 +230,22 @@ class TestTPmf:
             base.entropy_bits(), abs=1e-12)
         assert lifted.mean() == pytest.approx(base.mean() + 1.0, abs=1e-12)
 
+    def test_equals_unbuffered_accumulation(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            z = z_pmf(ZNoise(cost=int(rng.integers(2, 6)), p1=float(rng.uniform(0.1, 1.0))))
+            k = int(rng.integers(1, 8))
+            aux = Pmf(rng.dirichlet(np.ones(k)))
+            table = rng.integers(1, 9, size=(k, len(z.values)))
+            t_vals = z.values[None, :] + table
+            lo = int(t_vals.min())
+            acc = np.zeros(int(t_vals.max()) - lo + 1)
+            np.add.at(acc, (t_vals - lo).ravel(),
+                      (aux.probs[:, None] * z.probs[None, :]).ravel())
+            t = t_pmf(z, TimingScheme(aux, table))
+            assert np.array_equal(t.values, np.flatnonzero(acc) + lo)
+            assert np.array_equal(t.probs, acc[acc > 0] / acc[acc > 0].sum())
+
     def test_coverage_error(self):
         z = z_pmf(ZNoise(cost=2, p1=0.5))
         short = default_wait_table(5, z.values[:-3])
@@ -250,6 +315,32 @@ class TestTimingRate:
                               constant_wait_table(2, 1, z.values))
         result = timing_rate(BatterySpec(2, 2), src, self.CH1, scheme=scheme)
         assert result.t_dist.mean() == pytest.approx(z.mean() + 2, abs=1e-9)
+
+
+class TestTimingKernel:
+    def test_bounds_equal_timing_rate(self):
+        rng = np.random.default_rng(11)
+        for cost in range(2, 7):
+            for p in rng.uniform(0.01, 0.99, 6):
+                ch1 = BinaryChannel(*rng.uniform(0.6, 1.0, 2))
+                src = Pmf.binary(p)
+                for rule, aux_size, const in [("mod", int(rng.integers(1, 8)), 1),
+                                              ("const", 1, int(rng.integers(1, 4)))]:
+                    for overlap in (False, True):
+                        aux, table, _ = _wait_rule(rule, aux_size, const)
+                        relay, receiver = _timing_bounds(src.probs, ch1, cost, overlap,
+                                                         aux.probs, table)
+                        want = timing_rate(BatterySpec(cost, cost), src, ch1,
+                                           aux_size=aux_size, wait_rule=rule,
+                                           wait_const=const, overlap=overlap).breakdown
+                        assert (relay, receiver) == (want.relay_bound, want.receiver_bound)
+
+    def test_wait_rule_note_names_the_scheme(self):
+        assert _wait_rule("mod", 3, 1)[2] == (
+            "wait selector: uniform over 3 letters (default choice), modular wait rule")
+        assert _wait_rule("const", 5, 2)[2] == "wait selector: constant wait 2"
+        with pytest.raises(ValidationError, match="unknown wait rule"):
+            _wait_rule("bogus", 5, 1)
 
 
 class TestIntegerPmf:
