@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import sys
-from typing import Optional
 
 import numpy as np
 import yaml
@@ -104,6 +104,67 @@ def _emit(rows, columns, meta, pretty_lines, args) -> None:
             _write_csv(rows, columns, meta, fh)
 
 
+# The config schema: every section and key, and each key's type. A type is
+# int, float, bool or str; a dict is a mapping of keys; [kind] is a list of
+# kind; ("word", mapping) is that literal word or the mapping. Int keys take
+# YAML ints only, float keys also take strings float() parses (YAML 1.1 reads
+# 1e-6 as a string), bool keys take YAML booleans only, and a null value
+# counts as omitted. Ranges are checked by the objects the values build.
+_CHANNEL = {"crossover": float, "q1": float, "q2": float}
+_SCHEMA = {
+    "model": str,
+    "battery": {"capacity": int, "cost": int},
+    "channels": {"first": _CHANNEL, "second": _CHANNEL},
+    "loss": {"given-zero": [float], "given-one": [float]},
+    "policy": ("optimize", {"joint-given-level": [[[float]]], "x1": [float],
+                            "x2-given-level": [[float]]}),
+    "timing": {"aux-size": int, "wait": str, "wait-value": int, "overlap": bool,
+               "zmax": int, "charge-p": float},
+    "run": {"n": int, "trials": int, "seed": int, "initial-level": int},
+    "optimizer": {"grid-points": int, "grid-budget": int, "refine-iters": int,
+                  "restarts": int, "eps-pos": float, "seed": int, "aux-sizes": [int]},
+    "sweep": {"models": [str], "parameter": str, "values": [int], "cost": int},
+    "codec": {"rates": [float], "margin": float, "slack": float, "blocks": int,
+              "pad": int},
+    "aep": {"noiseless": bool},
+}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+# Config keys whose API keyword is not the key with dashes made underscores.
+_API_NAMES = {"wait": "wait_rule", "wait-value": "wait_const", "initial-level": "initial_state"}
+
+
+def _read(value, kind, path: str):
+    """``value`` checked against the schema entry ``kind``, lists made tuples."""
+    if isinstance(kind, tuple):
+        word, kind = kind
+        if value == word:
+            return value
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{path} must be a mapping, got {value!r}")
+        out = {}
+        for key, item in value.items():
+            where = f"{path}.{key}" if path else str(key)
+            if key not in kind:
+                raise ValidationError(f"unknown config key {where}")
+            if item is not None:
+                out[key] = _read(item, kind[key], where)
+        return out
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValidationError(f"{path} must be a list, got {value!r}")
+        return tuple(_read(item, kind[0], f"{path}[{i}]") for i, item in enumerate(value))
+    if isinstance(value, bool) == (kind is bool):  # booleans fit bool keys alone
+        if kind is float and isinstance(value, (int, float, str)):
+            try:
+                return float(value)
+            except (ValueError, OverflowError):
+                pass
+        elif isinstance(value, kind):
+            return value
+    raise ValidationError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
+
+
 def _load_config(path: str) -> tuple[dict, str]:
     try:
         with open(path, "rb") as fh:
@@ -114,85 +175,71 @@ def _load_config(path: str) -> tuple[dict, str]:
     try:
         cfg = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
-        raise ValidationError(f"config {path} is not valid YAML: {exc}") from exc
+        raise ValidationError(f"config {path} is not valid YAML: "
+                              + " ".join(str(exc).split())) from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a mapping at the top level")
-    return cfg, digest
+    return _read(cfg, _SCHEMA, ""), digest
 
 
-def _section(cfg: dict, name: str, required: bool = True) -> dict:
-    node = cfg.get(name)
-    if node is None:
-        if required:
-            raise ValidationError(f"config is missing the '{name}' section")
-        return {}
-    if not isinstance(node, dict):
-        raise ValidationError(f"config section '{name}' must be a mapping")
+def _need(cfg: dict, path: str):
+    """The value at a dotted config path that the command cannot do without."""
+    node = cfg
+    for key in path.split("."):
+        if not isinstance(node, dict) or key not in node:
+            raise ValidationError(f"config is missing {path}")
+        node = node[key]
     return node
 
 
-def _channel(node, what: str) -> BinaryChannel:
-    if not isinstance(node, dict):
-        raise ValidationError(f"channel '{what}' must be a mapping")
-    if "crossover" in node:
-        return BinaryChannel.from_crossover(float(node["crossover"]))
-    if "q1" in node and "q2" in node:
-        return BinaryChannel(float(node["q1"]), float(node["q2"]))
-    raise ValidationError(f"channel '{what}' needs either crossover or q1+q2")
+def _kwargs(node: dict, *skip: str) -> dict:
+    """A config section less the ``skip`` keys, as keyword arguments.
+
+    Keys the config omits stay omitted, so the callee's defaults apply.
+    """
+    return {_API_NAMES.get(key, key.replace("-", "_")): value
+            for key, value in node.items() if key not in skip}
 
 
-def _channels(cfg: dict, need_first: bool, need_second: bool):
-    node = _section(cfg, "channels", required=need_first or need_second)
-    first = second = None
-    if "first" in node:
-        first = _channel(node["first"], "first")
-    if "second" in node:
-        second = _channel(node["second"], "second")
-    if need_first and first is None:
-        raise ValidationError("this model needs channels.first")
-    if need_second and second is None:
-        raise ValidationError("this model needs channels.second")
-    return first, second
+def _channels(cfg: dict, *need: str) -> dict:
+    """The config's channels by hop name; each hop in ``need`` must be given."""
+    out = {}
+    for hop, node in cfg.get("channels", {}).items():
+        try:
+            if "crossover" in node:
+                out[hop] = BinaryChannel.from_crossover(node["crossover"])
+            elif "q1" in node and "q2" in node:
+                out[hop] = BinaryChannel(node["q1"], node["q2"])
+            else:
+                raise ValidationError("needs either crossover or q1+q2")
+        except ValidationError as exc:
+            raise ValidationError(f"channels.{hop}: {exc}") from exc
+    for hop in need:
+        if hop not in out:
+            raise ValidationError(f"this model needs channels.{hop}")
+    return out
 
 
 def _battery(cfg: dict) -> BatterySpec:
-    node = _section(cfg, "battery")
-    try:
-        return BatterySpec(capacity=int(node["capacity"]), cost=int(node["cost"]))
-    except KeyError as exc:
-        raise ValidationError(f"battery section is missing {exc.args[0]!r}") from exc
+    return BatterySpec(capacity=_need(cfg, "battery.capacity"), cost=_need(cfg, "battery.cost"))
 
 
-def _model(cfg: dict) -> Model:
-    name = cfg.get("model")
-    if name is None:
-        raise ValidationError("config is missing 'model'")
+def _model(name: str) -> Model:
     try:
-        return Model(str(name))
+        return Model(name)
     except ValueError as exc:
         choices = ", ".join(m.value for m in Model)
         raise ValidationError(f"unknown model {name!r} (choose from: {choices})") from exc
 
 
-def _loss_pmfs(cfg: dict, spec: BatterySpec) -> tuple[Pmf, Pmf]:
-    node = _section(cfg, "loss")
-    try:
-        zero, one = node["given-zero"], node["given-one"]
-    except KeyError as exc:
-        raise ValidationError(f"loss section is missing {exc.args[0]!r}") from exc
-    return LossShape(tuple(zero), tuple(one)).pmfs(spec.cost)
+def _loss(cfg: dict) -> LossShape:
+    return LossShape(_need(cfg, "loss.given-zero"), _need(cfg, "loss.given-one"))
 
 
-def _policy_node(cfg: dict):
-    node = cfg.get("policy")
-    if node is None:
-        raise ValidationError("config is missing the 'policy' section")
-    return node
-
-
-def _explicit_policy(node, spec: BatterySpec) -> StatePolicy:
+def _explicit_policy(cfg: dict, spec: BatterySpec) -> StatePolicy:
+    node = _need(cfg, "policy")
     if not isinstance(node, dict):
-        raise ValidationError("policy must be 'optimize' or a mapping of tables")
+        raise ValidationError("this command needs a fixed policy, not 'optimize'")
     if "joint-given-level" in node:
         return StatePolicy.joint_policy(spec, node["joint-given-level"], strict=False)
     if "x1" in node and "x2-given-level" in node:
@@ -203,74 +250,50 @@ def _explicit_policy(node, spec: BatterySpec) -> StatePolicy:
     )
 
 
-def _source_pmf(node) -> Pmf:
-    if not isinstance(node, dict) or "x1" not in node:
-        raise ValidationError("the timing model needs policy.x1")
-    return Pmf(node["x1"])
-
-
 def _gate_feasibility(policy: StatePolicy, model: Model, spec: BatterySpec) -> None:
     violations = feasibility_check(policy, model, spec)
     if violations:
         raise ConstraintError("infeasible policy: " + "; ".join(violations))
 
 
-def _timing_options(cfg: dict) -> dict:
-    node = _section(cfg, "timing", required=False)
-    return {
-        "aux_size": int(node.get("aux-size", 5)),
-        "wait_rule": str(node.get("wait", "mod")),
-        "wait_const": int(node.get("wait-value", 1)),
-        "overlap": bool(node.get("overlap", False)),
-        "zmax": int(node["zmax"]) if node.get("zmax") is not None else None,
-    }
+def _timing_opts(cfg: dict, **flags) -> dict:
+    """``timing_rate``'s keyword arguments: its defaults, overridden by the
+    config's timing keys, overridden by the flags that are not None."""
+    defaults = {name: param.default for name, param in
+                inspect.signature(timing_rate).parameters.items()
+                if param.kind is param.KEYWORD_ONLY}
+    given = {key: value for key, value in flags.items() if value is not None}
+    return {**defaults, **_kwargs(cfg.get("timing", {}), "charge-p"), **given}
 
 
-def _run_config(cfg: dict, seed: int, default_n: int = 100_000) -> tuple[RunConfig, int]:
-    node = _section(cfg, "run", required=False)
-    n = int(node.get("n", default_n))
-    trials = int(node.get("trials", 1))
-    initial = int(node.get("initial-level", 0))
-    return RunConfig(seed=seed, n=n, trials=trials), initial
+def _search_timing(cfg: dict, command: str) -> dict:
+    """The timing keys the optimizer takes; the keys it cannot honour are errors."""
+    node = cfg.get("timing", {})
+    for key, hint in (("zmax", "the search sizes the recharge horizon itself"),
+                      ("aux-size", "set optimizer.aux-sizes instead")):
+        if key in node:
+            raise ValidationError(f"timing.{key} does not apply to {command}: {hint}")
+    return _kwargs(node, "charge-p")
+
+
+def _run_config(cfg: dict, args, default_n: int) -> RunConfig:
+    node = {"n": default_n, **cfg.get("run", {})}
+    return RunConfig(seed=_seed(cfg, args), **_kwargs(node, "seed", "initial-level"))
 
 
 def _seed(cfg: dict, args) -> int:
     if args.seed is not None:
-        return int(args.seed)
-    run = cfg.get("run") or {}
-    if isinstance(run, dict) and run.get("seed") is not None:
-        return int(run["seed"])
-    opt = cfg.get("optimizer") or {}
-    if isinstance(opt, dict) and opt.get("seed") is not None:
-        return int(opt["seed"])
-    return 0
-
-
-def _optimizer_options(cfg: dict, seed: int) -> OptimizeOptions:
-    node = _section(cfg, "optimizer", required=False)
-    kwargs = {
-        "grid_points": int(node.get("grid-points", 21)),
-        "grid_budget": int(node.get("grid-budget", 20_000)),
-        "refine_iters": int(node.get("refine-iters", 200)),
-        "restarts": int(node.get("restarts", 8)),
-        "eps_pos": float(node.get("eps-pos", 1e-6)),
-        "seed": seed,
-    }
-    if node.get("aux-sizes") is not None:
-        kwargs["aux_sizes"] = tuple(int(a) for a in node["aux-sizes"])
-    return OptimizeOptions(**kwargs)
+        return args.seed
+    return cfg.get("run", {}).get("seed", cfg.get("optimizer", {}).get("seed", 0))
 
 
 def _arrival_for(model: Model, cfg: dict, spec: BatterySpec):
     if model is Model.SECOND_HOP:
         return ArrivalModel.deterministic()
     if model is Model.BOTH_HOPS:
-        first, _ = _channels(cfg, need_first=True, need_second=False)
-        return ArrivalModel.first_hop(first)
+        return ArrivalModel.first_hop(_channels(cfg, "first")["first"])
     if model is Model.RANDOM_LOSS:
-        first, _ = _channels(cfg, need_first=True, need_second=False)
-        zero, one = _loss_pmfs(cfg, spec)
-        return ArrivalModel.lossy(first, zero, one)
+        return ArrivalModel.lossy(_channels(cfg, "first")["first"], *_loss(cfg).pmfs(spec.cost))
     raise ValidationError("the timing model has no per-level battery policy")
 
 
@@ -298,66 +321,46 @@ def _breakdown_pretty(model: Model, spec: BatterySpec, breakdown: RateBreakdown)
     ]
 
 
-def _cmd_rate(cfg: dict, args, meta: dict):
-    model = _model(cfg)
+def _cmd_rate(cfg: dict, args):
+    model = _model(_need(cfg, "model"))
     spec = _battery(cfg)
-    node = _policy_node(cfg)
-    if node == "optimize":
+    if _need(cfg, "policy") == "optimize":
         raise ValidationError("the rate command evaluates a fixed policy; "
                               "use the optimize command instead")
     if model is Model.TIMING:
-        src = _source_pmf(node)
-        first, _ = _channels(cfg, need_first=True, need_second=False)
-        opts = _timing_options(cfg)
+        src = Pmf(_need(cfg, "policy.x1"))
+        first = _channels(cfg, "first")["first"]
+        opts = _timing_opts(cfg)
         breakdown = timing_rate(spec, src, first, **opts).breakdown
         _, _, scheme_note = _wait_rule(opts["wait_rule"], opts["aux_size"], opts["wait_const"])
         pretty = _breakdown_pretty(model, spec, breakdown) + [scheme_note]
         return [_breakdown_row(model, spec, breakdown)], _RATE_COLUMNS, pretty
-    elif model is Model.SECOND_HOP:
-        policy = _explicit_policy(node, spec)
-        _gate_feasibility(policy, model, spec)
-        _, second = _channels(cfg, need_first=False, need_second=True)
-        breakdown = second_hop_rate(spec, policy, second)
+    policy = _explicit_policy(cfg, spec)
+    _gate_feasibility(policy, model, spec)
+    if model is Model.SECOND_HOP:
+        breakdown = second_hop_rate(spec, policy, _channels(cfg, "second")["second"])
     else:
-        policy = _explicit_policy(node, spec)
-        _gate_feasibility(policy, model, spec)
-        first, second = _channels(cfg, need_first=True, need_second=True)
+        ch = _channels(cfg, "first", "second")
         if policy.mode != "product":
             raise ConstraintError("this scheme requires a product policy")
         rows = [policy.x2_row(u) for u in range(spec.states)]
         if model is Model.BOTH_HOPS:
-            breakdown = both_hops_rate(spec, policy.x1, rows, first, second)
+            breakdown = both_hops_rate(spec, policy.x1, rows, ch["first"], ch["second"])
         else:
-            zero, one = _loss_pmfs(cfg, spec)
-            breakdown = random_loss_rate(spec, policy.x1, rows, first, second, zero, one)
+            breakdown = random_loss_rate(spec, policy.x1, rows, ch["first"], ch["second"],
+                                         *_loss(cfg).pmfs(spec.cost))
     row = _breakdown_row(model, spec, breakdown)
     return [row], _RATE_COLUMNS, _breakdown_pretty(model, spec, breakdown)
 
 
-def _optimize_kwargs(cfg: dict, model: Model, spec: BatterySpec) -> dict:
-    timing_opts = _timing_options(cfg)
-    kwargs = {
-        "wait_rule": timing_opts["wait_rule"],
-        "wait_const": timing_opts["wait_const"],
-        "overlap": timing_opts["overlap"],
-    }
-    if model is Model.SECOND_HOP:
-        _, kwargs["ch2"] = _channels(cfg, need_first=False, need_second=True)
-    elif model is Model.TIMING:
-        kwargs["ch1"], _ = _channels(cfg, need_first=True, need_second=False)
-    else:
-        kwargs["ch1"], kwargs["ch2"] = _channels(cfg, need_first=True, need_second=True)
-        if model is Model.RANDOM_LOSS:
-            kwargs["loss"] = _loss_pmfs(cfg, spec)
-    return kwargs
-
-
-def _cmd_optimize(cfg: dict, args, meta: dict):
-    model = _model(cfg)
+def _cmd_optimize(cfg: dict, args):
+    model = _model(_need(cfg, "model"))
     spec = _battery(cfg)
-    seed = _seed(cfg, args)
-    opts = _optimizer_options(cfg, seed)
-    result = optimize(model, spec, opts=opts, **_optimize_kwargs(cfg, model, spec))
+    opts = OptimizeOptions(seed=_seed(cfg, args), **_kwargs(cfg.get("optimizer", {}), "seed"))
+    ch = _channels(cfg)
+    loss = _loss(cfg).pmfs(spec.cost) if model is Model.RANDOM_LOSS else None
+    result = optimize(model, spec, ch1=ch.get("first"), ch2=ch.get("second"), loss=loss,
+                      opts=opts, **_search_timing(cfg, "optimize"))
     row = _breakdown_row(model, spec, result.breakdown)
     row["policy_digest"] = result.policy_digest
     row["evaluations"] = result.evaluations
@@ -367,46 +370,33 @@ def _cmd_optimize(cfg: dict, args, meta: dict):
     return [row], _OPT_COLUMNS, pretty
 
 
-def _cmd_sweep(cfg: dict, args, meta: dict):
-    node = _section(cfg, "sweep")
-    models = node.get("models")
+def _cmd_sweep(cfg: dict, args):
+    models = tuple(_model(m) for m in _need(cfg, "sweep.models"))
     if not models:
-        raise ValidationError("sweep section needs a nonempty 'models' list")
-    parameter = str(node.get("parameter", "cost"))
-    values = node.get("values")
-    if not values:
-        raise ValidationError("sweep section needs a nonempty 'values' list")
-    seed = _seed(cfg, args)
-    ch_node = _section(cfg, "channels", required=False)
-    first = _channel(ch_node["first"], "first") if "first" in ch_node else None
-    second = _channel(ch_node["second"], "second") if "second" in ch_node else None
-    loss = None
-    if cfg.get("loss") is not None:
-        loss_node = _section(cfg, "loss")
-        loss = LossShape(tuple(loss_node["given-zero"]), tuple(loss_node["given-one"]))
-    timing_opts = _timing_options(cfg)
-    plan = SweepSpec(models=tuple(models), parameter=parameter,
-                     values=tuple(int(v) for v in values),
-                     cost=int(node["cost"]) if node.get("cost") is not None else None,
-                     ch1=first, ch2=second, loss=loss,
-                     wait_rule=timing_opts["wait_rule"],
-                     wait_const=timing_opts["wait_const"],
-                     overlap=timing_opts["overlap"],
-                     opts=_optimizer_options(cfg, seed))
+        raise ValidationError("sweep.models must not be empty")
+    _need(cfg, "sweep.values")
+    ch = _channels(cfg)
+    plan = SweepSpec(**{"parameter": "cost", **_kwargs(cfg["sweep"]), "models": models},
+                     ch1=ch.get("first"), ch2=ch.get("second"),
+                     loss=_loss(cfg) if "loss" in cfg else None,
+                     opts=OptimizeOptions(seed=_seed(cfg, args),
+                                          **_kwargs(cfg.get("optimizer", {}), "seed")),
+                     **_search_timing(cfg, "sweep"))
     rows = sweep(plan)
     pretty = [f"{r['model']}: cost {r['cost']}, capacity {r['capacity']} -> "
               f"rate {_fmt(r['rate'])} ({r['binding']} binds)" for r in rows]
     return rows, _SWEEP_COLUMNS, pretty
 
 
-def _cmd_simulate(cfg: dict, args, meta: dict):
-    model = _model(cfg)
+def _cmd_simulate(cfg: dict, args):
+    model = _model(_need(cfg, "model"))
     spec = _battery(cfg)
-    policy = _explicit_policy(_policy_node(cfg), spec)
+    policy = _explicit_policy(cfg, spec)
     _gate_feasibility(policy, model, spec)
     arrival = _arrival_for(model, cfg, spec)
-    run, initial = _run_config(cfg, _seed(cfg, args), default_n=1_000_000)
-    result = simulate_states(spec, policy, arrival, run, initial_state=initial)
+    run = _run_config(cfg, args, default_n=1_000_000)
+    result = simulate_states(spec, policy, arrival, run,
+                             **_kwargs(cfg.get("run", {}), "n", "trials", "seed"))
     rows = []
     for level in range(spec.states):
         rows.append({
@@ -429,19 +419,17 @@ def _cmd_simulate(cfg: dict, args, meta: dict):
     return rows, _SIM_COLUMNS, pretty
 
 
-def _cmd_aep(cfg: dict, args, meta: dict):
-    model = _model(cfg)
+def _cmd_aep(cfg: dict, args):
+    model = _model(_need(cfg, "model"))
     spec = _battery(cfg)
-    policy = _explicit_policy(_policy_node(cfg), spec)
+    policy = _explicit_policy(cfg, spec)
     _gate_feasibility(policy, model, spec)
     arrival = _arrival_for(model, cfg, spec)
     analysis = analyze_chain(spec, policy, arrival)
     chain = pair_chain(spec, policy, arrival, analysis.pi, kernel=analysis.kernel)
-    noiseless = bool(_section(cfg, "aep", required=False).get("noiseless", False))
-    second = None
-    if not noiseless:
-        _, second = _channels(cfg, need_first=False, need_second=True)
-    run, _ = _run_config(cfg, _seed(cfg, args), default_n=10_000)
+    noiseless = cfg.get("aep", {}).get("noiseless", False)
+    second = None if noiseless else _channels(cfg, "second")["second"]
+    run = _run_config(cfg, args, default_n=10_000)
     result = empirical_aep(chain, second, run)
     rows = [{"trial": t, "n": run.n,
              "marginal_bits_per_symbol": float(result.marginal_bits[t]),
@@ -456,24 +444,24 @@ def _cmd_aep(cfg: dict, args, meta: dict):
     return rows, _AEP_COLUMNS, pretty
 
 
-def _cmd_codec(cfg: dict, args, meta: dict):
+def _cmd_codec(cfg: dict, args):
     spec = _battery(cfg)
-    policy = _explicit_policy(_policy_node(cfg), spec)
+    policy = _explicit_policy(cfg, spec)
     _gate_feasibility(policy, Model.SECOND_HOP, spec)
-    node = _section(cfg, "codec", required=False)
+    node = cfg.get("codec", {})
     analysis = analyze_chain(spec, policy, ArrivalModel.deterministic())
     pi = analysis.pi.probs
-    if node.get("rates") is not None:
-        rates = tuple(float(r) for r in node["rates"])
+    if "rates" in node:
+        rates = node["rates"]
     else:
-        margin = float(node.get("margin", 0.1))
+        margin = node.get("margin", 0.1)
         per_level = per_level_source_entropy_bits(policy.tensor())
         rates = tuple(float(max(h - margin, 0.0)) for h in per_level)
-    slack = float(node.get("slack", float(pi.min()) / 2.0))
-    pad = int(node["pad"]) if node.get("pad") is not None else None
-    blocks = int(node.get("blocks", 2))
-    codec = CodecConfig(spec=spec, policy=policy, rate_bits=rates, slack=slack, pad=pad)
-    run, _ = _run_config(cfg, _seed(cfg, args), default_n=400)
+    blocks = node.get("blocks", 2)
+    codec = CodecConfig(spec=spec, policy=policy, rate_bits=rates,
+                        slack=node.get("slack", float(pi.min()) / 2.0),
+                        **_kwargs(node, "rates", "margin", "slack", "blocks"))
+    run = _run_config(cfg, args, default_n=400)
     result = relay_codec_trial(codec, blocks, run)
     rows = [{"block": b, "n": run.n, "trials": run.trials,
              "p_incomplete": float(result.p_incomplete[b]),
@@ -490,34 +478,16 @@ def _cmd_codec(cfg: dict, args, meta: dict):
     return rows, _CODEC_COLUMNS, pretty
 
 
-def _timing_inputs(cfg: Optional[dict], args) -> tuple[int, float, dict]:
-    if cfg is not None:
-        node = _section(cfg, "timing", required=False)
-        cost = args.cost if args.cost is not None else _battery(cfg).cost
-        p1 = args.charge_p if args.charge_p is not None else node.get("charge-p")
-        opts = _timing_options(cfg)
-    else:
-        cost, p1 = args.cost, args.charge_p
-        opts = {"aux_size": 5, "wait_rule": "mod", "wait_const": 1,
-                "overlap": False, "zmax": None}
-    if args.wait is not None:
-        opts["wait_rule"] = args.wait
-    if args.wait_value is not None:
-        opts["wait_const"] = args.wait_value
-    if args.aux_size is not None:
-        opts["aux_size"] = args.aux_size
-    if args.overlap:
-        opts["overlap"] = True
-    if args.zmax is not None:
-        opts["zmax"] = args.zmax
+def _cmd_timing(cfg: dict, args):
+    opts = _timing_opts(cfg, wait_rule=args.wait, wait_const=args.wait_value,
+                        aux_size=args.aux_size, overlap=args.overlap or None, zmax=args.zmax)
+    cost = args.cost
+    if cost is None and args.config is not None:
+        cost = _battery(cfg).cost
+    p1 = args.charge_p if args.charge_p is not None else cfg.get("timing", {}).get("charge-p")
     if cost is None or p1 is None:
         raise ValidationError("the timing command needs --cost and --charge-p "
                               "(or a config providing them)")
-    return int(cost), float(p1), opts
-
-
-def _cmd_timing(cfg: Optional[dict], args, meta: dict):
-    cost, p1, opts = _timing_inputs(cfg, args)
     z = z_pmf(ZNoise(cost=cost, p1=p1, overlap=opts["overlap"], zmax=opts["zmax"]))
     aux, table, scheme_note = _wait_rule(opts["wait_rule"], opts["aux_size"], opts["wait_const"])
     t = t_pmf(z, TimingScheme(aux, table(z.values)))
@@ -542,6 +512,7 @@ _HANDLERS = {
     "simulate": _cmd_simulate,
     "aep": _cmd_aep,
     "codec": _cmd_codec,
+    "timing": _cmd_timing,
 }
 
 
@@ -582,24 +553,21 @@ def main(argv=None) -> int:
     except _UsageError:
         return 1
     try:
-        if args.command == "timing":
-            if args.config is not None:
-                cfg, digest = _load_config(args.config)
-            else:
-                cfg = None
-                stamp = (f"timing|cost={args.cost}|p={args.charge_p}|wait={args.wait}"
-                         f"|value={args.wait_value}|aux={args.aux_size}"
-                         f"|overlap={args.overlap}|zmax={args.zmax}")
-                digest = hashlib.sha256(stamp.encode()).hexdigest()[:12]
-            seed = args.seed if args.seed is not None else 0
-            meta = {"config_hash": digest, "seed": seed,
-                    "version": __version__, "command": "timing"}
-            rows, columns, pretty = _cmd_timing(cfg, args, meta)
-        else:
+        if args.config is not None:
             cfg, digest = _load_config(args.config)
-            meta = {"config_hash": digest, "seed": _seed(cfg, args),
-                    "version": __version__, "command": args.command}
-            rows, columns, pretty = _HANDLERS[args.command](cfg, args, meta)
+        else:  # only the timing command runs from flags alone
+            cfg = {}
+            stamp = (f"timing|cost={args.cost}|p={args.charge_p}|wait={args.wait}"
+                     f"|value={args.wait_value}|aux={args.aux_size}"
+                     f"|overlap={args.overlap}|zmax={args.zmax}")
+            digest = hashlib.sha256(stamp.encode()).hexdigest()[:12]
+        if args.command == "timing":  # no config seed: nothing in it is drawn at random
+            seed = args.seed if args.seed is not None else 0
+        else:
+            seed = _seed(cfg, args)
+        meta = {"config_hash": digest, "seed": seed,
+                "version": __version__, "command": args.command}
+        rows, columns, pretty = _HANDLERS[args.command](cfg, args)
         _emit(rows, columns, meta, pretty, args)
         return 0
     except ConstraintError as exc:

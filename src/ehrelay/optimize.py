@@ -536,6 +536,8 @@ class SweepSpec:
                 )
         else:
             raise ValidationError("sweep parameter must be 'cost' or 'capacity'")
+        if Model.TIMING in models:  # a bad wait rule fails here, not at its first timing cell
+            _wait_rule(self.wait_rule, self.opts.aux_sizes[0], self.wait_const)
 
     def spec_for(self, value: int) -> BatterySpec:
         if self.parameter == "cost":

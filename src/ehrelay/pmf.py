@@ -139,6 +139,8 @@ class BinaryChannel:
     @classmethod
     def from_crossover(cls, p: float) -> "BinaryChannel":
         """Symmetric channel that flips either symbol with probability p."""
+        if not np.isfinite(p) or not 0.0 <= p <= 1.0:
+            raise ValidationError(f"channel crossover must lie in [0, 1], got {p!r}")
         return cls(1.0 - p, 1.0 - p)
 
     @cached_property

@@ -196,6 +196,8 @@ def _wait_rule(rule: str, aux_size: int, wait_const: int):
                 f"wait selector: uniform over {aux_size} letters (default choice), "
                 f"modular wait rule")
     if rule == "const":
+        if wait_const < 1:
+            raise ValidationError(f"constant wait must be at least one slot, got {wait_const!r}")
         return (Pmf.point(1, 0), lambda z: constant_wait_table(wait_const, 1, z),
                 f"wait selector: constant wait {wait_const}")
     raise ValidationError(f"unknown wait rule {rule!r}")

@@ -1,11 +1,15 @@
 """End-to-end command checks: exit codes, CSV shape, byte-stable reruns, and
 the seed override."""
 
+import pathlib
 import re
 
 import pytest
+import yaml
 
-from ehrelay.cli import _fmt, main
+from ehrelay.cli import _SCHEMA, _fmt, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 RATE_CONFIG = "configs/rate-second-hop.yaml"
 SIMULATE_CONFIG = "configs/simulate-occupancy.yaml"
@@ -94,6 +98,106 @@ class TestExitCodes:
         path.write_text(TOTAL_LOSS)
         assert main(["rate", "--config", str(path)]) == 3
         assert "numerical error" in capsys.readouterr().err
+
+
+DROP = object()  # a patch value that deletes the key
+
+
+def _patched(base: str, patch: dict) -> dict:
+    cfg = yaml.safe_load((ROOT / "configs" / base).read_text())
+
+    def merge(node, edits):
+        for key, value in edits.items():
+            if value is DROP:
+                del node[key]
+            elif isinstance(value, dict) and isinstance(node.get(key), dict):
+                merge(node[key], value)
+            else:
+                node[key] = value
+
+    merge(cfg, patch)
+    return cfg
+
+
+WAIT_ZERO = {"wait": "const", "wait-value": 0}
+
+# (command, shipped config, patch or raw YAML text, text the one error line must hold)
+BAD_CONFIGS = {
+    "unknown-top-level-key": ("rate", "rate-second-hop.yaml", {"bogus-key": 1}, "bogus-key"),
+    "misspelt-optimizer-key": ("optimize", "optimize-second-hop.yaml",
+                               {"optimizer": {"restart": 4}}, "optimizer.restart"),
+    "float-for-int": ("aep", "aep-concentration.yaml", {"run": {"n": 2000.7}}, "run.n"),
+    "bool-for-int": ("aep", "aep-concentration.yaml", {"run": {"trials": True}}, "run.trials"),
+    "string-for-bool-noiseless": ("aep", "aep-concentration.yaml",
+                                  {"aep": {"noiseless": "false"}}, "aep.noiseless"),
+    "string-for-bool-overlap": ("rate", "rate-timing.yaml",
+                                {"timing": {"overlap": "false"}}, "timing.overlap"),
+    "zmax-under-optimize": ("optimize", "optimize-second-hop.yaml",
+                            {"timing": {"zmax": 5}}, "timing.zmax"),
+    "aux-size-under-optimize": ("optimize", "optimize-second-hop.yaml",
+                                {"timing": {"aux-size": 2}}, "optimizer.aux-sizes"),
+    "zmax-under-sweep": ("sweep", "sweep-cost.yaml", {"timing": {"zmax": 5}}, "timing.zmax"),
+    "aux-size-under-sweep": ("sweep", "sweep-cost.yaml",
+                             {"timing": {"aux-size": 2}}, "timing.aux-size"),
+    "word-for-int": ("rate", "rate-second-hop.yaml",
+                     {"battery": {"capacity": "two"}}, "battery.capacity"),
+    "word-for-seed": ("aep", "aep-concentration.yaml", {"run": {"seed": "abc"}}, "run.seed"),
+    "list-for-float": ("rate", "random-loss-variant-a.yaml",
+                       {"channels": {"first": {"crossover": [0.1]}}},
+                       "channels.first.crossover"),
+    "sweep-loss-missing-key": ("sweep", "sweep-cost.yaml",
+                               {"loss": {"given-one": DROP}}, "loss.given-one"),
+    "crossover-out-of-range": ("rate", "rate-second-hop.yaml",
+                               {"channels": {"second": {"crossover": 1.5}}},
+                               "channels.second: channel crossover must lie in [0, 1], got 1.5"),
+    "wait-value-zero-under-optimize": ("optimize", "rate-timing.yaml",
+                                       {"timing": {**WAIT_ZERO, "aux-size": DROP}},
+                                       "constant wait"),
+    "wait-value-zero-under-sweep": ("sweep", "sweep-cost.yaml", {"timing": WAIT_ZERO},
+                                    "constant wait"),
+    "yaml-syntax": ("rate", None, "model: [\n", "not valid YAML"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_is_one_line_exit_one(case, tmp_path, capsys):
+    command, base, patch, expected = BAD_CONFIGS[case]
+    path = tmp_path / "bad.yaml"
+    path.write_text(patch if base is None else yaml.safe_dump(_patched(base, patch)))
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and expected in err
+
+
+EPS_CONFIG = """\
+model: second-hop
+battery: {{capacity: 2, cost: 2}}
+channels: {{second: {{crossover: 0.1}}}}
+optimizer: {{grid-budget: 200, restarts: 1, eps-pos: {eps}}}
+"""
+
+
+def test_float_key_takes_the_yaml11_exponent_string(tmp_path, capsys):
+    assert yaml.safe_load("eps: 1e-6") == {"eps": "1e-6"}
+    rows = []
+    for eps in ("1e-6", "1.0e-6"):
+        path = tmp_path / "eps.yaml"
+        path.write_text(EPS_CONFIG.format(eps=eps))
+        assert main(["optimize", "--config", str(path), "--format", "csv"]) == 0
+        rows.append(capsys.readouterr().out.splitlines()[2])
+    assert rows[0] == rows[1]
+
+
+def test_readme_schema_block_matches_the_table():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("### Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    documented = yaml.safe_load(block)
+    assert list(documented) == list(_SCHEMA)
+    for section, kind in _SCHEMA.items():
+        mapping = kind[-1] if isinstance(kind, tuple) else kind
+        if isinstance(mapping, dict):
+            assert list(documented[section]) == list(mapping), section
 
 
 class TestCsvContract:

@@ -178,6 +178,14 @@ class TestTimingMemo:
         with pytest.raises(ValidationError, match="unknown wait rule"):
             optimize(Model.TIMING, SPEC22, ch1=CH1, wait_rule="bogus", opts=SMALL)
 
+    def test_constant_wait_below_one_is_rejected_up_front(self):
+        with pytest.raises(ValidationError, match="constant wait must be at least one slot"):
+            optimize(Model.TIMING, SPEC22, ch1=CH1, wait_rule="const", wait_const=0, opts=SMALL)
+        # a sweep fails when it is built, before its second-hop cells run
+        with pytest.raises(ValidationError, match="constant wait must be at least one slot"):
+            SweepSpec(models=(Model.SECOND_HOP, Model.TIMING), parameter="cost", values=(2,),
+                      ch1=CH1, ch2=CH2, wait_rule="const", wait_const=0)
+
 
 class TestSearchQuality:
     def test_more_refinement_never_hurts(self):

@@ -72,6 +72,11 @@ class TestBinaryChannel:
         with pytest.raises(ValidationError):
             BinaryChannel(0.5, -0.1)
 
+    def test_crossover_out_of_range_names_the_crossover(self):
+        for p in (1.5, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match=r"crossover must lie in \[0, 1\]"):
+                BinaryChannel.from_crossover(p)
+
 
 class TestEntropy:
     def test_uniform_binary(self):

@@ -341,6 +341,8 @@ class TestTimingKernel:
         assert _wait_rule("const", 5, 2)[2] == "wait selector: constant wait 2"
         with pytest.raises(ValidationError, match="unknown wait rule"):
             _wait_rule("bogus", 5, 1)
+        with pytest.raises(ValidationError, match="constant wait must be at least one slot"):
+            _wait_rule("const", 5, 0)
 
 
 class TestIntegerPmf:
