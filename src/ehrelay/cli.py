@@ -100,8 +100,11 @@ def _emit(rows, columns, meta, pretty_lines, args) -> None:
     if args.out is None:
         _write_csv(rows, columns, meta, sys.stdout)
     else:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            _write_csv(rows, columns, meta, fh)
+        try:
+            with open(args.out, "w", encoding="ascii", newline="") as fh:
+                _write_csv(rows, columns, meta, fh)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
 
 
 # The config schema: every section and key, and each key's type. A type is
@@ -266,14 +269,26 @@ def _timing_opts(cfg: dict, **flags) -> dict:
     return {**defaults, **_kwargs(cfg.get("timing", {}), "charge-p"), **given}
 
 
+# Timing keys that some commands cannot honour, and why.
+_UNUSED_TIMING = {
+    "charge-p": "the charge law follows from the source law and channels.first",
+    "zmax": "the search sizes the recharge horizon itself",
+    "aux-size": "set optimizer.aux-sizes instead",
+}
+
+
+def _reject_timing(cfg: dict, command: str, *keys: str) -> None:
+    node = cfg.get("timing", {})
+    for key in keys:
+        if key in node:
+            raise ValidationError(
+                f"timing.{key} does not apply to {command}: {_UNUSED_TIMING[key]}")
+
+
 def _search_timing(cfg: dict, command: str) -> dict:
     """The timing keys the optimizer takes; the keys it cannot honour are errors."""
-    node = cfg.get("timing", {})
-    for key, hint in (("zmax", "the search sizes the recharge horizon itself"),
-                      ("aux-size", "set optimizer.aux-sizes instead")):
-        if key in node:
-            raise ValidationError(f"timing.{key} does not apply to {command}: {hint}")
-    return _kwargs(node, "charge-p")
+    _reject_timing(cfg, command, *_UNUSED_TIMING)
+    return _kwargs(cfg.get("timing", {}))
 
 
 def _run_config(cfg: dict, args, default_n: int) -> RunConfig:
@@ -322,6 +337,7 @@ def _breakdown_pretty(model: Model, spec: BatterySpec, breakdown: RateBreakdown)
 
 
 def _cmd_rate(cfg: dict, args):
+    _reject_timing(cfg, "rate", "charge-p")
     model = _model(_need(cfg, "model"))
     spec = _battery(cfg)
     if _need(cfg, "policy") == "optimize":

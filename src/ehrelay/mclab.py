@@ -39,6 +39,8 @@ from .timing import ZNoise, z_pmf
 MAX_STEPS = 10_000_000
 MAX_CODEBOOK = 2**20
 _LN2 = math.log(2.0)
+_Z_BLOCK_ROWS = 1024
+_CODEC_STOCK_BUDGET = 2**22  # uniforms pre-drawn per lockstep group of codec trials
 
 
 @dataclass(frozen=True)
@@ -67,25 +69,6 @@ def substream(seed: int, label: str, index: int = 0) -> np.random.Generator:
     """
     tag = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
     return np.random.default_rng(np.random.SeedSequence((seed & (2**64 - 1), tag, index)))
-
-
-class _UniformStock:
-    """Pre-drawn uniforms consumed one at a time, refilled in growing chunks."""
-
-    __slots__ = ("rng", "chunk", "stock")
-
-    def __init__(self, rng: np.random.Generator, chunk: int = 1024):
-        self.rng = rng
-        self.chunk = chunk
-        self.stock: list[float] = []
-
-    def take(self) -> float:
-        if not self.stock:
-            draws = self.rng.random(self.chunk)
-            self.stock = draws[::-1].tolist()
-            if self.chunk < 65536:
-                self.chunk *= 2
-        return self.stock.pop()
 
 
 def sample_path(transition, init: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -123,6 +106,24 @@ def sample_path(transition, init: int, n: int, rng: np.random.Generator) -> np.n
 
 def _draw_index(cum: np.ndarray, rng: np.random.Generator) -> int:
     return min(int(np.searchsorted(cum, rng.random(), side="right")), cum.size - 1)
+
+
+def _sample_paths(transition: np.ndarray, starts: np.ndarray, n: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Sample one n-state path from each start, all rows in lockstep.
+
+    Every uniform is drawn up front, one row of B per step; each step then
+    counts, for all rows at once, the cumulative-row edges at or below the
+    row's uniform. Returns a (B, n) array of states.
+    """
+    cum = np.cumsum(transition, axis=1)
+    edges = cum[:, :-1]  # the last edge is 1 and no uniform reaches it
+    u = rng.random((n - 1, len(starts)))
+    paths = np.empty((n, len(starts)), dtype=np.intp)
+    paths[0] = state = np.asarray(starts, dtype=np.intp)
+    for i in range(n - 1):
+        paths[i + 1] = state = (edges[state] <= u[i][:, None]).sum(axis=1)
+    return paths.T
 
 
 @dataclass(frozen=True)
@@ -382,7 +383,10 @@ def z_empirical(cost: int, p1: float, overlap: bool, cfg: RunConfig) -> ZEmpiric
     Slots draw Bernoulli(p1) charge arrivals until the battery holds the
     cost; the histogram of slot counts is compared to ``z_pmf`` by total
     variation (the reference truncation error is far below the tolerance of
-    interest).
+    interest). Each round draws ``horizon`` slots for every pending sample,
+    in blocks of 1,024 samples; uniforms are drawn row-major, so the blocks
+    consume the stream exactly as one (pending, horizon) draw would, and
+    memory stays O(1024 * horizon).
     """
     noise = ZNoise(cost=cost, p1=p1, overlap=overlap)
     reference = z_pmf(noise)
@@ -401,20 +405,20 @@ def z_empirical(cost: int, p1: float, overlap: bool, cfg: RunConfig) -> ZEmpiric
         done = np.zeros(batch, dtype=bool)
         z = np.zeros(batch, dtype=np.int64)
         successes = np.zeros(batch, dtype=np.int64)
-        span = horizon
         while not done.all():
-            hits = rng.random((int((~done).sum()), span)) < p1
-            idx = np.flatnonzero(~done)
-            cumhits = np.cumsum(hits, axis=1) + successes[idx][:, None]
-            reached = cumhits >= targets[idx][:, None]
-            found = reached.any(axis=1)
-            first = np.argmax(reached, axis=1)
-            z[idx[found]] += first[found] + 1
-            done[idx[found]] = True
-            rest = idx[~found]
-            z[rest] += span
-            successes[rest] = cumhits[~found, -1]
-            span = max(span, 8)
+            pending = np.flatnonzero(~done)
+            for lo in range(0, pending.size, _Z_BLOCK_ROWS):
+                idx = pending[lo:lo + _Z_BLOCK_ROWS]
+                hits = rng.random((idx.size, horizon)) < p1
+                cumhits = np.cumsum(hits, axis=1) + successes[idx][:, None]
+                reached = cumhits >= targets[idx][:, None]
+                found = reached.any(axis=1)
+                first = np.argmax(reached, axis=1)
+                z[idx[found]] += first[found] + 1
+                done[idx[found]] = True
+                rest = idx[~found]
+                z[rest] += horizon
+                successes[rest] = cumhits[~found, -1]
         zero_target = targets == 0
         z[zero_target] = 0
         out[filled:filled + batch] = z
@@ -501,6 +505,12 @@ def relay_codec_trial(codec: CodecConfig, blocks: int, cfg: RunConfig) -> CodecR
     probability is computed exactly from the realized word and decided by
     one coin. Blocks after the first force-charge the battery to full (at
     most capacity extra slots) so every block starts from a known level.
+
+    Each trial draws from its own substream: its starting level, then its
+    whole stock of uniforms (two per slot and one coin per block) in the
+    chunks of 4n, doubling up to 65536, that a refilling stock would take.
+    Trials then walk in lockstep, in groups whose stock fits a fixed budget,
+    so each slot is a handful of array operations over the group.
     """
     if blocks < 1:
         raise ValidationError("need at least one block")
@@ -515,71 +525,91 @@ def relay_codec_trial(codec: CodecConfig, blocks: int, cfg: RunConfig) -> CodecR
     pad = codec.pad if codec.pad is not None else n
     joint = policy.tensor()
     source_rows = joint.sum(axis=2)
-    p_x1 = source_rows[:, 1].tolist()
+    p_x1 = source_rows[:, 1]
     spend_given = np.zeros((spec.states, 2))
-    for u in range(spec.states):
-        for x1 in (0, 1):
-            row = joint[u, x1]
-            total = row.sum()
-            spend_given[u, x1] = row[1] / total if total > 0.0 else 0.0
-    spend_given = spend_given.tolist()
+    np.divide(joint[:, :, 1], source_rows, out=spend_given, where=source_rows > 0.0)
     log_rows = np.full((spec.states, 2), -np.inf)
     np.log(source_rows, out=log_rows, where=source_rows > 0.0)
-    log_rows = log_rows.tolist()
     pi_cum = np.cumsum(pi)
     incomplete = np.zeros(blocks, dtype=np.int64)
     ambiguous = np.zeros(blocks, dtype=np.int64)
     either = np.zeros(blocks, dtype=np.int64)
     label = f"codec/n={n}/blocks={blocks}"
-    for trial in range(cfg.trials):
-        rng = substream(cfg.seed, label, trial)
-        stock = _UniformStock(rng, chunk=4 * n)
-        level = _draw_index(pi_cum, rng)
+    stride = 2 * n + 1
+    group = max(1, _CODEC_STOCK_BUDGET // (blocks * stride))
+    for lo in range(0, cfg.trials, group):
+        trials = range(lo, min(lo + group, cfg.trials))
+        start = np.empty(len(trials), dtype=np.intp)
+        stock = np.empty((blocks * stride, len(trials)))
+        for row, trial in enumerate(trials):
+            rng = substream(cfg.seed, label, trial)
+            start[row] = _draw_index(pi_cum, rng)
+            pos, chunk = 0, 4 * n
+            while pos < stock.shape[0]:
+                size = min(chunk, stock.shape[0] - pos)
+                stock[pos:pos + size, row] = rng.random(size)
+                pos += size
+                if chunk < 65536:
+                    chunk *= 2
         for b in range(blocks):
             if b > 0:
-                forced = 0
-                while level < spec.capacity and forced <= spec.capacity:
-                    level = min(level + 1, spec.capacity)
-                    forced += 1
-            visits = [0] * spec.states
-            lnq = [0.0] * spec.states
-            overrun = False
-            take = stock.take
-            cost, cap = spec.cost, spec.capacity
-            want = lengths.tolist()
-            for _ in range(n):
-                seen = visits[level]
-                x1 = 1 if take() < p_x1[level] else 0
-                if seen < want[level]:
-                    lnq[level] += log_rows[level][x1]
-                elif seen >= want[level] + pad:
-                    overrun = True
-                visits[level] = seen + 1
-                x2 = 1 if take() < spend_given[level][x1] else 0
-                nxt = level + x1 - cost * x2
-                level = cap if nxt > cap else nxt
-            miss = any(v < w for v, w in zip(visits, want)) or overrun
-            log_total = -math.inf
-            for u in range(spec.states):
-                if bits[u] == 0 or visits[u] < lengths[u]:
-                    continue
-                count = (1 << int(bits[u])) - 1
-                if count == 0:
-                    continue
-                term = _per_book_exponent(float(lnq[u]), count)
-                log_total = np.logaddexp(log_total, term)
-            p_amb = 0.0 if log_total == -math.inf else float(
-                -math.expm1(-min(math.exp(min(log_total, 700.0)), math.inf))
-            )
-            clash = stock.take() < p_amb
-            incomplete[b] += miss
-            ambiguous[b] += clash
-            either[b] += miss or clash
+                start[:] = spec.capacity
+            visits, lnq, overrun = _codec_walk(
+                start, stock[b * stride:(b + 1) * stride - 1], spec, p_x1,
+                spend_given.ravel(), log_rows.ravel(), lengths, lengths + pad)
+            miss = (visits < lengths).any(axis=1) | overrun
+            coins = stock[(b + 1) * stride - 1]
+            clash = np.array([coin < _ambiguity_probability(lnq[r], visits[r], lengths, bits)
+                              for r, coin in enumerate(coins)], dtype=bool)
+            incomplete[b] += miss.sum()
+            ambiguous[b] += clash.sum()
+            either[b] += (miss | clash).sum()
     t = float(cfg.trials)
     return CodecResult(n=n, blocks=blocks, trials=cfg.trials,
                        p_incomplete=incomplete / t, p_ambiguous=ambiguous / t,
                        p_either=either / t, subcode_lengths=lengths,
                        bits_allocated=bits)
+
+
+def _codec_walk(level, uniforms, spec, p_x1, spend_given, log_rows, want, limit):
+    """One block of the encoding walk for every row of ``level`` at once.
+
+    ``uniforms`` holds two rows per slot (the source draw, then the relay
+    draw); ``spend_given`` and ``log_rows`` are indexed by 2 * level + x1.
+    Returns the (rows, states) visit counts and summed log-probabilities of
+    each level's subcodeword symbols, and whether a row emitted more than
+    ``limit`` symbols at some level.
+    """
+    rows, states = level.size, spec.states
+    base = np.arange(rows) * states
+    visits = np.zeros(rows * states, dtype=np.int64)
+    lnq = np.zeros(rows * states)
+    overrun = np.zeros(rows, dtype=bool)
+    for i in range(0, uniforms.shape[0], 2):
+        cell = base + level
+        seen = visits[cell]
+        x1 = uniforms[i] < p_x1[level]
+        pair = 2 * level + x1
+        lnq[cell] += np.where(seen < want[level], log_rows[pair], 0.0)
+        overrun |= seen >= limit[level]
+        visits[cell] = seen + 1
+        x2 = uniforms[i + 1] < spend_given[pair]
+        level = np.minimum(level + x1 - spec.cost * x2, spec.capacity)
+    return visits.reshape(rows, states), lnq.reshape(rows, states), overrun
+
+
+def _ambiguity_probability(lnq, visits, lengths, bits) -> float:
+    """Chance that another word of some fully received level's book matches
+    the realized subcodeword, given each level's summed log-probability."""
+    log_total = -math.inf
+    for u in range(len(bits)):
+        if bits[u] == 0 or visits[u] < lengths[u]:
+            continue
+        term = _per_book_exponent(float(lnq[u]), (1 << int(bits[u])) - 1)
+        log_total = np.logaddexp(log_total, term)
+    if log_total == -math.inf:
+        return 0.0
+    return float(-math.expm1(-math.exp(min(log_total, 700.0))))
 
 
 def _per_book_exponent(lnq: float, count: int) -> float:
@@ -607,7 +637,8 @@ def receiver_smoke_trial(chain: PairChain, ch2: BinaryChannel, message_bits: int
     Each trial draws 2^message_bits relay sequences from the pair chain,
     sends the first through the second hop, and decodes by the largest exact
     joint score: the forward-recursion probability of the candidate sequence
-    plus the memoryless channel term. Capped at 12 message bits; this is a
+    plus the memoryless channel term. The whole book is sampled in lockstep
+    and scored in one forward pass. Capped at 12 message bits; this is a
     smoke test, not a rate claim.
     """
     if message_bits < 1 or message_bits > 12:
@@ -619,10 +650,9 @@ def receiver_smoke_trial(chain: PairChain, ch2: BinaryChannel, message_bits: int
     label = f"receiver/n={n}/bits={message_bits}"
     for trial in range(cfg.trials):
         rng = substream(cfg.seed, label, trial)
-        book = np.empty((words, n), dtype=np.int8)
-        for w in range(words):
-            start = _draw_index(pair_cum, rng)
-            book[w] = chain.emissions[sample_path(chain.transition, start, n, rng)]
+        starts = np.minimum(np.searchsorted(pair_cum, rng.random(words), side="right"),
+                            pair_cum.size - 1)
+        book = chain.emissions[_sample_paths(chain.transition, starts, n, rng)]
         x2 = book[0]
         p_one = np.where(x2 == 1, ch2.q2, 1.0 - ch2.q1)
         y = (rng.random(n) < p_one).astype(np.int8)

@@ -4,6 +4,10 @@ Every oracle here is computed by a different route than the library uses:
 the stationary oracle goes through an eigendecomposition, the sequence
 likelihood oracle enumerates battery paths outright, and the closed-form
 entropy constants were frozen from direct evaluation of the definitions.
+The Monte Carlo oracles are the scalar reference forms of the lab's
+lockstep kernels: one codec trial walked slot by slot from a refilling
+stock of uniforms, and the recharge simulation drawn as one full
+(pending, horizon) matrix per round.
 """
 
 import itertools
@@ -12,7 +16,16 @@ import math
 import numpy as np
 import pytest
 
-from ehrelay import ArrivalModel, BatterySpec, StatePolicy
+from ehrelay import (
+    ArrivalModel,
+    BatterySpec,
+    StatePolicy,
+    ZNoise,
+    build_kernel,
+    stationary,
+    substream,
+    z_pmf,
+)
 
 # Worked 3-state instance: capacity 2, cost 2, uniform source everywhere,
 # independent 50/50 relay pulse when the battery is full.
@@ -119,3 +132,117 @@ def exhaustive_observation_loglik(kernel, pi, ch_rows, observed) -> float:
     total = float(weight.sum())
     assert total > 0.0
     return math.log(total)
+
+
+class _UniformStock:
+    """Pre-drawn uniforms consumed one at a time, refilled in growing chunks."""
+
+    def __init__(self, rng: np.random.Generator, chunk: int):
+        self.rng = rng
+        self.chunk = chunk
+        self.stock: list[float] = []
+
+    def take(self) -> float:
+        if not self.stock:
+            self.stock = self.rng.random(self.chunk)[::-1].tolist()
+            if self.chunk < 65536:
+                self.chunk *= 2
+        return self.stock.pop()
+
+
+def _draw_index(cum: np.ndarray, rng: np.random.Generator) -> int:
+    return min(int(np.searchsorted(cum, rng.random(), side="right")), cum.size - 1)
+
+
+def _per_book_exponent(lnq: float, count: int) -> float:
+    if lnq >= 0.0:
+        return math.inf
+    log_count = math.log(count)
+    if lnq > -30.0:
+        return log_count + math.log(-math.log1p(-math.exp(lnq)))
+    return log_count + lnq
+
+
+def relay_codec_oracle(codec, blocks: int, cfg) -> tuple:
+    """(p_incomplete, p_ambiguous, p_either) of ``relay_codec_trial``,
+    walking each trial and each slot in scalar code."""
+    spec, policy = codec.spec, codec.policy
+    n = cfg.n
+    pi = stationary(build_kernel(spec, policy, ArrivalModel.deterministic())).probs
+    lengths, bits = codec.plan(n, pi)
+    pad = codec.pad if codec.pad is not None else n
+    joint = policy.tensor()
+    source_rows = joint.sum(axis=2)
+    p_x1 = source_rows[:, 1].tolist()
+    spend_given = [[joint[u, x1, 1] / source_rows[u, x1] if source_rows[u, x1] > 0.0 else 0.0
+                    for x1 in (0, 1)] for u in range(spec.states)]
+    log_rows = np.full_like(source_rows, -np.inf)
+    np.log(source_rows, out=log_rows, where=source_rows > 0.0)
+    log_rows = log_rows.tolist()
+    want = lengths.tolist()
+    counts = np.zeros((3, blocks), dtype=np.int64)
+    for trial in range(cfg.trials):
+        rng = substream(cfg.seed, f"codec/n={n}/blocks={blocks}", trial)
+        stock = _UniformStock(rng, chunk=4 * n)
+        level = _draw_index(np.cumsum(pi), rng)
+        for b in range(blocks):
+            if b > 0:
+                forced = 0
+                while level < spec.capacity and forced <= spec.capacity:
+                    level = min(level + 1, spec.capacity)
+                    forced += 1
+            visits = [0] * spec.states
+            lnq = [0.0] * spec.states
+            overrun = False
+            for _ in range(n):
+                seen = visits[level]
+                x1 = 1 if stock.take() < p_x1[level] else 0
+                if seen < want[level]:
+                    lnq[level] += log_rows[level][x1]
+                elif seen >= want[level] + pad:
+                    overrun = True
+                visits[level] = seen + 1
+                x2 = 1 if stock.take() < spend_given[level][x1] else 0
+                level = min(level + x1 - spec.cost * x2, spec.capacity)
+            miss = any(v < w for v, w in zip(visits, want)) or overrun
+            log_total = -math.inf
+            for u in range(spec.states):
+                if bits[u] == 0 or visits[u] < lengths[u]:
+                    continue
+                term = _per_book_exponent(lnq[u], (1 << int(bits[u])) - 1)
+                log_total = np.logaddexp(log_total, term)
+            p_amb = 0.0 if log_total == -math.inf else float(
+                -math.expm1(-math.exp(min(log_total, 700.0))))
+            clash = stock.take() < p_amb
+            counts[:, b] += (miss, clash, miss or clash)
+    return tuple(counts / float(cfg.trials))
+
+
+def z_empirical_oracle(cost: int, p1: float, overlap: bool, cfg) -> np.ndarray:
+    """Every recharge-time sample ``z_empirical`` draws, each round's pending
+    samples drawn as one (pending, horizon) matrix."""
+    horizon = int(z_pmf(ZNoise(cost=cost, p1=p1, overlap=overlap)).values[-1]) + 8
+    rng = substream(cfg.seed, f"recharge/cost={cost}/p1={p1!r}/overlap={overlap}")
+    out = []
+    while len(out) < cfg.n:
+        batch = min(65536, cfg.n - len(out))
+        if overlap:
+            targets = np.where(rng.random(batch) < p1, cost - 1, cost)
+        else:
+            targets = np.full(batch, cost)
+        done = np.zeros(batch, dtype=bool)
+        z = np.zeros(batch, dtype=np.int64)
+        successes = np.zeros(batch, dtype=np.int64)
+        while not done.all():
+            idx = np.flatnonzero(~done)
+            cumhits = np.cumsum(rng.random((idx.size, horizon)) < p1, axis=1)
+            cumhits += successes[idx][:, None]
+            reached = cumhits >= targets[idx][:, None]
+            found = reached.any(axis=1)
+            z[idx[found]] += np.argmax(reached, axis=1)[found] + 1
+            done[idx[found]] = True
+            z[idx[~found]] += horizon
+            successes[idx[~found]] = cumhits[~found, -1]
+        z[targets == 0] = 0
+        out.extend(z.tolist())
+    return np.array(out, dtype=np.int64)

@@ -1,6 +1,7 @@
 """End-to-end command checks: exit codes, CSV shape, byte-stable reruns, and
 the seed override."""
 
+import hashlib
 import pathlib
 import re
 
@@ -155,6 +156,13 @@ BAD_CONFIGS = {
                                        "constant wait"),
     "wait-value-zero-under-sweep": ("sweep", "sweep-cost.yaml", {"timing": WAIT_ZERO},
                                     "constant wait"),
+    "charge-p-under-rate": ("rate", "rate-timing.yaml", {"timing": {"charge-p": 0.9}},
+                            "timing.charge-p does not apply to rate"),
+    "charge-p-under-optimize": ("optimize", "optimize-second-hop.yaml",
+                                {"timing": {"charge-p": 0.9}},
+                                "timing.charge-p does not apply to optimize"),
+    "charge-p-under-sweep": ("sweep", "sweep-cost.yaml", {"timing": {"charge-p": 0.9}},
+                             "timing.charge-p does not apply to sweep"),
     "yaml-syntax": ("rate", None, "model: [\n", "not valid YAML"),
 }
 
@@ -176,6 +184,22 @@ battery: {{capacity: 2, cost: 2}}
 channels: {{second: {{crossover: 0.1}}}}
 optimizer: {{grid-budget: 200, restarts: 1, eps-pos: {eps}}}
 """
+
+
+def test_out_into_a_missing_directory_is_one_line_exit_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "rate.csv"
+    assert main(["rate", "--config", RATE_CONFIG, "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and str(target) in err
+    assert not target.parent.exists()
+
+
+def test_timing_command_still_reads_charge_p(tmp_path, capsys):
+    path = tmp_path / "timing.yaml"
+    path.write_text(yaml.safe_dump(_patched("rate-timing.yaml", {"timing": {"charge-p": 0.5}})))
+    assert main(["timing", "--config", str(path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "recharge,2,0.25"
 
 
 def test_float_key_takes_the_yaml11_exponent_string(tmp_path, capsys):
@@ -244,6 +268,22 @@ class TestCsvContract:
         data = out.read_bytes()
         assert b"\r" not in data
         assert data.endswith(b"\n")
+
+
+# sha256 of the full --format csv stdout of each shipped Monte Carlo config
+SHIPPED_MC_DIGESTS = {
+    "codec": (CODEC_CONFIG, "07ac2f4763e44fb0762f34bba2f3a1daf641ff6059bf77ab799ad1d1c0ab4b29"),
+    "aep": (AEP_CONFIG, "a55e811b0a975fa15e7ddc2c99bba1eec5cbaefbdc673d692cab887cd57f0478"),
+    "simulate": (SIMULATE_CONFIG,
+                 "416d195c71c43ebf720df94545c576b777dbe48ef3dfda088f6fef0a6c32630a"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHIPPED_MC_DIGESTS))
+def test_shipped_monte_carlo_csv_is_pinned(command, capsys):
+    config, digest = SHIPPED_MC_DIGESTS[command]
+    assert main([command, "--config", config, "--format", "csv"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestDeterminism:

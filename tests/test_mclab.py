@@ -2,11 +2,14 @@
 concentration, collision curves, recharge sampling, and the two codec-side
 experiments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import sys
 
+from ehrelay import mclab
 from ehrelay import (
     ArrivalModel,
     BatterySpec,
@@ -34,9 +37,13 @@ from ehrelay import (
     ZNoise,
 )
 from conftest import (
+    WORKED_KERNEL,
     WORKED_PAIR_ENTROPY,
     WORKED_TABLES,
+    random_joint_tables,
+    relay_codec_oracle,
     worked_spec,
+    z_empirical_oracle,
 )
 
 # sparse-pulse chain whose level sequence reveals every emission: charging is
@@ -154,6 +161,26 @@ class TestSamplePath:
             sample_path(kernel, 5, 4, substream(0, "path", 0))
 
 
+class TestLockstepSampler:
+    def test_follows_a_deterministic_kernel(self):
+        kernel = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        paths = mclab._sample_paths(kernel, np.array([0, 2, 1]), 5,
+                                    substream(0, "paths", 0))
+        assert np.array_equal(paths, [[0, 1, 2, 0, 1], [2, 0, 1, 2, 0], [1, 2, 0, 1, 2]])
+
+    def test_one_step_frequencies_match_the_kernel(self):
+        kernel = np.array(WORKED_KERNEL)
+        rng = substream(0, "paths", 1)
+        starts = rng.integers(0, 3, size=4096)
+        paths = mclab._sample_paths(kernel, starts, 64, rng)
+        assert paths.shape == (4096, 64)
+        assert np.array_equal(paths[:, 0], starts)
+        pairs = np.zeros((3, 3))
+        np.add.at(pairs, (paths[:, :-1].ravel(), paths[:, 1:].ravel()), 1.0)
+        freq = pairs / pairs.sum(axis=1, keepdims=True)
+        assert np.abs(freq - kernel).max() <= 0.02
+
+
 class TestEmpiricalAep:
     def test_joint_dominates_marginal(self):
         chain = worked_chain()
@@ -265,6 +292,27 @@ class TestZEmpirical:
         res = z_empirical(2, 0.6, True, RunConfig(seed=9, n=50000))
         assert res.values[res.counts > 0].min() == 1
 
+    @pytest.mark.parametrize("case", [(4, 0.3, False), (6, 0.08, True),
+                                      (2, 0.6, True), (5, 0.02, True)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_full_matrix_draw(self, case, seed):
+        cfg = RunConfig(seed=seed, n=5000)  # four full blocks of rows and a partial one
+        res = z_empirical(*case, cfg)
+        want = z_empirical_oracle(*case, cfg)
+        assert res.values[0] <= want.min() and want.max() <= res.values[-1]
+        assert np.array_equal(res.counts,
+                              np.bincount(want - res.values[0], minlength=res.values.size))
+        assert res.mean == float(want.mean())
+
+    def test_memory_is_bounded_by_the_row_block(self):
+        tracemalloc.start()
+        try:
+            z_empirical(6, 0.08, True, RunConfig(seed=0, n=20000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_reference_is_the_exact_pmf(self):
         res = z_empirical(2, 0.5, False, RunConfig(seed=3, n=500))
         want = z_pmf(ZNoise(cost=2, p1=0.5))
@@ -299,6 +347,34 @@ class TestRelayCodec:
                                            + res.p_ambiguous[block] + 1e-12)
             assert res.p_either[block] >= max(res.p_incomplete[block],
                                               res.p_ambiguous[block])
+
+    @staticmethod
+    def assert_matches_the_scalar_walk(codec, blocks, cfg):
+        res = relay_codec_trial(codec, blocks, cfg)
+        got = (res.p_incomplete, res.p_ambiguous, res.p_either)
+        for a, b in zip(got, relay_codec_oracle(codec, blocks, cfg)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [50, 200, 400])
+    @pytest.mark.parametrize("pad", [None, 0, 8])
+    def test_matches_the_scalar_walk(self, n, pad):
+        spec = worked_spec()
+        for seed in (0, 7):
+            for rates in ((0.0, 0.0, 0.0), (0.95, 0.9, 0.97)):
+                codec = CodecConfig(spec=spec, policy=self.policy(), rate_bits=rates,
+                                    slack=0.1, pad=pad)
+                self.assert_matches_the_scalar_walk(
+                    codec, 3, RunConfig(seed=seed, n=n, trials=30))
+
+    def test_trial_groups_match_the_scalar_walk(self, monkeypatch):
+        spec = BatterySpec(capacity=4, cost=2)
+        tables = random_joint_tables(spec, np.random.default_rng(3), eps=0.05)
+        policy = StatePolicy.joint_policy(spec, tables)
+        codec = CodecConfig(spec=spec, policy=policy, rate_bits=(0.5,) * 5, slack=0.05)
+        cfg = RunConfig(seed=4, n=120, trials=11)
+        # room for four trials' stock per group: three groups, the last partial
+        monkeypatch.setattr(mclab, "_CODEC_STOCK_BUDGET", 4 * 2 * (2 * 120 + 1))
+        self.assert_matches_the_scalar_walk(codec, 2, cfg)
 
     def test_validation(self):
         spec = worked_spec()
