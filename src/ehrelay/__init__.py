@@ -67,11 +67,7 @@ from .pmf import (
     JointPmf,
     Pmf,
     binary_entropy,
-    conditional_entropy,
     entropy,
-    mutual_information,
-    output_entropy_given_input,
-    push_through,
 )
 from .rates import (
     Model,

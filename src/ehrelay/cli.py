@@ -24,13 +24,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .battery import (
-    ArrivalModel,
-    BatterySpec,
-    StatePolicy,
-    analyze_chain,
-    pair_chain,
-)
+from .battery import BatterySpec, StatePolicy, analyze_chain, pair_chain
 from .errors import ConstraintError, EhRelayError, NumericalError, ValidationError
 from .mclab import (
     CodecConfig,
@@ -44,11 +38,11 @@ from .pmf import BinaryChannel, Pmf
 from .rates import (
     Model,
     RateBreakdown,
-    both_hops_rate,
+    _charge_law,
+    _policy_rate,
+    _scheme,
     feasibility_check,
     per_level_source_entropy_bits,
-    random_loss_rate,
-    second_hop_rate,
 )
 from .timing import TimingScheme, ZNoise, _wait_rule, t_pmf, timing_rate, z_pmf
 
@@ -302,14 +296,17 @@ def _seed(cfg: dict, args) -> int:
     return cfg.get("run", {}).get("seed", cfg.get("optimizer", {}).get("seed", 0))
 
 
+def _ingredients(model: Model, cfg: dict, spec: BatterySpec) -> dict:
+    """The config's channels, and for random-loss its loss laws, as the
+    keyword arguments of ``_scheme`` and ``optimize``, which check them."""
+    ch = _channels(cfg)
+    loss = _loss(cfg).pmfs(spec.cost) if model is Model.RANDOM_LOSS else None
+    return {"ch1": ch.get("first"), "ch2": ch.get("second"), "loss": loss}
+
+
 def _arrival_for(model: Model, cfg: dict, spec: BatterySpec):
-    if model is Model.SECOND_HOP:
-        return ArrivalModel.deterministic()
-    if model is Model.BOTH_HOPS:
-        return ArrivalModel.first_hop(_channels(cfg, "first")["first"])
-    if model is Model.RANDOM_LOSS:
-        return ArrivalModel.lossy(_channels(cfg, "first")["first"], *_loss(cfg).pmfs(spec.cost))
-    raise ValidationError("the timing model has no per-level battery policy")
+    given = _ingredients(model, cfg, spec)
+    return _charge_law(model, given["ch1"], given["loss"])
 
 
 def _breakdown_row(model: Model, spec: BatterySpec, breakdown: RateBreakdown) -> dict:
@@ -353,18 +350,7 @@ def _cmd_rate(cfg: dict, args):
         return [_breakdown_row(model, spec, breakdown)], _RATE_COLUMNS, pretty
     policy = _explicit_policy(cfg, spec)
     _gate_feasibility(policy, model, spec)
-    if model is Model.SECOND_HOP:
-        breakdown = second_hop_rate(spec, policy, _channels(cfg, "second")["second"])
-    else:
-        ch = _channels(cfg, "first", "second")
-        if policy.mode != "product":
-            raise ConstraintError("this scheme requires a product policy")
-        rows = [policy.x2_row(u) for u in range(spec.states)]
-        if model is Model.BOTH_HOPS:
-            breakdown = both_hops_rate(spec, policy.x1, rows, ch["first"], ch["second"])
-        else:
-            breakdown = random_loss_rate(spec, policy.x1, rows, ch["first"], ch["second"],
-                                         *_loss(cfg).pmfs(spec.cost))
+    breakdown = _policy_rate(_scheme(model, spec, **_ingredients(model, cfg, spec)), policy)
     row = _breakdown_row(model, spec, breakdown)
     return [row], _RATE_COLUMNS, _breakdown_pretty(model, spec, breakdown)
 
@@ -373,10 +359,8 @@ def _cmd_optimize(cfg: dict, args):
     model = _model(_need(cfg, "model"))
     spec = _battery(cfg)
     opts = OptimizeOptions(seed=_seed(cfg, args), **_kwargs(cfg.get("optimizer", {}), "seed"))
-    ch = _channels(cfg)
-    loss = _loss(cfg).pmfs(spec.cost) if model is Model.RANDOM_LOSS else None
-    result = optimize(model, spec, ch1=ch.get("first"), ch2=ch.get("second"), loss=loss,
-                      opts=opts, **_search_timing(cfg, "optimize"))
+    result = optimize(model, spec, **_ingredients(model, cfg, spec), opts=opts,
+                      **_search_timing(cfg, "optimize"))
     row = _breakdown_row(model, spec, result.breakdown)
     row["policy_digest"] = result.policy_digest
     row["evaluations"] = result.evaluations
@@ -465,7 +449,7 @@ def _cmd_codec(cfg: dict, args):
     policy = _explicit_policy(cfg, spec)
     _gate_feasibility(policy, Model.SECOND_HOP, spec)
     node = cfg.get("codec", {})
-    analysis = analyze_chain(spec, policy, ArrivalModel.deterministic())
+    analysis = analyze_chain(spec, policy, _charge_law(Model.SECOND_HOP, None, None))
     pi = analysis.pi.probs
     if "rates" in node:
         rates = node["rates"]

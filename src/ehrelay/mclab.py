@@ -104,8 +104,14 @@ def sample_path(transition, init: int, n: int, rng: np.random.Generator) -> np.n
     return path
 
 
-def _draw_index(cum: np.ndarray, rng: np.random.Generator) -> int:
-    return min(int(np.searchsorted(cum, rng.random(), side="right")), cum.size - 1)
+def _draw_index(cum: np.ndarray, rng: np.random.Generator, size: Optional[int] = None):
+    """Inverse-CDF draw from cumulative row ``cum``, capped at its last index.
+
+    One uniform gives an int; ``size`` uniforms, drawn in one call, give an
+    array of indices.
+    """
+    idx = np.minimum(np.searchsorted(cum, rng.random(size), side="right"), cum.size - 1)
+    return int(idx) if size is None else idx
 
 
 def _sample_paths(transition: np.ndarray, starts: np.ndarray, n: int,
@@ -300,8 +306,7 @@ def collision_curve(joint: JointPmf, n: int, rate_grid, cfg: RunConfig,
             hits = 0
             for trial in range(trials):
                 rng = substream(cfg.seed, f"{label}/rate={rate!r}", trial)
-                u_seq = np.minimum(np.searchsorted(cum_u, rng.random(n), side="right"),
-                                   p_u.size - 1)
+                u_seq = _draw_index(cum_u, rng, n)
                 ref = _conditional_draw(cum_x, u_seq, rng)
                 remaining = words - 1
                 while remaining > 0:
@@ -319,8 +324,7 @@ def collision_curve(joint: JointPmf, n: int, rate_grid, cfg: RunConfig,
     flips = np.zeros((trials, len(grid)), dtype=bool)
     for trial in range(trials):
         rng = substream(cfg.seed, label, trial)
-        u_seq = np.minimum(np.searchsorted(cum_u, rng.random(n), side="right"),
-                           p_u.size - 1)
+        u_seq = _draw_index(cum_u, rng, n)
         ref = _conditional_draw(cum_x, u_seq, rng)
         lnq = float(np.log(rows[u_seq, ref]).sum())
         coin = rng.random()
@@ -346,16 +350,25 @@ def _collision_probability(log_size: float, lnq: float) -> float:
     """1 - (1 - e^{lnq})^{count} with count = e^{log_size}, stably."""
     if log_size == -math.inf:
         return 0.0
+    return _collision_from_exponent(log_size + _word_exponent(lnq))
+
+
+def _word_exponent(lnq: float) -> float:
+    """ln(-log1p(-q)) for q = e^{lnq}: one word's share of the no-collision
+    exponent, inf when the word is certain; ln q itself once q is tiny."""
     if lnq >= 0.0:
-        return 1.0
+        return math.inf
     if lnq > -30.0:
-        per_word = -math.log1p(-math.exp(lnq))
-        log_total = log_size + math.log(per_word)
-    else:
-        log_total = log_size + lnq
-    if log_total > 700.0:
-        return 1.0
-    return float(-math.expm1(-math.exp(log_total)))
+        return math.log(-math.log1p(-math.exp(lnq)))
+    return lnq
+
+
+def _collision_from_exponent(log_total: float) -> float:
+    """1 - exp(-e^{log_total}), the chance of at least one collision, with
+    the exponent capped at 700 where the chance is 1 in double precision."""
+    if log_total == -math.inf:
+        return 0.0
+    return float(-math.expm1(-math.exp(min(log_total, 700.0))))
 
 
 def collision_experiment(joint: JointPmf, n: int, rate_bits: float, cfg: RunConfig,
@@ -507,10 +520,9 @@ def relay_codec_trial(codec: CodecConfig, blocks: int, cfg: RunConfig) -> CodecR
     most capacity extra slots) so every block starts from a known level.
 
     Each trial draws from its own substream: its starting level, then its
-    whole stock of uniforms (two per slot and one coin per block) in the
-    chunks of 4n, doubling up to 65536, that a refilling stock would take.
-    Trials then walk in lockstep, in groups whose stock fits a fixed budget,
-    so each slot is a handful of array operations over the group.
+    whole stock of uniforms (two per slot and one coin per block) in one
+    call. Trials then walk in lockstep, in groups whose stock fits a fixed
+    budget, so each slot is a handful of array operations over the group.
     """
     if blocks < 1:
         raise ValidationError("need at least one block")
@@ -544,13 +556,7 @@ def relay_codec_trial(codec: CodecConfig, blocks: int, cfg: RunConfig) -> CodecR
         for row, trial in enumerate(trials):
             rng = substream(cfg.seed, label, trial)
             start[row] = _draw_index(pi_cum, rng)
-            pos, chunk = 0, 4 * n
-            while pos < stock.shape[0]:
-                size = min(chunk, stock.shape[0] - pos)
-                stock[pos:pos + size, row] = rng.random(size)
-                pos += size
-                if chunk < 65536:
-                    chunk *= 2
+            stock[:, row] = rng.random(stock.shape[0])
         for b in range(blocks):
             if b > 0:
                 start[:] = spec.capacity
@@ -605,21 +611,9 @@ def _ambiguity_probability(lnq, visits, lengths, bits) -> float:
     for u in range(len(bits)):
         if bits[u] == 0 or visits[u] < lengths[u]:
             continue
-        term = _per_book_exponent(float(lnq[u]), (1 << int(bits[u])) - 1)
-        log_total = np.logaddexp(log_total, term)
-    if log_total == -math.inf:
-        return 0.0
-    return float(-math.expm1(-math.exp(min(log_total, 700.0))))
-
-
-def _per_book_exponent(lnq: float, count: int) -> float:
-    """ln( count * -log1p(-q) ): summand of the no-collision exponent."""
-    if lnq >= 0.0:
-        return math.inf
-    log_count = math.log(count)
-    if lnq > -30.0:
-        return log_count + math.log(-math.log1p(-math.exp(lnq)))
-    return log_count + lnq
+        count = (1 << int(bits[u])) - 1
+        log_total = np.logaddexp(log_total, math.log(count) + _word_exponent(float(lnq[u])))
+    return _collision_from_exponent(log_total)
 
 
 @dataclass(frozen=True)
@@ -650,8 +644,7 @@ def receiver_smoke_trial(chain: PairChain, ch2: BinaryChannel, message_bits: int
     label = f"receiver/n={n}/bits={message_bits}"
     for trial in range(cfg.trials):
         rng = substream(cfg.seed, label, trial)
-        starts = np.minimum(np.searchsorted(pair_cum, rng.random(words), side="right"),
-                            pair_cum.size - 1)
+        starts = _draw_index(pair_cum, rng, words)
         book = chain.emissions[_sample_paths(chain.transition, starts, n, rng)]
         x2 = book[0]
         p_one = np.where(x2 == 1, ch2.q2, 1.0 - ch2.q1)

@@ -21,25 +21,17 @@ from typing import Optional
 
 import numpy as np
 
-from .battery import (
-    ArrivalModel,
-    BatterySpec,
-    StatePolicy,
-    _solve_stationary,
-    transition_tensor,
-)
+from .battery import BatterySpec, StatePolicy, _solve_stationary, transition_tensor
 from .errors import ConstraintError, EhRelayError, ValidationError
 from .pmf import BinaryChannel, Pmf
 from .rates import (
     Model,
     RateBreakdown,
-    both_hops_rate,
-    loss_penalty_bits,
+    _policy_rate,
+    _Scheme,
+    _scheme,
     product_bounds,
-    random_loss_rate,
-    require_informative_second_hop,
     second_hop_bounds,
-    second_hop_rate,
 )
 from .timing import TimingRateResult, _timing_bounds, _wait_rule, timing_rate
 
@@ -158,26 +150,42 @@ def _scores(ok: np.ndarray, relay: np.ndarray, receiver: np.ndarray) -> np.ndarr
     return np.where(ok, np.minimum(relay, receiver), -np.inf)
 
 
-class _SecondHopProblem(_CubeProblem):
+class _PolicyProblem(_CubeProblem):
+    """Per-level policies of one scheme, scored over its transition tensor.
+
+    ``finalize`` builds the winning policy once and rates it through the
+    same ``_policy_rate`` as the public rate functions.
+    """
+
+    def __init__(self, scheme: _Scheme, eps: float):
+        super().__init__()
+        if 4.0 * eps > 1.0:
+            raise ConstraintError(
+                f"positivity floor {eps} leaves no room in a four-cell table"
+            )
+        self.scheme = scheme
+        self.spec = spec = scheme.spec
+        self.eps = eps
+        self.funded = max(spec.states - spec.cost, 0)
+        self.dims = _dims(scheme.model, spec)
+        self.tensor = transition_tensor(spec, scheme.arrival)
+
+    def policy(self, theta: np.ndarray) -> tuple[StatePolicy, dict]:
+        """The policy at one point, and the result fields that describe it."""
+        raise NotImplementedError
+
+    def finalize(self, theta: np.ndarray):
+        policy, extras = self.policy(theta)
+        return _policy_rate(self.scheme, policy), {"policy": policy, **extras}
+
+
+class _SecondHopProblem(_PolicyProblem):
     """Joint per-level tables against a noisy second hop, noiseless charging.
 
     Levels below the cost contribute one parameter (the source bias); funded
     levels contribute three, mapped onto the open 2x2 simplex through a
     conditional split and the affine interior squeeze.
     """
-
-    def __init__(self, spec: BatterySpec, ch2: BinaryChannel, eps: float):
-        super().__init__()
-        if 4.0 * eps > 1.0:
-            raise ConstraintError(
-                f"positivity floor {eps} leaves no room in a four-cell table"
-            )
-        self.spec = spec
-        self.ch2 = ch2
-        self.eps = eps
-        self.funded = max(spec.states - spec.cost, 0)
-        self.dims = _dims(Model.SECOND_HOP, spec)
-        self.tensor = transition_tensor(spec, ArrivalModel.deterministic())
 
     def decode(self, thetas: np.ndarray) -> np.ndarray:
         """Joint tables, shape (B, L, 2, 2), for points of shape (B, dims)."""
@@ -200,46 +208,28 @@ class _SecondHopProblem(_CubeProblem):
     def values(self, thetas: np.ndarray) -> np.ndarray:
         joint = self.decode(thetas)
         pi, ok = _chain_values(joint, self.tensor)
-        return _scores(ok, *second_hop_bounds(joint, pi, self.ch2))
+        return _scores(ok, *second_hop_bounds(joint, pi, self.scheme.ch2))
 
-    def finalize(self, theta: np.ndarray):
+    def policy(self, theta: np.ndarray):
         joint = self.decode(theta[None])[0]
         policy = StatePolicy.joint_policy(self.spec, list(joint), tol=1e-9)
-        breakdown = second_hop_rate(self.spec, policy, self.ch2)
-        return breakdown, {"policy": policy, "policy_digest": _digest([joint])}
+        return policy, {"policy_digest": _digest([joint])}
 
 
-class _ProductProblem(_CubeProblem):
+class _ProductProblem(_PolicyProblem):
     """Product policies for the noisy-charging schemes.
 
     One parameter sets the source bias, one per funded level sets the
     spending probability; all are clamped to [sqrt(eps), 1 - sqrt(eps)] so
     the product cells stay above the floor. The receiver penalty (charge
-    entropy given the source symbol) is linear in the source law, so it is
-    precomputed per symbol.
+    entropy given the source symbol) is linear in the source law, so the
+    scheme holds it per symbol.
     """
 
-    def __init__(self, spec: BatterySpec, model: Model, ch1: BinaryChannel,
-                 ch2: BinaryChannel, arrival: ArrivalModel, eps: float):
-        super().__init__()
-        if 4.0 * eps > 1.0:
-            raise ConstraintError(
-                f"positivity floor {eps} leaves no room in a four-cell table"
-            )
-        self.spec = spec
-        self.model = model
-        self.ch1 = ch1
-        self.ch2 = ch2
-        self.arrival = arrival
+    def __init__(self, scheme: _Scheme, eps: float):
+        super().__init__(scheme, eps)
         self.lo = sqrt(eps)
         self.span = 1.0 - 2.0 * self.lo
-        self.funded = max(spec.states - spec.cost, 0)
-        self.dims = _dims(model, spec)
-        self.tensor = transition_tensor(spec, arrival)
-        if model is Model.RANDOM_LOSS:
-            self.penalty = loss_penalty_bits(arrival, spec)
-        else:
-            self.penalty = ch1.noise_bits
 
     def decode(self, thetas: np.ndarray):
         """Source laws (B, 2) and relay rows (B, L, 2) for points (B, dims)."""
@@ -257,19 +247,14 @@ class _ProductProblem(_CubeProblem):
         src, rows = self.decode(thetas)
         joint = src[:, None, :, None] * rows[:, :, None, :]
         pi, ok = _chain_values(joint, self.tensor)
-        return _scores(ok, *product_bounds(src, rows, pi, self.ch1, self.ch2, self.penalty))
+        s = self.scheme
+        return _scores(ok, *product_bounds(src, rows, pi, s.ch1, s.ch2, s.penalty))
 
-    def finalize(self, theta: np.ndarray):
+    def policy(self, theta: np.ndarray):
         probs, rows = self.decode(theta[None])
         src, rows = Pmf.binary(float(probs[0, 1])), rows[0]
-        if self.model is Model.RANDOM_LOSS:
-            breakdown = random_loss_rate(self.spec, src, list(rows), self.ch1, self.ch2,
-                                         self.arrival.loss[0], self.arrival.loss[1])
-        else:
-            breakdown = both_hops_rate(self.spec, src, list(rows), self.ch1, self.ch2)
         policy = StatePolicy.product_policy(self.spec, src, list(rows))
-        return breakdown, {"policy": policy, "p_x1": src,
-                           "policy_digest": _digest([src.probs, rows])}
+        return policy, {"p_x1": src, "policy_digest": _digest([src.probs, rows])}
 
 
 class _TimingProblem(_CubeProblem):
@@ -420,57 +405,34 @@ def optimize(model, spec: BatterySpec, *, ch1: Optional[BinaryChannel] = None,
     Required ingredients by model: second-hop needs ``ch2``; timing needs
     ``ch1`` (and capacity equal to cost); both-hops needs both channels;
     random-loss needs both channels plus the pair of per-symbol loss laws.
-    The reported breakdown is recomputed through the public rate functions at
-    the winning policy, so it satisfies exactly the invariants they enforce.
+    The reported breakdown is recomputed at the winning policy through the
+    path the public rate functions take (the timing search through
+    ``timing_rate``), so it satisfies exactly the invariants they enforce.
     """
     model = Model(model)
     label = f"optimize/{model.value}/cost={spec.cost}/capacity={spec.capacity}"
-    if model is Model.SECOND_HOP:
-        if ch2 is None:
-            raise ValidationError("second-hop optimization needs the second-hop channel")
-        require_informative_second_hop(ch2)
-        problem = _SecondHopProblem(spec, ch2, opts.eps_pos)
-    elif model is Model.TIMING:
+    if model is Model.TIMING:
         if ch1 is None:
             raise ValidationError("timing optimization needs the first-hop channel")
         if spec.capacity != spec.cost:
             raise ConstraintError("timing scheme requires capacity equal to the cost")
-        best = None
-        for aux_size in opts.aux_sizes:
-            problem = _TimingProblem(spec, ch1, aux_size, wait_rule, wait_const, overlap)
-            theta = _run_search(problem, opts, f"{label}/aux={aux_size}", extra_starts)
-            breakdown, extras = problem.finalize(theta)
-            cand = OptimizeResult(model=model, breakdown=breakdown,
-                                  theta=tuple(float(t) for t in theta),
-                                  evaluations=problem.evaluations, **extras)
-            if best is None or cand.breakdown.rate > best.breakdown.rate:
-                best = cand
-        return best
-    elif model is Model.BOTH_HOPS:
-        if ch1 is None or ch2 is None:
-            raise ValidationError("both-hops optimization needs both channels")
-        require_informative_second_hop(ch2)
-        if spec.capacity < spec.cost:
-            raise ConstraintError("both-hops scheme assumes capacity >= cost")
-        problem = _ProductProblem(spec, model, ch1, ch2,
-                                  ArrivalModel.first_hop(ch1), opts.eps_pos)
-    elif model is Model.RANDOM_LOSS:
-        if ch1 is None or ch2 is None or loss is None:
-            raise ValidationError(
-                "random-loss optimization needs both channels and the loss laws"
-            )
-        require_informative_second_hop(ch2)
-        if spec.capacity < spec.cost:
-            raise ConstraintError("random-loss scheme assumes capacity >= cost")
-        problem = _ProductProblem(spec, model, ch1, ch2,
-                                  ArrivalModel.lossy(ch1, loss[0], loss[1]), opts.eps_pos)
-    else:  # pragma: no cover
-        raise ValidationError(f"unknown model {model!r}")
-    theta = _run_search(problem, opts, label, extra_starts)
-    breakdown, extras = problem.finalize(theta)
-    return OptimizeResult(model=model, breakdown=breakdown,
-                          theta=tuple(float(t) for t in theta),
-                          evaluations=problem.evaluations, **extras)
+        searches = ((f"{label}/aux={aux_size}",
+                     _TimingProblem(spec, ch1, aux_size, wait_rule, wait_const, overlap))
+                    for aux_size in opts.aux_sizes)
+    else:
+        scheme = _scheme(model, spec, ch1, ch2, loss)
+        kind = _SecondHopProblem if model is Model.SECOND_HOP else _ProductProblem
+        searches = [(label, kind(scheme, opts.eps_pos))]
+    best = None
+    for tag, problem in searches:
+        theta = _run_search(problem, opts, tag, extra_starts)
+        breakdown, extras = problem.finalize(theta)
+        cand = OptimizeResult(model=model, breakdown=breakdown,
+                              theta=tuple(float(t) for t in theta),
+                              evaluations=problem.evaluations, **extras)
+        if best is None or cand.breakdown.rate > best.breakdown.rate:
+            best = cand
+    return best
 
 
 @dataclass(frozen=True)
@@ -559,8 +521,6 @@ def sweep(plan: SweepSpec) -> list[dict]:
             spec = plan.spec_for(value)
             loss = plan.loss.pmfs(spec.cost) if (model is Model.RANDOM_LOSS
                                                  and plan.loss is not None) else None
-            if model is Model.RANDOM_LOSS and loss is None:
-                raise ValidationError("random-loss sweeps need a loss shape")
             extra = None
             if prev_theta is not None:
                 dims = _dims(model, spec)

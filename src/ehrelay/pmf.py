@@ -83,11 +83,7 @@ class Pmf:
 
 
 class JointPmf:
-    """Joint distribution over a pair of finite alphabets.
-
-    The table is indexed (row, column). ``conditional_entropy`` treats the
-    row variable as the one being predicted from the column variable.
-    """
+    """Joint distribution over a pair of finite alphabets, indexed (row, column)."""
 
     __slots__ = ("table",)
 
@@ -106,14 +102,6 @@ class JointPmf:
         t /= t.sum()
         t.flags.writeable = False
         self.table = t
-
-    def margin_rows(self) -> Pmf:
-        """Marginal law of the row variable."""
-        return Pmf(self.table.sum(axis=1), tol=INTERNAL_TOL)
-
-    def margin_cols(self) -> Pmf:
-        """Marginal law of the column variable."""
-        return Pmf(self.table.sum(axis=0), tol=INTERNAL_TOL)
 
     def __repr__(self) -> str:
         return f"JointPmf({self.table.tolist()!r})"
@@ -191,35 +179,3 @@ def binary_entropy(p):
     if np.isscalar(p) or getattr(p, "ndim", 1) == 0:
         return float(out)
     return out
-
-
-def push_through(ch: BinaryChannel, inp: Pmf) -> Pmf:
-    """Output law of a binary channel driven by ``inp``."""
-    if len(inp) != 2:
-        raise ValidationError("push_through needs a binary input pmf")
-    return Pmf(inp.probs @ ch.rows, tol=INTERNAL_TOL)
-
-
-def output_entropy_given_input(inp: Pmf, ch: BinaryChannel) -> float:
-    """H(output | input) in bits for a binary channel."""
-    if len(inp) != 2:
-        raise ValidationError("output_entropy_given_input needs a binary input pmf")
-    return float(inp.probs[0] * binary_entropy(ch.q1) + inp.probs[1] * binary_entropy(ch.q2))
-
-
-def mutual_information(inp: Pmf, ch: BinaryChannel) -> float:
-    """I(input; output) in bits across a binary channel.
-
-    Zero exactly when the output law does not depend on the input, which for
-    this parametrization means q1 + q2 = 1.
-    """
-    out = push_through(ch, inp)
-    value = entropy(out) - output_entropy_given_input(inp, ch)
-    return max(value, 0.0)
-
-
-def conditional_entropy(joint: JointPmf) -> float:
-    """H(row variable | column variable) in bits."""
-    h_joint = entropy(Pmf(joint.table.reshape(-1), tol=INTERNAL_TOL))
-    h_cols = entropy(joint.margin_cols())
-    return max(h_joint - h_cols, 0.0)

@@ -19,7 +19,9 @@ Model map:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -125,7 +127,84 @@ def loss_penalty_bits(arrival: ArrivalModel, spec: BatterySpec) -> np.ndarray:
                      entropy(Pmf(profile[1], tol=1e-12))])
 
 
-def _breakdown(relay: np.ndarray, receiver: np.ndarray) -> RateBreakdown:
+def _charge_law(model: Model, ch1: Optional[BinaryChannel],
+                loss: Optional[tuple[Pmf, Pmf]]) -> ArrivalModel:
+    """The per-slot charge law of a per-level model.
+
+    Second-hop charges noiselessly, both-hops through the first hop, and
+    random-loss through the first hop and the per-symbol loss laws. Needs no
+    second hop, so the Monte Carlo commands can drive a chain without one.
+    """
+    model = Model(model)
+    if model is Model.TIMING:
+        raise ValidationError("the timing model has no per-level battery policy")
+    if model is Model.SECOND_HOP:
+        return ArrivalModel.deterministic()
+    if ch1 is None:
+        raise ValidationError(f"the {model.value} scheme needs the first-hop channel")
+    if model is Model.BOTH_HOPS:
+        return ArrivalModel.first_hop(ch1)
+    if loss is None:
+        raise ValidationError("the random-loss scheme needs the loss laws")
+    return ArrivalModel.lossy(ch1, loss[0], loss[1])
+
+
+@dataclass(frozen=True)
+class _Scheme:
+    """A per-level model with everything its rate needs besides the policy.
+
+    ``penalty`` is the receiver's charge entropy given each source symbol;
+    the second-hop scheme, whose charge is the source symbol, has none.
+    """
+
+    model: Model
+    spec: BatterySpec
+    ch1: Optional[BinaryChannel]
+    ch2: BinaryChannel
+    arrival: ArrivalModel
+    penalty: Optional[np.ndarray]
+
+
+def _scheme(model: Model, spec: BatterySpec, ch1: Optional[BinaryChannel] = None,
+            ch2: Optional[BinaryChannel] = None,
+            loss: Optional[tuple[Pmf, Pmf]] = None) -> _Scheme:
+    """Check a per-level model's requirements and bind its charge law and penalty.
+
+    Second-hop needs ``ch2``. Both-hops and random-loss need both channels
+    and capacity >= cost, and random-loss also the pair of per-symbol loss
+    laws. Every model needs a second hop whose output depends on its input.
+    """
+    model = Model(model)
+    arrival = _charge_law(model, ch1, loss)
+    if ch2 is None:
+        raise ValidationError(f"the {model.value} scheme needs the second-hop channel")
+    if model is not Model.SECOND_HOP and spec.capacity < spec.cost:
+        raise ConstraintError(f"{model.value} scheme assumes capacity >= cost")
+    require_informative_second_hop(ch2)
+    if model is Model.SECOND_HOP:
+        penalty = None
+    elif model is Model.BOTH_HOPS:
+        penalty = ch1.noise_bits
+    else:
+        penalty = loss_penalty_bits(arrival, spec)
+    return _Scheme(model, spec, ch1, ch2, arrival, penalty)
+
+
+def _policy_rate(scheme: _Scheme, policy: StatePolicy) -> RateBreakdown:
+    """A scheme's rate at one policy: the batched bounds at B=1.
+
+    The steady state comes from the strict ``stationary``, so the policy's
+    chain must pass the regularity check. A second-hop policy is joint, the
+    others are product policies.
+    """
+    kernel = build_kernel(scheme.spec, policy, scheme.arrival)
+    pi = stationary(kernel).probs[None]
+    if scheme.model is Model.SECOND_HOP:
+        relay, receiver = second_hop_bounds(policy.tensor()[None], pi, scheme.ch2)
+    else:
+        rows = np.stack([policy.x2_row(u) for u in range(scheme.spec.states)])
+        relay, receiver = product_bounds(policy.x1.probs[None], rows[None], pi,
+                                         scheme.ch1, scheme.ch2, scheme.penalty)
     return RateBreakdown.from_bounds(float(relay[0]), float(receiver[0]))
 
 
@@ -136,25 +215,7 @@ def second_hop_rate(spec: BatterySpec, policy: StatePolicy, ch2: BinaryChannel) 
     """
     if policy.mode != "joint":
         raise ValidationError("second-hop rate expects a joint per-level policy")
-    require_informative_second_hop(ch2)
-    kernel = build_kernel(spec, policy, ArrivalModel.deterministic())
-    pi = stationary(kernel).probs
-    return _breakdown(*second_hop_bounds(policy.tensor()[None], pi[None], ch2))
-
-
-def _product_policy(spec: BatterySpec, p_x1, x2_rows) -> tuple[Pmf, StatePolicy]:
-    src = p_x1 if isinstance(p_x1, Pmf) else Pmf(p_x1)
-    policy = StatePolicy.product_policy(spec, src, x2_rows)
-    return src, policy
-
-
-def _product_rate(spec: BatterySpec, src: Pmf, policy: StatePolicy, arrival: ArrivalModel,
-                  ch1: BinaryChannel, ch2: BinaryChannel, penalty: np.ndarray) -> RateBreakdown:
-    kernel = build_kernel(spec, policy, arrival)
-    pi = stationary(kernel).probs
-    rows = np.stack([policy.x2_row(u) for u in range(spec.states)])
-    return _breakdown(*product_bounds(src.probs[None], rows[None], pi[None],
-                                      ch1, ch2, penalty))
+    return _policy_rate(_scheme(Model.SECOND_HOP, spec, ch2=ch2), policy)
 
 
 def both_hops_rate(spec: BatterySpec, p_x1, x2_rows, ch1: BinaryChannel,
@@ -165,12 +226,8 @@ def both_hops_rate(spec: BatterySpec, p_x1, x2_rows, ch1: BinaryChannel,
     the charge entropy the relay's own observations inject, H(first-hop
     output | source symbol).
     """
-    if spec.capacity < spec.cost:
-        raise ConstraintError("both-hops scheme assumes capacity >= cost")
-    require_informative_second_hop(ch2)
-    src, policy = _product_policy(spec, p_x1, x2_rows)
-    return _product_rate(spec, src, policy, ArrivalModel.first_hop(ch1),
-                         ch1, ch2, ch1.noise_bits)
+    scheme = _scheme(Model.BOTH_HOPS, spec, ch1, ch2)
+    return _policy_rate(scheme, StatePolicy.product_policy(spec, p_x1, x2_rows))
 
 
 def random_loss_rate(spec: BatterySpec, p_x1, x2_rows, ch1: BinaryChannel,
@@ -182,13 +239,8 @@ def random_loss_rate(spec: BatterySpec, p_x1, x2_rows, ch1: BinaryChannel,
     1 over {0, ..., cost-1}; the receiver bound pays H(extracted energy |
     source symbol) instead of the full first-hop output entropy.
     """
-    if spec.capacity < spec.cost:
-        raise ConstraintError("random-loss scheme assumes capacity >= cost")
-    require_informative_second_hop(ch2)
-    src, policy = _product_policy(spec, p_x1, x2_rows)
-    arrival = ArrivalModel.lossy(ch1, loss_given_zero, loss_given_one)
-    return _product_rate(spec, src, policy, arrival, ch1, ch2,
-                         loss_penalty_bits(arrival, spec))
+    scheme = _scheme(Model.RANDOM_LOSS, spec, ch1, ch2, (loss_given_zero, loss_given_one))
+    return _policy_rate(scheme, StatePolicy.product_policy(spec, p_x1, x2_rows))
 
 
 # Violations are compared against the floor with a tiny absolute slack so a
@@ -219,36 +271,21 @@ def feasibility_check(policy: StatePolicy, model: Model, spec: BatterySpec | Non
     for u in range(spec.states):
         if u < spec.cost and float(policy.x2_row(u)[1]) != 0.0:
             violations.append(f"spending below cost at level {u}")
-    if model is Model.SECOND_HOP:
-        if policy.mode != "joint":
-            violations.append("second-hop scheme requires a joint per-level policy")
-            return violations
-        for u in range(spec.states):
-            if u < spec.cost:
-                row = policy.x1_row(u)
-                for x1 in (0, 1):
-                    if row[x1] < eps_pos - _FLOOR_SLACK:
-                        violations.append(f"source symbol {x1} below the positivity floor at level {u}")
-            else:
-                table = policy.joint_table(u)
-                for x1 in (0, 1):
-                    for x2 in (0, 1):
-                        if table[x1, x2] < eps_pos - _FLOOR_SLACK:
-                            violations.append(
-                                f"zero element at level {u} (source {x1}, relay {x2})"
-                            )
-    else:
-        if policy.mode != "product":
-            violations.append("this scheme requires a product policy")
-            return violations
-        for u in range(spec.cost, spec.states):
+    joint = model is Model.SECOND_HOP
+    if policy.mode != ("joint" if joint else "product"):
+        violations.append("second-hop scheme requires a joint per-level policy" if joint
+                          else "this scheme requires a product policy")
+        return violations
+    floor = eps_pos - _FLOOR_SLACK
+    for u in range(spec.states):
+        if u >= spec.cost:
             table = policy.joint_table(u)
-            for x1 in (0, 1):
-                for x2 in (0, 1):
-                    if table[x1, x2] < eps_pos - _FLOOR_SLACK:
-                        violations.append(
-                            f"zero element at level {u} (source {x1}, relay {x2})"
-                        )
+            violations += [f"zero element at level {u} (source {x1}, relay {x2})"
+                           for x1 in (0, 1) for x2 in (0, 1) if table[x1, x2] < floor]
+        elif joint:
+            row = policy.x1_row(u)
+            violations += [f"source symbol {x1} below the positivity floor at level {u}"
+                           for x1 in (0, 1) if row[x1] < floor]
     return violations
 
 

@@ -277,17 +277,16 @@ class TimingRateResult:
 
 
 def timing_rate(spec: BatterySpec, p_x1, ch1: BinaryChannel, *,
-                scheme: TimingScheme | None = None, z: IntegerPmf | None = None,
-                aux_size: int = 5, wait_rule: str = "mod", wait_const: int = 1,
-                overlap: bool = False, zmax: int | None = None) -> TimingRateResult:
+                scheme: TimingScheme | None = None, aux_size: int = 5,
+                wait_rule: str = "mod", wait_const: int = 1, overlap: bool = False,
+                zmax: int | None = None) -> TimingRateResult:
     """Evaluate the timing scheme at a source law.
 
     Requires capacity == cost so every transmission empties the battery. The
     receiver bound is H(T)/E[T] minus the per-slot charge entropy the relay
     cannot predict, H(first-hop output | source symbol); the relay bound is
-    the first-hop mutual information. ``z`` overrides the recharge law (for
-    empirical plug-in); otherwise it is the negative binomial induced by the
-    source law through the first hop.
+    the first-hop mutual information. The recharge law is the negative
+    binomial induced by the source law through the first hop.
     """
     if spec.capacity != spec.cost:
         raise ConstraintError("timing scheme requires capacity equal to the cost")
@@ -296,7 +295,7 @@ def timing_rate(spec: BatterySpec, p_x1, ch1: BinaryChannel, *,
         raise ValidationError("source law must be binary")
     noise = ZNoise(cost=spec.cost, p1=induced_arrival_prob(src, ch1),
                    overlap=overlap, zmax=zmax)
-    z_dist = z_pmf(noise) if z is None else z
+    z_dist = z_pmf(noise)
     if scheme is None:
         aux, table, _ = _wait_rule(wait_rule, aux_size, wait_const)
         scheme = TimingScheme(aux, table(z_dist.values))

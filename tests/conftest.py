@@ -3,7 +3,9 @@
 Every oracle here is computed by a different route than the library uses:
 the stationary oracle goes through an eigendecomposition, the sequence
 likelihood oracle enumerates battery paths outright, and the closed-form
-entropy constants were frozen from direct evaluation of the definitions.
+entropy constants were frozen from direct evaluation of the definitions,
+and the binary-channel information measures go through a validated output
+``Pmf`` and ``entropy`` instead of the rate kernels' array formulas.
 The Monte Carlo oracles are the scalar reference forms of the lab's
 lockstep kernels: one codec trial walked slot by slot from a refilling
 stock of uniforms, and the recharge simulation drawn as one full
@@ -19,9 +21,12 @@ import pytest
 from ehrelay import (
     ArrivalModel,
     BatterySpec,
+    Pmf,
     StatePolicy,
     ZNoise,
+    binary_entropy,
     build_kernel,
+    entropy,
     stationary,
     substream,
     z_pmf,
@@ -48,6 +53,17 @@ ONE_MINUS_H_01 = 0.5310044064107188  # 1 - h(0.1)
 ONE_MINUS_H_005 = 0.7136030428840437  # 1 - h(0.05)
 WORKED_RECEIVER = 0.21240176256428753  # 0.4 * (1 - h(0.1))
 WORKED_PAIR_ENTROPY = 1.2             # sum_u pi_u H(kernel row u)
+
+
+def output_entropy_given_input(inp: Pmf, ch) -> float:
+    """H(output | input) in bits across a binary channel."""
+    return float(inp.probs[0] * binary_entropy(ch.q1) + inp.probs[1] * binary_entropy(ch.q2))
+
+
+def mutual_information(inp: Pmf, ch) -> float:
+    """I(input; output) in bits across a binary channel, from the output law."""
+    out = Pmf(inp.probs @ ch.rows, tol=1e-12)
+    return max(entropy(out) - output_entropy_given_input(inp, ch), 0.0)
 
 
 def worked_spec() -> BatterySpec:

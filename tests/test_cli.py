@@ -270,20 +270,36 @@ class TestCsvContract:
         assert data.endswith(b"\n")
 
 
-# sha256 of the full --format csv stdout of each shipped Monte Carlo config
-SHIPPED_MC_DIGESTS = {
-    "codec": (CODEC_CONFIG, "07ac2f4763e44fb0762f34bba2f3a1daf641ff6059bf77ab799ad1d1c0ab4b29"),
-    "aep": (AEP_CONFIG, "a55e811b0a975fa15e7ddc2c99bba1eec5cbaefbdc673d692cab887cd57f0478"),
-    "simulate": (SIMULATE_CONFIG,
-                 "416d195c71c43ebf720df94545c576b777dbe48ef3dfda088f6fef0a6c32630a"),
+# sha256 of the full --format csv stdout of each shipped config that runs,
+# with the command that runs it
+SHIPPED_DIGESTS = {
+    "aep-concentration": ("aep", "a55e811b0a975fa15e7ddc2c99bba1eec5cbaefbdc673d692cab887cd57f0478"),
+    "codec-trend": ("codec", "07ac2f4763e44fb0762f34bba2f3a1daf641ff6059bf77ab799ad1d1c0ab4b29"),
+    "optimize-second-hop": ("optimize",
+                            "35866541265baf22d0dbde0d7e4bc03bd600317522e57d5c212cb39706fafa38"),
+    "random-loss-variant-a": ("rate",
+                              "758c0b2b3b85b75acd8350a92ac6f7f7ec02bb26c17cf2bf97f6cd0cae01b832"),
+    "random-loss-variant-b": ("rate",
+                              "7cf1052be226a254d4ede41a1e8fc419d534390cce7404c83d9d611ea328c341"),
+    "rate-second-hop": ("rate", "cfc3eef71a295e75c231ced8227e99c00547ae35a942496f189f4c491a6d6e74"),
+    "rate-timing": ("rate", "aae2e1d0fc5674fe92cb953a275465bd1d434cda1f5bc64cd320d14b03b55a01"),
+    "simulate-occupancy": ("simulate",
+                           "416d195c71c43ebf720df94545c576b777dbe48ef3dfda088f6fef0a6c32630a"),
+    "sweep-capacity": ("sweep", "15077fa5fc201f3e283f6f9de01589068bae5fa66ba64ef1659509ed5c894163"),
+    "sweep-cost": ("sweep", "3d91f06caa891f89efd4c57b682c572e04cee97830ddcdfcfd070d6733e0bc53"),
 }
 
 
-@pytest.mark.parametrize("command", sorted(SHIPPED_MC_DIGESTS))
-def test_shipped_monte_carlo_csv_is_pinned(command, capsys):
-    config, digest = SHIPPED_MC_DIGESTS[command]
-    assert main([command, "--config", config, "--format", "csv"]) == 0
+@pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
+def test_shipped_csv_is_pinned(name, capsys):
+    command, digest = SHIPPED_DIGESTS[name]
+    assert main([command, "--config", f"configs/{name}.yaml", "--format", "csv"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_every_shipped_config_is_pinned_or_rejected():
+    names = {path.stem for path in (ROOT / "configs").glob("*.yaml")}
+    assert names == set(SHIPPED_DIGESTS) | {pathlib.Path(BAD_LOSS_CONFIG).stem}
 
 
 class TestDeterminism:

@@ -25,6 +25,7 @@ from ehrelay import (
 )
 from ehrelay.battery import transition_tensor
 from ehrelay.pmf import _h2
+from ehrelay.rates import _scheme
 from conftest import random_joint_tables
 
 # The package attribute ``ehrelay.optimize`` is the function, not the module.
@@ -44,15 +45,14 @@ def problems(draw):
     ch1 = BinaryChannel(draw(q), draw(q))
     ch2 = BinaryChannel(draw(q), draw(q))
     assume(abs(ch2.q1 + ch2.q2 - 1.0) > 1e-6)
-    if model is Model.SECOND_HOP:
-        return opt._SecondHopProblem(spec, ch2, EPS)
-    if model is Model.BOTH_HOPS:
-        arrival = ArrivalModel.first_hop(ch1)
-    else:
+    loss = None
+    if model is Model.RANDOM_LOSS:
         weights = [draw(st.integers(1, 99)) for _ in range(2 * cost)]
-        loss = [Pmf(np.array(w) / sum(w)) for w in (weights[:cost], weights[cost:])]
-        arrival = ArrivalModel.lossy(ch1, loss[0], loss[1])
-    return opt._ProductProblem(spec, model, ch1, ch2, arrival, EPS)
+        loss = tuple(Pmf(np.array(w) / sum(w)) for w in (weights[:cost], weights[cost:]))
+    scheme = _scheme(model, spec, ch1, ch2, loss)
+    if model is Model.SECOND_HOP:
+        return opt._SecondHopProblem(scheme, EPS)
+    return opt._ProductProblem(scheme, EPS)
 
 
 def _thetas(problem, seed: int, faces: bool = True) -> np.ndarray:

@@ -21,7 +21,6 @@ from ehrelay import (
     build_kernel,
     entropy,
     feasibility_check,
-    mutual_information,
     per_level_receiver_bits,
     random_loss_rate,
     require_informative_second_hop,
@@ -32,6 +31,7 @@ from conftest import (
     ONE_MINUS_H_005,
     WORKED_RECEIVER,
     WORKED_TABLES,
+    mutual_information,
     random_joint_tables,
     random_product_parts,
     stationary_eig_oracle,

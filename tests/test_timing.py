@@ -22,13 +22,12 @@ from ehrelay import (
     constant_wait_table,
     default_wait_table,
     induced_arrival_prob,
-    mutual_information,
-    output_entropy_given_input,
     t_pmf,
     timing_rate,
     z_pmf,
 )
 from ehrelay.timing import MASS_TOL, _SUPPORT_CAP, _timing_bounds, _wait_rule
+from conftest import mutual_information, output_entropy_given_input
 
 
 def nb_oracle(values, cost, p1):
