@@ -263,7 +263,11 @@ def _validate_kernel(kernel) -> np.ndarray:
 
 def check_regularity(kernel) -> RegularityReport:
     """Graph analysis of the kernel: closed communicating classes and self-loops."""
-    k = _validate_kernel(kernel)
+    return _regularity(_validate_kernel(kernel))
+
+
+def _regularity(k: np.ndarray) -> RegularityReport:
+    """The unchecked core of ``check_regularity``, for a validated kernel."""
     n = k.shape[0]
     adj = k > 0.0
     reach = adj | np.eye(n, dtype=bool)
@@ -316,9 +320,15 @@ def _solve_stationary(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 pi[idx] = np.linalg.solve(a[idx], b[idx])[:, 0]
             except np.linalg.LinAlgError:
                 pass
-    ok = np.isfinite(pi).all(axis=-1)
-    pi = np.where(ok[..., None], pi, 0.0)
-    ok &= pi.min(axis=-1) >= -1e-9
+    # Checked once over the whole stack; rows are masked only when one fails.
+    finite = np.isfinite(pi)
+    if finite.all():
+        ok = np.ones(pi.shape[:-1], dtype=bool)
+    else:
+        ok = finite.all(axis=-1)
+        pi = np.where(ok[..., None], pi, 0.0)
+    if pi.min() < -1e-9:
+        ok &= pi.min(axis=-1) >= -1e-9
     pi = np.clip(pi, 0.0, None)
     total = pi.sum(axis=-1)
     ok &= total > 0.0
@@ -341,7 +351,7 @@ def _power_stationary(k: np.ndarray) -> Optional[np.ndarray]:
 def _steady_state(kernel) -> tuple[Pmf, RegularityReport]:
     """Steady state of a kernel together with the regularity report that licenses it."""
     k = _validate_kernel(kernel)
-    report = check_regularity(k)
+    report = _regularity(k)
     if not report.indecomposable or report.self_loop_state is None:
         parts = []
         if not report.indecomposable:

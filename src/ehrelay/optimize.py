@@ -93,12 +93,18 @@ class _CubeProblem:
     """Batched value oracle over the unit cube with an evaluation counter.
 
     ``values`` scores a stack of points, shape (B, dims), and returns shape
-    (B,), with -inf for an infeasible point. Calling the problem scores in
+    (B,), with -inf for an infeasible point. ``score`` runs ``values`` in
     chunks of at most ``_CHUNK`` rows, so memory stays flat however many
-    points a search hands it, and counts one evaluation per point.
+    points a search hands it; calling the problem scores the same way and
+    counts one evaluation per point.
+
+    With ``look_ahead`` set, ``_ascend`` scores each sweep's pending moves
+    ahead of the walk through ``score`` and adds to ``evaluations`` only the
+    points the walk reads, so the count is the same as without look-ahead.
     """
 
     dims: int
+    look_ahead = True
 
     def __init__(self):
         self.evaluations = 0
@@ -106,10 +112,13 @@ class _CubeProblem:
     def values(self, thetas: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def __call__(self, thetas: np.ndarray) -> np.ndarray:
-        self.evaluations += len(thetas)
+    def score(self, thetas: np.ndarray) -> np.ndarray:
         return np.concatenate([self.values(thetas[i:i + _CHUNK])
                                for i in range(0, len(thetas), _CHUNK)])
+
+    def __call__(self, thetas: np.ndarray) -> np.ndarray:
+        self.evaluations += len(thetas)
+        return self.score(thetas)
 
 
 def _dims(model: Model, spec: BatterySpec) -> int:
@@ -137,8 +146,10 @@ def _chain_values(joint: np.ndarray, tensor: np.ndarray) -> tuple[np.ndarray, np
     """
     # Summed cell by cell in a fixed order, so that a row's kernel, and with
     # it the row's value, is the same in any batch.
-    kernel = sum(joint[..., a, b, None] * tensor[:, a, b, :]
-                 for a in (0, 1) for b in (0, 1))
+    kernel = (joint[..., 0, 0, None] * tensor[:, 0, 0, :]
+              + joint[..., 0, 1, None] * tensor[:, 0, 1, :]
+              + joint[..., 1, 0, None] * tensor[:, 1, 0, :]
+              + joint[..., 1, 1, None] * tensor[:, 1, 1, :])
     pi, ok = _solve_stationary(kernel)
     flow = (pi[..., None] * kernel).sum(axis=-2)
     ok &= np.abs(flow - pi).max(axis=-1) <= _RESIDUAL_GATE
@@ -263,8 +274,12 @@ class _TimingProblem(_CubeProblem):
     ``values`` scores one point at a time through the array kernel
     ``_timing_bounds``, and keeps each distinct point's value (-inf for an
     infeasible one), so a point the search asks for again is not
-    recomputed. The evaluation counter still counts every request.
+    recomputed. The evaluation counter still counts every request. A batch
+    costs as much as its points one by one here, so the ascent does not
+    score ahead: it scores only the moves it reads, one call per position.
     """
+
+    look_ahead = False
 
     def __init__(self, spec: BatterySpec, ch1: BinaryChannel, aux_size: int,
                  wait_rule: str, wait_const: int, overlap: bool):
@@ -340,37 +355,78 @@ def _better(value: float, theta: np.ndarray, best_value: float,
     return False
 
 
+def _pending_moves(problem: _CubeProblem, base: np.ndarray, steps: np.ndarray,
+                   start: int, stop: int):
+    """Moves ``start:stop`` of a sweep from points ``base``, and their values.
+
+    Move k shifts coordinate k // 2 up (even k) or down (odd k) by the
+    point's step, clipped to the cube. Returns the moved points, whether
+    each move left its point, and each move's value, shaped (R, m, dims),
+    (R, m) and (R, m) for R points and m moves. A move that the clip keeps
+    in place is not scored; all others go to the problem in one uncounted
+    ``score`` call.
+    """
+    ks = np.arange(start, stop)
+    coord = ks // 2
+    sign = np.where(ks % 2 == 0, 1.0, -1.0)
+    old = base[:, coord]
+    new = np.minimum(np.maximum(old + sign * steps[:, None], 0.0), 1.0)
+    points = np.repeat(base[:, None, :], ks.size, axis=1)
+    points[:, np.arange(ks.size), coord] = new
+    moved = new != old
+    values = np.full(moved.shape, -np.inf)
+    if moved.any():
+        values[moved] = problem.score(points[moved])
+    return points, moved, values
+
+
 def _ascend(problem: _CubeProblem, starts: np.ndarray, iters: int):
     """Cyclic coordinate ascent with a halving step, inside the unit cube.
 
     All starts climb in lockstep, each keeping its own point, step, exit and
-    evaluations exactly as if it ran alone: at every (sweep, coordinate,
-    direction) the moved points of the ascents still running are scored in
-    one call, and each replaces its ascent's point only if strictly better.
-    Returns the final points and their values, one row per start.
+    evaluations exactly as if it ran alone. A sweep walks the 2 * dims
+    moves (coordinate, direction) in a fixed order, and each ascent still
+    running replaces its point with a moved one only if strictly better.
+    With ``problem.look_ahead``, each sweep's pending moves are scored
+    ahead: at the start of the sweep every move of every running ascent is
+    scored in one call, and after a position where some ascents accepted,
+    the rest of the sweep's moves of those ascents are scored from their
+    new points in one more call. Without it (the timing search), each
+    position scores the moved points it reads in one call. Either way the
+    walk reads the same values, since every row is scored on its own, and
+    ``evaluations`` grows only by the points it reads, not by look-ahead
+    rows it never reads. Returns the final points and their values, one row
+    per start.
     """
     thetas = np.clip(starts.astype(np.float64), 0.0, 1.0)
     best = problem(thetas)
-    steps = np.full(len(thetas), _STEP0)
-    running = np.ones(len(thetas), dtype=bool)
+    count, dims = thetas.shape
+    width = 2 * dims
+    points = np.empty((count, width, dims))
+    moved = np.zeros((count, width), dtype=bool)
+    values = np.empty((count, width))
+    steps = np.full(count, _STEP0)
+    running = np.ones(count, dtype=bool)
     for _ in range(iters):
         if not running.any():
             break
-        improved = np.zeros(len(thetas), dtype=bool)
-        for i in range(problem.dims):
-            for sign in (1.0, -1.0):
-                rows = np.flatnonzero(running)
-                cand = thetas[rows]
-                cand[:, i] = np.minimum(np.maximum(cand[:, i] + sign * steps[rows], 0.0), 1.0)
-                moved = cand[:, i] != thetas[rows, i]
-                rows, cand = rows[moved], cand[moved]
-                if not rows.size:
-                    continue
-                values = problem(cand)
-                up = values > best[rows]
-                rows = rows[up]
-                best[rows], thetas[rows] = values[up], cand[up]
-                improved[rows] = True
+        improved = np.zeros(count, dtype=bool)
+        live = np.flatnonzero(running)
+        stale = live
+        for k in range(width):
+            if not problem.look_ahead:
+                stale = live
+            if stale.size:
+                stop = width if problem.look_ahead else k + 1
+                (points[stale, k:stop], moved[stale, k:stop],
+                 values[stale, k:stop]) = _pending_moves(problem, thetas[stale],
+                                                         steps[stale], k, stop)
+            rows = live[moved[live, k]]
+            problem.evaluations += rows.size
+            up = values[rows, k] > best[rows]
+            stale = rows = rows[up]
+            best[rows], thetas[rows] = values[rows, k], points[rows, k]
+            improved[rows] = True
         stalled = running & ~improved
         steps[stalled] *= 0.5
         running &= ~(stalled & (steps < _STEP_FLOOR))

@@ -163,11 +163,12 @@ def _h2(p) -> np.ndarray:
     [0, 1] is clipped the same way.
     """
     arr = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-    out = np.zeros_like(arr)
-    for q in (arr, 1.0 - arr):
-        mask = q > 0.0
-        out = out - np.where(mask, q * np.log2(np.where(mask, q, 1.0)), 0.0)
-    return out
+    comp = 1.0 - arr
+    log_arr = np.zeros_like(arr)
+    log_comp = np.zeros_like(arr)
+    np.log2(arr, out=log_arr, where=arr > 0.0)
+    np.log2(comp, out=log_comp, where=comp > 0.0)
+    return (0.0 - arr * log_arr) - comp * log_comp
 
 
 def binary_entropy(p):

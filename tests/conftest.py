@@ -6,6 +6,9 @@ likelihood oracle enumerates battery paths outright, and the closed-form
 entropy constants were frozen from direct evaluation of the definitions,
 and the binary-channel information measures go through a validated output
 ``Pmf`` and ``entropy`` instead of the rate kernels' array formulas.
+The ascent oracle is the optimizer's lockstep coordinate ascent as it was
+before it scored ahead: one call per (sweep, coordinate, direction) with
+exactly the moved points it reads.
 The Monte Carlo oracles are the scalar reference forms of the lab's
 lockstep kernels: one codec trial walked slot by slot from a refilling
 stock of uniforms, and the recharge simulation drawn as one full
@@ -31,6 +34,7 @@ from ehrelay import (
     substream,
     z_pmf,
 )
+from ehrelay.optimize import _STEP0, _STEP_FLOOR
 
 # Worked 3-state instance: capacity 2, cost 2, uniform source everywhere,
 # independent 50/50 relay pulse when the battery is full.
@@ -262,3 +266,34 @@ def z_empirical_oracle(cost: int, p1: float, overlap: bool, cfg) -> np.ndarray:
         z[targets == 0] = 0
         out.extend(z.tolist())
     return np.array(out, dtype=np.int64)
+
+
+def ascend_oracle(problem, starts: np.ndarray, iters: int):
+    """The lockstep ascent scoring, at every (sweep, coordinate, direction),
+    the moved points of the ascents still running in one counted call."""
+    thetas = np.clip(starts.astype(np.float64), 0.0, 1.0)
+    best = problem(thetas)
+    steps = np.full(len(thetas), _STEP0)
+    running = np.ones(len(thetas), dtype=bool)
+    for _ in range(iters):
+        if not running.any():
+            break
+        improved = np.zeros(len(thetas), dtype=bool)
+        for i in range(problem.dims):
+            for sign in (1.0, -1.0):
+                rows = np.flatnonzero(running)
+                cand = thetas[rows]
+                cand[:, i] = np.minimum(np.maximum(cand[:, i] + sign * steps[rows], 0.0), 1.0)
+                moved = cand[:, i] != thetas[rows, i]
+                rows, cand = rows[moved], cand[moved]
+                if not rows.size:
+                    continue
+                values = problem(cand)
+                up = values > best[rows]
+                rows = rows[up]
+                best[rows], thetas[rows] = values[up], cand[up]
+                improved[rows] = True
+        stalled = running & ~improved
+        steps[stalled] *= 0.5
+        running &= ~(stalled & (steps < _STEP_FLOOR))
+    return thetas, best

@@ -228,17 +228,19 @@ class TestStationary:
             assert np.max(np.abs(pi.probs @ k - pi.probs)) <= 1e-10
 
     def test_analyze_chain_checks_regularity_once(self, worked, monkeypatch):
+        # One graph analysis and one kernel validation per steady state.
         import ehrelay.battery as battery
         calls = []
-        real = battery.check_regularity
+        for name in ("_regularity", "_validate_kernel"):
+            real = getattr(battery, name)
 
-        def counted(kernel):
-            calls.append(1)
-            return real(kernel)
+            def counted(kernel, name=name, real=real):
+                calls.append(name)
+                return real(kernel)
 
-        monkeypatch.setattr(battery, "check_regularity", counted)
+            monkeypatch.setattr(battery, name, counted)
         analyze_chain(*worked)
-        assert len(calls) == 1
+        assert sorted(calls) == ["_regularity", "_validate_kernel"]
 
     def test_analyze_chain_bundle(self, worked):
         spec, policy, arrival = worked

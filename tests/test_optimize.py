@@ -25,7 +25,7 @@ from ehrelay import (
     timing_rate,
 )
 from ehrelay.optimize import _TimingProblem
-from conftest import random_joint_tables
+from conftest import ascend_oracle, random_joint_tables
 
 # the package re-exports the function optimize under the module's name
 optimize_module = importlib.import_module("ehrelay.optimize")
@@ -141,6 +141,20 @@ class TestTimingMemo:
         monkeypatch.setattr(_TimingProblem, "values", reference)
         assert fast == run()
 
+    @pytest.mark.parametrize("cost, kw", [(2, {}), (4, {"wait_rule": "const", "wait_const": 2}),
+                                          (3, {"overlap": True})])
+    def test_ascent_scores_no_point_ahead(self, cost, kw):
+        spec = BatterySpec(capacity=cost, cost=cost)
+        starts = np.array([[0.0], [1.0], [0.37], [0.81]])
+        ran = []
+        for ascend in (ascend_oracle, optimize_module._ascend):
+            problem = _TimingProblem(spec, CH1, 5, kw.get("wait_rule", "mod"),
+                                     kw.get("wait_const", 1), kw.get("overlap", False))
+            thetas, values = ascend(problem, starts, 200)
+            ran.append((thetas.tolist(), values.tolist(), problem.evaluations,
+                        len(problem.scores)))
+        assert ran[0] == ran[1]
+
     # (cost, wait options, theta, digest, evaluations, relay, receiver), frozen
     # from the search that scored every request through timing_rate
     FROZEN = [
@@ -248,6 +262,31 @@ class TestSearchQuality:
         assert first.breakdown.rate == second.breakdown.rate
         assert first.theta == second.theta
         assert first.policy_digest == second.policy_digest
+
+
+class TestLookAhead:
+    def test_scoring_ahead_halves_the_calls_of_a_benchmark_cell(self, monkeypatch):
+        # The random-loss cell at capacity 8 of the benchmark's sweep.
+        spec = BatterySpec(capacity=8, cost=2)
+        kw = dict(ch1=BinaryChannel.from_crossover(0.05), ch2=BinaryChannel.from_crossover(0.1),
+                  loss=(Pmf([1.0, 0.0]), Pmf([0.1, 0.9])),
+                  opts=OptimizeOptions(grid_budget=4000, restarts=4, seed=0))
+        calls = []
+        real = optimize_module._ProductProblem.values
+
+        def spy(self, thetas):
+            calls.append(len(thetas))
+            return real(self, thetas)
+
+        monkeypatch.setattr(optimize_module._ProductProblem, "values", spy)
+        ahead = optimize(Model.RANDOM_LOSS, spec, **kw)
+        ahead_calls = len(calls)
+        calls.clear()
+        monkeypatch.setattr(optimize_module, "_ascend", ascend_oracle)
+        oracle = optimize(Model.RANDOM_LOSS, spec, **kw)
+        assert ahead_calls <= len(calls) // 2
+        assert (ahead.theta, ahead.policy_digest, ahead.evaluations) == (
+            oracle.theta, oracle.policy_digest, oracle.evaluations)
 
 
 class TestSweep:

@@ -1,7 +1,8 @@
 """The batched rate kernel shared by the public rate functions and the
 optimizer: a policy's value must not depend on the batch it is scored in,
 must match the public rate at the decoded policy, and a singular kernel in a
-stack must cost only its own row."""
+stack must cost only its own row. The ascent that scores each sweep's moves
+ahead must walk exactly as the one that scores them position by position."""
 
 import importlib
 
@@ -26,7 +27,7 @@ from ehrelay import (
 from ehrelay.battery import transition_tensor
 from ehrelay.pmf import _h2
 from ehrelay.rates import _scheme
-from conftest import random_joint_tables
+from conftest import ascend_oracle, random_joint_tables
 
 # The package attribute ``ehrelay.optimize`` is the function, not the module.
 opt = importlib.import_module("ehrelay.optimize")
@@ -55,11 +56,16 @@ def problems(draw):
     return opt._ProductProblem(scheme, EPS)
 
 
-def _thetas(problem, seed: int, faces: bool = True) -> np.ndarray:
-    """1-16 random cube points; with ``faces``, a fifth of the coordinates
-    sit on 0 or 1, where decoding puts probabilities on the floor."""
+def _thetas(problem, seed: int, faces: bool = True, wide: bool = False,
+            most: int = 16) -> np.ndarray:
+    """1 to ``most`` random cube points; with ``faces``, a fifth of the
+    coordinates sit on 0 or 1, where decoding puts probabilities on the
+    floor. With ``wide``, a quarter of the draws take 17-600 points instead,
+    the sizes of an ascent's look-ahead calls (up to restarts x 2 dims rows)
+    and past one ``_CHUNK``."""
     rng = np.random.default_rng(seed)
-    thetas = rng.random((int(rng.integers(1, 17)), problem.dims))
+    low, high = (17, 601) if wide and rng.random() < 0.25 else (1, most + 1)
+    thetas = rng.random((int(rng.integers(low, high)), problem.dims))
     if faces:
         on_face = rng.random(thetas.shape) < 0.2
         thetas[on_face] = rng.integers(0, 2, size=int(on_face.sum()))
@@ -70,7 +76,7 @@ class TestBatchedKernel:
     @settings(max_examples=80, deadline=None)
     @given(problems(), st.integers(0, 2**32 - 1))
     def test_row_value_does_not_depend_on_its_batch(self, problem, seed):
-        thetas = _thetas(problem, seed)
+        thetas = _thetas(problem, seed, wide=True)
         batched = problem.values(thetas)
         for k in range(len(thetas)):
             assert batched[k] == problem.values(thetas[k:k + 1])[0]
@@ -113,6 +119,46 @@ class TestBatchedKernel:
         for k in range(6):
             assert np.array_equal(stacked_h[k], per_level_source_entropy_bits(joint[k]))
             assert np.array_equal(stacked_i[k], per_level_receiver_bits(x2_rows[k], ch2))
+
+
+class TestLookAheadAscent:
+    @settings(max_examples=40, deadline=None)
+    @given(problems(), st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_walks_exactly_as_the_position_by_position_oracle(self, problem, seed, iters):
+        starts = _thetas(problem, seed, most=9)
+        # A NaN source coordinate leaves the start's kernel non-finite, so its
+        # chain fails and it scores -inf at every point it tries.
+        failed = starts[:1].copy()
+        failed[0, 0] = np.nan
+        starts = np.vstack([starts, failed])
+        thetas, values = ascend_oracle(problem, starts, iters)
+        evaluations = problem.evaluations
+        problem.evaluations = 0
+        got_thetas, got_values = opt._ascend(problem, starts, iters)
+        assert np.array_equal(got_thetas, thetas, equal_nan=True)
+        assert np.array_equal(got_values, values)
+        assert values[-1] == -np.inf
+        assert problem.evaluations == evaluations
+
+    def test_a_start_with_a_singular_chain_climbs_out_as_the_oracle(self):
+        # With no positivity floor, zero source biases keep levels 0 and 1
+        # from ever charging: two closed classes, a singular balance system.
+        # The ascent starts at -inf and must leave it as the oracle does.
+        scheme = _scheme(Model.SECOND_HOP, BatterySpec(capacity=3, cost=2),
+                         ch2=BinaryChannel(0.9, 0.9))
+        problem = opt._SecondHopProblem(scheme, 0.0)
+        rng = np.random.default_rng(5)
+        starts = rng.random((4, problem.dims))
+        starts[0, :2] = 0.0
+        assert problem.values(starts[:1])[0] == -np.inf
+        thetas, values = ascend_oracle(problem, starts, 200)
+        evaluations = problem.evaluations
+        problem.evaluations = 0
+        got_thetas, got_values = opt._ascend(problem, starts, 200)
+        assert np.isfinite(values).all()
+        assert np.array_equal(got_thetas, thetas)
+        assert np.array_equal(got_values, values)
+        assert problem.evaluations == evaluations
 
 
 class TestSingularRows:
