@@ -16,6 +16,7 @@ failures (no steady state, truncation horizon too small).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import inspect
 import sys
@@ -198,19 +199,26 @@ def _kwargs(node: dict, *skip: str) -> dict:
             for key, value in node.items() if key not in skip}
 
 
+@contextlib.contextmanager
+def _section(name: str):
+    """Prefix the config section to a validation error raised inside, as "run: ..."."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
+
+
 def _channels(cfg: dict, *need: str) -> dict:
     """The config's channels by hop name; each hop in ``need`` must be given."""
     out = {}
     for hop, node in cfg.get("channels", {}).items():
-        try:
+        with _section(f"channels.{hop}"):
             if "crossover" in node:
                 out[hop] = BinaryChannel.from_crossover(node["crossover"])
             elif "q1" in node and "q2" in node:
                 out[hop] = BinaryChannel(node["q1"], node["q2"])
             else:
                 raise ValidationError("needs either crossover or q1+q2")
-        except ValidationError as exc:
-            raise ValidationError(f"channels.{hop}: {exc}") from exc
     for hop in need:
         if hop not in out:
             raise ValidationError(f"this model needs channels.{hop}")
@@ -218,7 +226,9 @@ def _channels(cfg: dict, *need: str) -> dict:
 
 
 def _battery(cfg: dict) -> BatterySpec:
-    return BatterySpec(capacity=_need(cfg, "battery.capacity"), cost=_need(cfg, "battery.cost"))
+    capacity, cost = _need(cfg, "battery.capacity"), _need(cfg, "battery.cost")
+    with _section("battery"):
+        return BatterySpec(capacity=capacity, cost=cost)
 
 
 def _model(name: str) -> Model:
@@ -279,15 +289,32 @@ def _reject_timing(cfg: dict, command: str, *keys: str) -> None:
                 f"timing.{key} does not apply to {command}: {_UNUSED_TIMING[key]}")
 
 
-def _search_timing(cfg: dict, command: str) -> dict:
-    """The timing keys the optimizer takes; the keys it cannot honour are errors."""
+def _timing_rule(opts: dict):
+    """``_wait_rule`` of the timing options; its errors name the timing section."""
+    with _section("timing"):
+        return _wait_rule(opts["wait_rule"], opts["aux_size"], opts["wait_const"])
+
+
+def _search_timing(cfg: dict, command: str, models) -> dict:
+    """The timing keys the optimizer takes; the keys it cannot honour are errors,
+    and so is a bad wait rule when a timing search will use it."""
     _reject_timing(cfg, command, *_UNUSED_TIMING)
+    if Model.TIMING in models:
+        _timing_rule(_timing_opts(cfg))
     return _kwargs(cfg.get("timing", {}))
 
 
 def _run_config(cfg: dict, args, default_n: int) -> RunConfig:
     node = {"n": default_n, **cfg.get("run", {})}
-    return RunConfig(seed=_seed(cfg, args), **_kwargs(node, "seed", "initial-level"))
+    seed = _seed(cfg, args)
+    with _section("run"):
+        return RunConfig(seed=seed, **_kwargs(node, "seed", "initial-level"))
+
+
+def _optimizer(cfg: dict, args) -> OptimizeOptions:
+    seed = _seed(cfg, args)
+    with _section("optimizer"):
+        return OptimizeOptions(seed=seed, **_kwargs(cfg.get("optimizer", {}), "seed"))
 
 
 def _seed(cfg: dict, args) -> int:
@@ -344,8 +371,8 @@ def _cmd_rate(cfg: dict, args):
         src = Pmf(_need(cfg, "policy.x1"))
         first = _channels(cfg, "first")["first"]
         opts = _timing_opts(cfg)
+        _, _, scheme_note = _timing_rule(opts)
         breakdown = timing_rate(spec, src, first, **opts).breakdown
-        _, _, scheme_note = _wait_rule(opts["wait_rule"], opts["aux_size"], opts["wait_const"])
         pretty = _breakdown_pretty(model, spec, breakdown) + [scheme_note]
         return [_breakdown_row(model, spec, breakdown)], _RATE_COLUMNS, pretty
     policy = _explicit_policy(cfg, spec)
@@ -358,9 +385,8 @@ def _cmd_rate(cfg: dict, args):
 def _cmd_optimize(cfg: dict, args):
     model = _model(_need(cfg, "model"))
     spec = _battery(cfg)
-    opts = OptimizeOptions(seed=_seed(cfg, args), **_kwargs(cfg.get("optimizer", {}), "seed"))
-    result = optimize(model, spec, **_ingredients(model, cfg, spec), opts=opts,
-                      **_search_timing(cfg, "optimize"))
+    result = optimize(model, spec, **_ingredients(model, cfg, spec), opts=_optimizer(cfg, args),
+                      **_search_timing(cfg, "optimize", (model,)))
     row = _breakdown_row(model, spec, result.breakdown)
     row["policy_digest"] = result.policy_digest
     row["evaluations"] = result.evaluations
@@ -379,9 +405,7 @@ def _cmd_sweep(cfg: dict, args):
     plan = SweepSpec(**{"parameter": "cost", **_kwargs(cfg["sweep"]), "models": models},
                      ch1=ch.get("first"), ch2=ch.get("second"),
                      loss=_loss(cfg) if "loss" in cfg else None,
-                     opts=OptimizeOptions(seed=_seed(cfg, args),
-                                          **_kwargs(cfg.get("optimizer", {}), "seed")),
-                     **_search_timing(cfg, "sweep"))
+                     opts=_optimizer(cfg, args), **_search_timing(cfg, "sweep", models))
     rows = sweep(plan)
     pretty = [f"{r['model']}: cost {r['cost']}, capacity {r['capacity']} -> "
               f"rate {_fmt(r['rate'])} ({r['binding']} binds)" for r in rows]
@@ -489,7 +513,7 @@ def _cmd_timing(cfg: dict, args):
         raise ValidationError("the timing command needs --cost and --charge-p "
                               "(or a config providing them)")
     z = z_pmf(ZNoise(cost=cost, p1=p1, overlap=opts["overlap"], zmax=opts["zmax"]))
-    aux, table, scheme_note = _wait_rule(opts["wait_rule"], opts["aux_size"], opts["wait_const"])
+    aux, table, scheme_note = _timing_rule(opts)
     t = t_pmf(z, TimingScheme(aux, table(z.values)))
     rows = [{"series": "recharge", "value": int(v), "probability": float(p)}
             for v, p in zip(z.values, z.probs)]

@@ -197,13 +197,14 @@ def empirical_aep(chain: PairChain, ch2: Optional[BinaryChannel], cfg: RunConfig
     The marginal uses the forward recursion over the hidden pair state; the
     joint factors into the exact chain probability of the relay sequence
     plus the memoryless channel term, so joint >= marginal holds per trial.
-    Every trial is drawn first and all sequences are then scored in one
-    forward pass: relay rows against the noiseless table, received rows
-    (codes offset by 2) against the second-hop table stacked under it.
+    Every trial is drawn first and the sequences are then scored in two
+    forward passes: relay rows against the noiseless table and received
+    rows against the second-hop table. A clean wire needs only the first.
     """
     n, trials = cfg.n, cfg.trials
     pair_cum = np.cumsum(chain.pi)
-    codes = np.empty((trials if ch2 is None else 2 * trials, n), dtype=np.int8)
+    relay = np.empty((trials, n), dtype=np.int8)
+    received = np.empty_like(relay)
     log_channel = np.zeros(trials)
     label = f"aep/states={len(chain.states)}/refined={chain.refined}"
     for trial in range(trials):
@@ -211,7 +212,7 @@ def empirical_aep(chain: PairChain, ch2: Optional[BinaryChannel], cfg: RunConfig
         start = _draw_index(pair_cum, rng)
         path = sample_path(chain.transition, start, n, rng)
         x2 = chain.emissions[path]
-        codes[trial] = x2
+        relay[trial] = x2
         if ch2 is not None:
             p_one = np.where(x2 == 1, ch2.q2, 1.0 - ch2.q1)
             y = (rng.random(n) < p_one).astype(np.int8)
@@ -222,14 +223,12 @@ def empirical_aep(chain: PairChain, ch2: Optional[BinaryChannel], cfg: RunConfig
             if np.any(terms <= 0.0):
                 raise NumericalError("received a symbol the channel cannot produce")
             log_channel[trial] = float(np.log(terms).sum())
-            codes[trials + trial] = y + 2
-    table = _observation_table(chain, None)
-    if ch2 is not None:
-        table = np.vstack([table, _observation_table(chain, ch2)])
-    scores = _forward_pass(chain, table, codes)
-    if not np.all(np.isfinite(scores)):
+            received[trial] = y
+    log_chain = _forward_pass(chain, _observation_table(chain, None), relay)
+    log_received = (log_chain if ch2 is None
+                    else _forward_pass(chain, _observation_table(chain, ch2), received))
+    if not (np.all(np.isfinite(log_chain)) and np.all(np.isfinite(log_received))):
         raise NumericalError("a sampled sequence has probability zero (support mismatch)")
-    log_chain, log_received = scores[:trials], scores[-trials:]
     marginal = -log_received / (n * _LN2)
     joint = -(log_chain + log_channel) / (n * _LN2)
     return AepResult(n=n, marginal_bits=marginal, joint_bits=joint)

@@ -11,6 +11,7 @@ import pytest
 from ehrelay import (
     ArrivalModel,
     BatterySpec,
+    BinaryChannel,
     ConstraintError,
     NumericalError,
     Pmf,
@@ -25,7 +26,8 @@ from ehrelay import (
     pair_chain,
     stationary,
 )
-from ehrelay.battery import _forward_pass, _observation_table
+from ehrelay.battery import _BLOCK, _WORD_TABLE_CAP, _forward_pass, _observation_table, _word_length
+from ehrelay.mclab import sample_path
 from conftest import (
     WORKED_KERNEL,
     WORKED_PAIR_ENTROPY,
@@ -134,7 +136,6 @@ class TestBuildKernel:
 
     def test_total_loss_freezes_the_level(self):
         spec = worked_spec()
-        from ehrelay import BinaryChannel
         arrival = ArrivalModel.lossy(BinaryChannel(0.95, 0.95),
                                      Pmf([1.0, 0.0]), Pmf([1.0, 0.0]))
         tables = [[[0.25, 0.0], [0.75, 0.0]]] * 3
@@ -145,7 +146,6 @@ class TestBuildKernel:
     def test_lossy_profile_composition(self):
         # p(e | x1) must compose the first hop with the per-output loss law.
         spec = BatterySpec(capacity=2, cost=2)
-        from ehrelay import BinaryChannel
         ch1 = BinaryChannel(0.95, 0.9)
         zero, one = Pmf([1.0, 0.0]), Pmf([0.1, 0.9])
         arrival = ArrivalModel.lossy(ch1, zero, one)
@@ -157,7 +157,6 @@ class TestBuildKernel:
         assert np.allclose(profile, want, atol=1e-15)
 
     def test_lossy_rejects_wrong_width(self):
-        from ehrelay import BinaryChannel
         arrival = ArrivalModel.lossy(BinaryChannel(0.9, 0.9),
                                      Pmf([1.0, 0.0, 0.0]), Pmf([0.1, 0.9, 0.0]))
         spec = BatterySpec(capacity=2, cost=2)
@@ -292,7 +291,6 @@ class TestPairChain:
         # A slot charges at most cost - 1 units and a pulse costs cost, so
         # under every charge law each pair emits 1 exactly when u' < u and
         # the emission map never needs refining.
-        from ehrelay import BinaryChannel
         rng = np.random.default_rng(19)
         for capacity in range(1, 9):
             for cost in range(2, 7):
@@ -360,7 +358,6 @@ class TestForwardLoglik:
         assert forward_loglik(chain, None, [0] * 32) == 0.0
 
     def test_matches_exhaustive_path_sum(self):
-        from ehrelay import BinaryChannel
         chain = self.build()
         noisy = BinaryChannel(0.9, 0.8)
         rng = np.random.default_rng(23)
@@ -399,8 +396,6 @@ class TestForwardLoglik:
     def test_stacked_rows_match_exhaustive_path_sum(self):
         # One call scores noiseless rows (codes 0/1) and noisy rows (codes
         # 2/3) against the two observation tables stacked.
-        from ehrelay import BinaryChannel
-        from ehrelay.mclab import sample_path
         chain = self.build()
         noisy = BinaryChannel(0.9, 0.8)
         table = np.vstack([_observation_table(chain, None),
@@ -421,8 +416,6 @@ class TestForwardLoglik:
     def test_long_rows_match_the_scalar_recursion(self):
         # Rows longer than the pass's block of steps, against a plain
         # per-symbol loop over the same recursion.
-        from ehrelay import BinaryChannel
-        from ehrelay.mclab import sample_path
         chain = self.build()
         noisy = BinaryChannel(0.9, 0.8)
         rng = np.random.default_rng(37)
@@ -432,14 +425,7 @@ class TestForwardLoglik:
                                               _observation_table(chain, noisy)]),
                             np.array([clean, received + 2]))
         for y, channel, score in ((clean, None, got[0]), (received, noisy, got[1])):
-            b = _observation_table(chain, channel)
-            alpha = chain.pi * b[y[0]]
-            want = 0.0
-            for i, sym in enumerate(y):
-                if i:
-                    alpha = (alpha @ chain.transition) * b[sym]
-                want += math.log(alpha.sum())
-                alpha = alpha / alpha.sum()
+            want = scalar_loglik(chain, _observation_table(chain, channel), y)
             assert score == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_impossible_row_is_minus_inf_on_its_own(self):
@@ -455,3 +441,128 @@ class TestForwardLoglik:
             assert got[i] == pytest.approx(want, rel=1e-12, abs=0.0)
         with pytest.raises(NumericalError):
             forward_loglik(chain, None, rows[1])
+
+
+def scalar_loglik(chain, table, y) -> float:
+    """The scaled forward recursion one symbol at a time, -inf once it dies."""
+    alpha = chain.pi * table[y[0]]
+    total = 0.0
+    for i, sym in enumerate(y):
+        if i:
+            alpha = (alpha @ chain.transition) * table[sym]
+        scale = alpha.sum()
+        if scale == 0.0:
+            return -math.inf
+        total += math.log(scale)
+        alpha = alpha / scale
+    return total
+
+
+def _chain(name: str):
+    if name == "worked":
+        spec, policy = worked_spec(), worked_policy()
+    else:  # a 7-level battery with 23 pair states
+        spec = BatterySpec(capacity=6, cost=2)
+        policy = StatePolicy.joint_policy(spec, random_joint_tables(spec, np.random.default_rng(41)))
+    arrival = ArrivalModel.deterministic()
+    return pair_chain(spec, policy, arrival, analyze_chain(spec, policy, arrival).pi)
+
+
+def _emitted(chain, rows: int, n: int, rng) -> np.ndarray:
+    starts = rng.integers(0, len(chain.states), size=rows)
+    return np.array([chain.emissions[sample_path(chain.transition, s, n, rng)]
+                     for s in starts])
+
+
+class TestForwardWords:
+    """The pass advances a word of several symbols per step; every row must
+    score as the per-symbol recursion does."""
+
+    @pytest.mark.parametrize("name", ["worked", "seven-level"])
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3, 256])
+    def test_matches_the_scalar_recursion(self, name, noisy, batch):
+        chain = _chain(name)
+        table = _observation_table(chain, BinaryChannel(0.9, 0.8) if noisy else None)
+        word = _word_length(2, len(chain.states), batch)
+        assert word > 1
+        rng = np.random.default_rng(batch)
+        # n = 1 and every remainder (n - 1) % word, with and without a full word
+        for n in range(1, 2 * word + 2):
+            rows = rng.integers(0, 2, size=(batch, n)) if noisy else _emitted(chain, batch, n, rng)
+            got = _forward_pass(chain, table, rows)
+            want = [scalar_loglik(chain, table, y) for y in rows]
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_rows_past_one_block_of_words(self):
+        chain = _chain("worked")
+        table = _observation_table(chain, BinaryChannel(0.9, 0.8))
+        word = _word_length(2, len(chain.states), 1)
+        y = np.random.default_rng(43).integers(0, 2, size=_BLOCK * word + 3)
+        got = _forward_pass(chain, table, y[None, :])[0]
+        assert got == pytest.approx(scalar_loglik(chain, table, y), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("word", range(1, 10))
+    def test_every_word_length(self, word):
+        chain = _chain("seven-level")
+        table = _observation_table(chain, BinaryChannel(0.7, 0.95))
+        rng = np.random.default_rng(word)
+        for n in (1, word, word + 1, 3 * word + 2):
+            rows = rng.integers(0, 2, size=(3, n))
+            got = _forward_pass(chain, table, rows, word=word)
+            want = [scalar_loglik(chain, table, y) for y in rows]
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["worked", "seven-level"])
+    @pytest.mark.parametrize("word", [None, 3, 7])
+    def test_minus_inf_exactly_where_the_scalar_recursion_dies(self, name, word):
+        chain = _chain(name)
+        table = _observation_table(chain, None)
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 9, 24):
+            # random rows the chain often cannot emit, mixed with rows it did
+            rows = np.vstack([rng.integers(0, 2, size=(128, n)), _emitted(chain, 128, n, rng)])
+            got = _forward_pass(chain, table, rows, word=word)
+            want = np.array([scalar_loglik(chain, table, y) for y in rows])
+            dead = want == -np.inf
+            assert np.array_equal(got == -np.inf, dead)
+            assert got[~dead] == pytest.approx(want[~dead], rel=1e-12, abs=0.0)
+        assert dead.any() and not dead.all()
+
+    @pytest.mark.parametrize("batch, n", [(3, 2000), (256, 64)])
+    def test_identical_rows_score_bit_identically(self, batch, n):
+        # receiver_smoke_trial breaks score ties with argmax
+        chain = _chain("seven-level")
+        rng = np.random.default_rng(53)
+        distinct = _emitted(chain, 2, n, rng)
+        which = rng.integers(0, 2, size=batch)
+        which[:2] = [0, 1]
+        for table in (_observation_table(chain, None),
+                      _observation_table(chain, BinaryChannel(0.9, 0.8))):
+            got = _forward_pass(chain, table, distinct[which])
+            for i in (0, 1):
+                assert np.unique(got[which == i]).size == 1
+
+    def test_word_length_stays_one_past_the_table_cap(self):
+        for kinds in (2, 3, 4):
+            states = 1
+            while kinds ** 2 * states * (states + 1) <= _WORD_TABLE_CAP:
+                states += 1
+            assert _word_length(kinds, states, 1) == 1
+            assert _word_length(kinds, states - 1, 1) == 2
+        for kinds, states in itertools.product((2, 3), (3, 7, 23, 60)):
+            lengths = [_word_length(kinds, states, batch) for batch in (1, 2, 16, 256, 4096)]
+            assert lengths == sorted(lengths, reverse=True)
+            assert kinds ** lengths[0] * states * (states + 1) <= _WORD_TABLE_CAP
+
+    def test_underflowing_words_are_rescored_one_symbol_at_a_time(self):
+        # Each symbol scales by about 1e-150, so a word of three underflows.
+        chain = _chain("worked")
+        got = forward_loglik(chain, BinaryChannel(1e-150, 0.5), [0] * 40)
+        assert got == pytest.approx(-6959.319323114074, rel=1e-12, abs=0.0)
+        # A word of three symbols that each scale by 1e-107 lands among the
+        # subnormals, where only a few digits of its scale survive.
+        table = np.full((2, len(chain.states)), 1e-107)
+        y = np.zeros(40, dtype=int)
+        got = _forward_pass(chain, table, y[None, :], word=3)[0]
+        assert got == pytest.approx(scalar_loglik(chain, table, y), rel=1e-12, abs=0.0)

@@ -151,11 +151,22 @@ BAD_CONFIGS = {
     "crossover-out-of-range": ("rate", "rate-second-hop.yaml",
                                {"channels": {"second": {"crossover": 1.5}}},
                                "channels.second: channel crossover must lie in [0, 1], got 1.5"),
+    "wait-value-zero-under-rate": ("rate", "rate-timing.yaml", {"timing": WAIT_ZERO},
+                                   "timing: constant wait must be at least one slot, got 0"),
     "wait-value-zero-under-optimize": ("optimize", "rate-timing.yaml",
                                        {"timing": {**WAIT_ZERO, "aux-size": DROP}},
-                                       "constant wait"),
+                                       "timing: constant wait"),
     "wait-value-zero-under-sweep": ("sweep", "sweep-cost.yaml", {"timing": WAIT_ZERO},
-                                    "constant wait"),
+                                    "timing: constant wait"),
+    "run-n-zero": ("aep", "aep-concentration.yaml", {"run": {"n": 0}},
+                   "run: need at least one step or sample"),
+    "run-n-over-cap": ("simulate", "simulate-occupancy.yaml", {"run": {"n": 10 ** 8}},
+                       "run: n = 100000000 exceeds the desk-scale cap"),
+    "battery-cost-one": ("rate", "rate-second-hop.yaml", {"battery": {"cost": 1}},
+                         "battery: cost must exceed 1"),
+    "optimizer-eps-pos-out-of-range": ("optimize", "optimize-second-hop.yaml",
+                                       {"optimizer": {"eps-pos": 0.7}},
+                                       "optimizer: positivity floor must lie in (0, 0.5)"),
     "charge-p-under-rate": ("rate", "rate-timing.yaml", {"timing": {"charge-p": 0.9}},
                             "timing.charge-p does not apply to rate"),
     "charge-p-under-optimize": ("optimize", "optimize-second-hop.yaml",
@@ -184,6 +195,12 @@ battery: {{capacity: 2, cost: 2}}
 channels: {{second: {{crossover: 0.1}}}}
 optimizer: {{grid-budget: 200, restarts: 1, eps-pos: {eps}}}
 """
+
+
+def test_timing_flags_name_the_timing_section(capsys):
+    argv = ["timing", "--cost", "2", "--charge-p", "0.5", "--wait", "const", "--wait-value", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: timing: constant wait must be at least one slot, got 0\n"
 
 
 def test_out_into_a_missing_directory_is_one_line_exit_one(tmp_path, capsys):
