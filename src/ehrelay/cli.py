@@ -34,7 +34,7 @@ from .mclab import (
     relay_codec_trial,
     simulate_states,
 )
-from .optimize import LossShape, OptimizeOptions, SweepSpec, optimize, sweep
+from .optimize import LossShape, OptimizeOptions, SweepSpec, _breakdown_row, optimize, sweep
 from .pmf import BinaryChannel, Pmf
 from .rates import (
     Model,
@@ -334,19 +334,6 @@ def _ingredients(model: Model, cfg: dict, spec: BatterySpec) -> dict:
 def _arrival_for(model: Model, cfg: dict, spec: BatterySpec):
     given = _ingredients(model, cfg, spec)
     return _charge_law(model, given["ch1"], given["loss"])
-
-
-def _breakdown_row(model: Model, spec: BatterySpec, breakdown: RateBreakdown) -> dict:
-    return {
-        "model": model.value,
-        "cost": spec.cost,
-        "capacity": spec.capacity,
-        "relay_bound": breakdown.relay_bound,
-        "receiver_bound": breakdown.receiver_bound,
-        "rate": breakdown.rate,
-        "achievable": breakdown.achievable,
-        "binding": breakdown.binding,
-    }
 
 
 def _breakdown_pretty(model: Model, spec: BatterySpec, breakdown: RateBreakdown) -> list[str]:

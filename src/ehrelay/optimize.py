@@ -55,10 +55,14 @@ class OptimizeOptions:
     aux_sizes: tuple[int, ...] = (5,)
 
     def __post_init__(self):
-        if self.grid_points < 2 or self.grid_budget < 1:
+        if self.grid_points < 2:
             raise ValidationError("grid must have at least two points per axis")
-        if self.refine_iters < 1 or self.restarts < 0:
+        if self.grid_budget < 1:
+            raise ValidationError("grid budget must be at least one point")
+        if self.refine_iters < 1:
             raise ValidationError("refinement needs at least one iteration")
+        if self.restarts < 0:
+            raise ValidationError("restarts must not be negative")
         if not 0.0 < self.eps_pos < 0.5:
             raise ValidationError("positivity floor must lie in (0, 0.5)")
         if not self.aux_sizes or any(a < 1 for a in self.aux_sizes):
@@ -75,6 +79,20 @@ class OptimizeResult:
     p_x1: Optional[Pmf] = None
     timing: Optional[TimingRateResult] = None
     evaluations: int = 0
+
+
+def _breakdown_row(model: Model, spec: BatterySpec, breakdown: RateBreakdown) -> dict:
+    """The battery and rate columns shared by rate, optimize and sweep rows."""
+    return {
+        "model": model.value,
+        "cost": spec.cost,
+        "capacity": spec.capacity,
+        "relay_bound": breakdown.relay_bound,
+        "receiver_bound": breakdown.receiver_bound,
+        "rate": breakdown.rate,
+        "achievable": breakdown.achievable,
+        "binding": breakdown.binding,
+    }
 
 
 def _digest(parts) -> str:
@@ -96,15 +114,11 @@ class _CubeProblem:
     (B,), with -inf for an infeasible point. ``score`` runs ``values`` in
     chunks of at most ``_CHUNK`` rows, so memory stays flat however many
     points a search hands it; calling the problem scores the same way and
-    counts one evaluation per point.
-
-    With ``look_ahead`` set, ``_ascend`` scores each sweep's pending moves
-    ahead of the walk through ``score`` and adds to ``evaluations`` only the
-    points the walk reads, so the count is the same as without look-ahead.
+    counts one evaluation per point. ``_ascend`` scores ahead through
+    ``score`` and counts only the points its walk reads.
     """
 
     dims: int
-    look_ahead = True
 
     def __init__(self):
         self.evaluations = 0
@@ -274,16 +288,17 @@ class _TimingProblem(_CubeProblem):
     ``values`` scores one point at a time through the array kernel
     ``_timing_bounds``, and keeps each distinct point's value (-inf for an
     infeasible one), so a point the search asks for again is not
-    recomputed. The evaluation counter still counts every request. A batch
-    costs as much as its points one by one here, so the ascent does not
-    score ahead: it scores only the moves it reads, one call per position.
+    recomputed, whether the walk read it or the ascent scored it ahead.
+    The evaluation counter still counts every request.
     """
 
-    look_ahead = False
-
-    def __init__(self, spec: BatterySpec, ch1: BinaryChannel, aux_size: int,
+    def __init__(self, spec: BatterySpec, ch1: Optional[BinaryChannel], aux_size: int,
                  wait_rule: str, wait_const: int, overlap: bool):
         super().__init__()
+        if ch1 is None:
+            raise ValidationError("timing optimization needs the first-hop channel")
+        if spec.capacity != spec.cost:
+            raise ConstraintError("timing scheme requires capacity equal to the cost")
         self.spec = spec
         self.dims = _dims(Model.TIMING, spec)
         self.ch1 = ch1
@@ -339,25 +354,14 @@ def _start_points(dims: int, opts: OptimizeOptions, rng: np.random.Generator,
     else:
         cloud = rng.random((opts.grid_budget, dims))
     center = np.full((1, dims), 0.5)
-    restarts = rng.random((opts.restarts, dims)) if opts.restarts else np.empty((0, dims))
-    blocks = [center, cloud, restarts]
+    blocks = [center, cloud, rng.random((opts.restarts, dims))]
     if extra:
         blocks.append(np.clip(np.asarray(extra, dtype=np.float64).reshape(-1, dims), 0.0, 1.0))
     return np.vstack(blocks)
 
 
-def _better(value: float, theta: np.ndarray, best_value: float,
-            best_theta: Optional[np.ndarray]) -> bool:
-    if value > best_value:
-        return True
-    if value == best_value and best_theta is not None:
-        return tuple(theta) < tuple(best_theta)
-    return False
-
-
-def _pending_moves(problem: _CubeProblem, base: np.ndarray, steps: np.ndarray,
-                   start: int, stop: int):
-    """Moves ``start:stop`` of a sweep from points ``base``, and their values.
+def _pending_moves(problem: _CubeProblem, base: np.ndarray, steps: np.ndarray, start: int):
+    """The moves of a sweep from ``start`` on, from points ``base``, and their values.
 
     Move k shifts coordinate k // 2 up (even k) or down (odd k) by the
     point's step, clipped to the cube. Returns the moved points, whether
@@ -366,7 +370,7 @@ def _pending_moves(problem: _CubeProblem, base: np.ndarray, steps: np.ndarray,
     in place is not scored; all others go to the problem in one uncounted
     ``score`` call.
     """
-    ks = np.arange(start, stop)
+    ks = np.arange(start, 2 * base.shape[1])
     coord = ks // 2
     sign = np.where(ks % 2 == 0, 1.0, -1.0)
     old = base[:, coord]
@@ -380,31 +384,31 @@ def _pending_moves(problem: _CubeProblem, base: np.ndarray, steps: np.ndarray,
     return points, moved, values
 
 
-def _ascend(problem: _CubeProblem, starts: np.ndarray, iters: int):
+def _ascend(problem: _CubeProblem, starts: np.ndarray, values: np.ndarray, iters: int):
     """Cyclic coordinate ascent with a halving step, inside the unit cube.
 
-    All starts climb in lockstep, each keeping its own point, step, exit and
+    ``values`` holds the starts' values, which the caller has scored; they
+    count once more in ``evaluations`` as the ascents begin from them. All
+    starts climb in lockstep, each keeping its own point, step, exit and
     evaluations exactly as if it ran alone. A sweep walks the 2 * dims
     moves (coordinate, direction) in a fixed order, and each ascent still
     running replaces its point with a moved one only if strictly better.
-    With ``problem.look_ahead``, each sweep's pending moves are scored
-    ahead: at the start of the sweep every move of every running ascent is
-    scored in one call, and after a position where some ascents accepted,
-    the rest of the sweep's moves of those ascents are scored from their
-    new points in one more call. Without it (the timing search), each
-    position scores the moved points it reads in one call. Either way the
-    walk reads the same values, since every row is scored on its own, and
-    ``evaluations`` grows only by the points it reads, not by look-ahead
-    rows it never reads. Returns the final points and their values, one row
-    per start.
+    Each sweep's pending moves are scored ahead: at the start of the sweep
+    every move of every running ascent is scored in one call, and after a
+    position where some ascents accepted, the rest of the sweep's moves of
+    those ascents are scored from their new points in one more call. The
+    walk reads the values a position-by-position walk would, since every
+    row is scored on its own, and ``evaluations`` grows only by the points
+    it reads. Returns the final points and their values, one row per start.
     """
-    thetas = np.clip(starts.astype(np.float64), 0.0, 1.0)
-    best = problem(thetas)
+    thetas = starts.astype(np.float64)
+    best = values.astype(np.float64)
+    problem.evaluations += len(thetas)
     count, dims = thetas.shape
     width = 2 * dims
     points = np.empty((count, width, dims))
     moved = np.zeros((count, width), dtype=bool)
-    values = np.empty((count, width))
+    ahead = np.empty((count, width))
     steps = np.full(count, _STEP0)
     running = np.ones(count, dtype=bool)
     for _ in range(iters):
@@ -414,18 +418,14 @@ def _ascend(problem: _CubeProblem, starts: np.ndarray, iters: int):
         live = np.flatnonzero(running)
         stale = live
         for k in range(width):
-            if not problem.look_ahead:
-                stale = live
             if stale.size:
-                stop = width if problem.look_ahead else k + 1
-                (points[stale, k:stop], moved[stale, k:stop],
-                 values[stale, k:stop]) = _pending_moves(problem, thetas[stale],
-                                                         steps[stale], k, stop)
+                points[stale, k:], moved[stale, k:], ahead[stale, k:] = _pending_moves(
+                    problem, thetas[stale], steps[stale], k)
             rows = live[moved[live, k]]
             problem.evaluations += rows.size
-            up = values[rows, k] > best[rows]
+            up = ahead[rows, k] > best[rows]
             stale = rows = rows[up]
-            best[rows], thetas[rows] = values[rows, k], points[rows, k]
+            best[rows], thetas[rows] = ahead[rows, k], points[rows, k]
             improved[rows] = True
         stalled = running & ~improved
         steps[stalled] *= 0.5
@@ -435,6 +435,7 @@ def _ascend(problem: _CubeProblem, starts: np.ndarray, iters: int):
 
 def _run_search(problem: _CubeProblem, opts: OptimizeOptions, label: str,
                 extra_starts) -> np.ndarray:
+    """The winning point: the best final value, ties to the smallest point."""
     rng = _search_rng(opts, label)
     starts = _start_points(problem.dims, opts, rng, extra_starts)
     values = problem(starts)
@@ -442,12 +443,8 @@ def _run_search(problem: _CubeProblem, opts: OptimizeOptions, label: str,
         raise ConstraintError("no feasible policy found anywhere on the search grid")
     order = np.argsort(-values, kind="stable")
     keep = [idx for idx in order[: max(1, opts.restarts + 1)] if np.isfinite(values[idx])]
-    thetas, finals = _ascend(problem, starts[keep], opts.refine_iters)
-    best_theta, best_value = None, -np.inf
-    for theta, value in zip(thetas, finals):
-        if _better(value, theta, best_value, best_theta):
-            best_value, best_theta = value, theta
-    return best_theta
+    thetas, finals = _ascend(problem, starts[keep], values[keep], opts.refine_iters)
+    return thetas[min(range(len(keep)), key=lambda i: (-finals[i], tuple(thetas[i])))]
 
 
 def optimize(model, spec: BatterySpec, *, ch1: Optional[BinaryChannel] = None,
@@ -468,13 +465,9 @@ def optimize(model, spec: BatterySpec, *, ch1: Optional[BinaryChannel] = None,
     model = Model(model)
     label = f"optimize/{model.value}/cost={spec.cost}/capacity={spec.capacity}"
     if model is Model.TIMING:
-        if ch1 is None:
-            raise ValidationError("timing optimization needs the first-hop channel")
-        if spec.capacity != spec.cost:
-            raise ConstraintError("timing scheme requires capacity equal to the cost")
-        searches = ((f"{label}/aux={aux_size}",
+        searches = [(f"{label}/aux={aux_size}",
                      _TimingProblem(spec, ch1, aux_size, wait_rule, wait_const, overlap))
-                    for aux_size in opts.aux_sizes)
+                    for aux_size in opts.aux_sizes]
     else:
         scheme = _scheme(model, spec, ch1, ch2, loss)
         kind = _SecondHopProblem if model is Model.SECOND_HOP else _ProductProblem
@@ -587,16 +580,7 @@ def sweep(plan: SweepSpec) -> list[dict]:
                               wait_rule=plan.wait_rule, wait_const=plan.wait_const,
                               overlap=plan.overlap, opts=plan.opts, extra_starts=extra)
             prev_theta = np.asarray(result.theta)
-            rows.append({
-                "model": model.value,
-                "cost": spec.cost,
-                "capacity": spec.capacity,
-                "relay_bound": result.breakdown.relay_bound,
-                "receiver_bound": result.breakdown.receiver_bound,
-                "rate": result.breakdown.rate,
-                "achievable": result.breakdown.achievable,
-                "binding": result.breakdown.binding,
-                "policy_digest": result.policy_digest,
-            })
+            rows.append({**_breakdown_row(model, spec, result.breakdown),
+                         "policy_digest": result.policy_digest})
     return rows
 

@@ -26,7 +26,15 @@ from ehrelay import (
     pair_chain,
     stationary,
 )
-from ehrelay.battery import _BLOCK, _WORD_TABLE_CAP, _forward_pass, _observation_table, _word_length
+from ehrelay import battery
+from ehrelay.battery import (
+    _BLOCK,
+    _WORD_TABLE_CAP,
+    STATIONARY_RESIDUAL,
+    _forward_pass,
+    _observation_table,
+    _word_length,
+)
 from ehrelay.mclab import sample_path
 from conftest import (
     WORKED_KERNEL,
@@ -226,9 +234,19 @@ class TestStationary:
             assert np.max(np.abs(pi.probs - stationary_eig_oracle(k))) <= 1e-10
             assert np.max(np.abs(pi.probs @ k - pi.probs)) <= 1e-10
 
+    def test_power_iteration_fallback_matches_the_direct_solve(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        kernels = [np.asarray(WORKED_KERNEL)] + [rng.dirichlet(np.ones(5), size=5) for _ in range(5)]
+        direct = [battery._solve_stationary(k)[0] for k in kernels]
+        # A direct solve that always reports failure leaves power iteration.
+        monkeypatch.setattr(battery, "_solve_stationary", lambda k: (np.zeros(k.shape[-1]), False))
+        for k, want in zip(kernels, direct):
+            pi = stationary(k).probs
+            assert np.max(np.abs(pi - want)) <= 1e-10
+            assert np.max(np.abs(pi @ k - pi)) <= STATIONARY_RESIDUAL
+
     def test_analyze_chain_checks_regularity_once(self, worked, monkeypatch):
         # One graph analysis and one kernel validation per steady state.
-        import ehrelay.battery as battery
         calls = []
         for name in ("_regularity", "_validate_kernel"):
             real = getattr(battery, name)

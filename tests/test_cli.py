@@ -167,6 +167,19 @@ BAD_CONFIGS = {
     "optimizer-eps-pos-out-of-range": ("optimize", "optimize-second-hop.yaml",
                                        {"optimizer": {"eps-pos": 0.7}},
                                        "optimizer: positivity floor must lie in (0, 0.5)"),
+    "optimizer-restarts-negative": ("optimize", "optimize-second-hop.yaml",
+                                    {"optimizer": {"restarts": -1}},
+                                    "optimizer: restarts must not be negative"),
+    "optimizer-grid-budget-zero": ("optimize", "optimize-second-hop.yaml",
+                                   {"optimizer": {"grid-budget": 0}},
+                                   "optimizer: grid budget must be at least one point"),
+    "timing-rate-without-first-hop": ("rate", "rate-timing.yaml", {"channels": {"first": DROP}},
+                                      "this model needs channels.first"),
+    "noisy-aep-without-second-hop": ("aep", "aep-concentration.yaml",
+                                     {"channels": {"second": DROP}, "aep": {"noiseless": False}},
+                                     "this model needs channels.second"),
+    "sweep-models-empty": ("sweep", "sweep-cost.yaml", {"sweep": {"models": []}},
+                           "sweep.models must not be empty"),
     "charge-p-under-rate": ("rate", "rate-timing.yaml", {"timing": {"charge-p": 0.9}},
                             "timing.charge-p does not apply to rate"),
     "charge-p-under-optimize": ("optimize", "optimize-second-hop.yaml",

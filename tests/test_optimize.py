@@ -146,14 +146,25 @@ class TestTimingMemo:
     def test_ascent_scores_no_point_ahead(self, cost, kw):
         spec = BatterySpec(capacity=cost, cost=cost)
         starts = np.array([[0.0], [1.0], [0.37], [0.81]])
-        ran = []
-        for ascend in (ascend_oracle, optimize_module._ascend):
+
+        def ahead(problem, starts, iters):
+            return optimize_module._ascend(problem, starts, problem.score(starts), iters)
+
+        ran, calls = [], []
+        for ascend in (ascend_oracle, ahead):
             problem = _TimingProblem(spec, CH1, 5, kw.get("wait_rule", "mod"),
                                      kw.get("wait_const", 1), kw.get("overlap", False))
+            calls.append(0)
+
+            def counted(thetas, real=problem.values):
+                calls[-1] += 1
+                return real(thetas)
+
+            problem.values = counted
             thetas, values = ascend(problem, starts, 200)
-            ran.append((thetas.tolist(), values.tolist(), problem.evaluations,
-                        len(problem.scores)))
+            ran.append((thetas.tolist(), values.tolist(), problem.evaluations))
         assert ran[0] == ran[1]
+        assert calls[1] <= calls[0]
 
     # (cost, wait options, theta, digest, evaluations, relay, receiver), frozen
     # from the search that scored every request through timing_rate
@@ -282,7 +293,9 @@ class TestLookAhead:
         ahead = optimize(Model.RANDOM_LOSS, spec, **kw)
         ahead_calls = len(calls)
         calls.clear()
-        monkeypatch.setattr(optimize_module, "_ascend", ascend_oracle)
+        monkeypatch.setattr(optimize_module, "_ascend",
+                            lambda problem, starts, values, iters:
+                            ascend_oracle(problem, starts, iters))
         oracle = optimize(Model.RANDOM_LOSS, spec, **kw)
         assert ahead_calls <= len(calls) // 2
         assert (ahead.theta, ahead.policy_digest, ahead.evaluations) == (

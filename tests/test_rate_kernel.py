@@ -134,7 +134,7 @@ class TestLookAheadAscent:
         thetas, values = ascend_oracle(problem, starts, iters)
         evaluations = problem.evaluations
         problem.evaluations = 0
-        got_thetas, got_values = opt._ascend(problem, starts, iters)
+        got_thetas, got_values = opt._ascend(problem, starts, problem.score(starts), iters)
         assert np.array_equal(got_thetas, thetas, equal_nan=True)
         assert np.array_equal(got_values, values)
         assert values[-1] == -np.inf
@@ -154,7 +154,7 @@ class TestLookAheadAscent:
         thetas, values = ascend_oracle(problem, starts, 200)
         evaluations = problem.evaluations
         problem.evaluations = 0
-        got_thetas, got_values = opt._ascend(problem, starts, 200)
+        got_thetas, got_values = opt._ascend(problem, starts, problem.score(starts), 200)
         assert np.isfinite(values).all()
         assert np.array_equal(got_thetas, thetas)
         assert np.array_equal(got_values, values)
