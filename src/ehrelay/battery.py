@@ -120,24 +120,28 @@ def energy_profile(arrival: ArrivalModel, spec: BatterySpec) -> np.ndarray:
     return rows @ losses
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StatePolicy:
     """Per-level input law for one block: joint tables or a product form.
 
     Joint mode stores, for every battery level, a joint table over
     (source symbol, relay symbol). Product mode stores one source pmf plus a
     per-level relay pmf; the relay then acts independently of the current
-    source symbol. Levels below the transmission cost must place no mass on
-    spending; constructors enforce that unless ``strict=False``, which exists
-    so that candidate policies can still be built and inspected with
-    ``feasibility_check``.
+    source symbol. Either mode keeps its tables stacked once, read-only, as
+    the (levels, 2, 2) array that ``tensor`` returns. Levels below the
+    transmission cost must place no mass on spending; constructors enforce
+    that unless ``strict=False``, which exists so that candidate policies
+    can still be built and inspected with ``feasibility_check``.
     """
 
     spec: BatterySpec
     mode: str
-    joint: Optional[tuple[JointPmf, ...]] = None
+    _tensor: np.ndarray
     x1: Optional[Pmf] = None
     x2: Optional[tuple[Pmf, ...]] = None
+
+    def __post_init__(self):
+        self._tensor.flags.writeable = False
 
     @classmethod
     def joint_policy(cls, spec: BatterySpec, tables, tol: float = USER_TOL,
@@ -147,12 +151,12 @@ class StatePolicy:
             jp = table if isinstance(table, JointPmf) else JointPmf(table, tol=tol)
             if jp.table.shape != (2, 2):
                 raise ValidationError("joint policy tables must be 2x2 (source x relay)")
-            entries.append(jp)
+            entries.append(jp.table)
         if len(entries) != spec.states:
             raise ValidationError(
                 f"joint policy needs one table per level (expected {spec.states}, got {len(entries)})"
             )
-        policy = cls(spec, "joint", joint=tuple(entries))
+        policy = cls(spec, "joint", np.stack(entries))
         if strict:
             _require_no_underfunded_spending(policy)
         return policy
@@ -173,31 +177,30 @@ class StatePolicy:
             raise ValidationError(
                 f"product policy needs one relay pmf per level (expected {spec.states}, got {len(rows)})"
             )
-        policy = cls(spec, "product", x1=src, x2=tuple(rows))
+        tensor = np.stack([np.outer(src.probs, p.probs) for p in rows])
+        policy = cls(spec, "product", tensor, x1=src, x2=tuple(rows))
         if strict:
             _require_no_underfunded_spending(policy)
         return policy
 
     def joint_table(self, u: int) -> np.ndarray:
-        if self.mode == "joint":
-            return self.joint[u].table
-        return np.outer(self.x1.probs, self.x2[u].probs)
+        return self._tensor[u]
 
     def x1_row(self, u: int) -> np.ndarray:
         """Marginal source law at level u."""
         if self.mode == "joint":
-            return self.joint[u].table.sum(axis=1)
+            return self._tensor[u].sum(axis=1)
         return self.x1.probs
 
     def x2_row(self, u: int) -> np.ndarray:
         """Marginal relay law at level u."""
         if self.mode == "joint":
-            return self.joint[u].table.sum(axis=0)
+            return self._tensor[u].sum(axis=0)
         return self.x2[u].probs
 
     def tensor(self) -> np.ndarray:
-        """All joint tables stacked: shape (levels, 2, 2)."""
-        return np.stack([self.joint_table(u) for u in range(self.spec.states)])
+        """All joint tables stacked, read-only: shape (levels, 2, 2)."""
+        return self._tensor
 
 
 def _require_no_underfunded_spending(policy: StatePolicy) -> None:
@@ -234,14 +237,26 @@ def transition_tensor(spec: BatterySpec, arrival: ArrivalModel) -> np.ndarray:
     return tensor
 
 
+def _kernels(joint: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """Level kernels K[u, u'] = sum over (x1, x2) of p(x1, x2 | u) A[u, x1, x2, u'].
+
+    ``joint`` stacks per-level tables with shape (..., L, 2, 2) and
+    ``tensor`` is the (L, 2, 2, L) transition tensor; returns (..., L, L).
+    The four cells are summed in one fixed order, so a kernel does not
+    depend on the batch it is built in.
+    """
+    return (joint[..., 0, 0, None] * tensor[:, 0, 0, :]
+            + joint[..., 0, 1, None] * tensor[:, 0, 1, :]
+            + joint[..., 1, 0, None] * tensor[:, 1, 0, :]
+            + joint[..., 1, 1, None] * tensor[:, 1, 1, :])
+
+
 def build_kernel(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel) -> np.ndarray:
     """Battery-level transition matrix induced by a policy and a charge law."""
     if policy.spec != spec:
         raise ValidationError("policy was built for a different battery geometry")
     _require_no_underfunded_spending(policy)
-    joint = policy.tensor()
-    tensor = transition_tensor(spec, arrival)
-    kernel = np.einsum("uab,uabv->uv", joint, tensor)
+    kernel = _kernels(policy.tensor(), transition_tensor(spec, arrival))
     if not np.allclose(kernel.sum(axis=1), 1.0, atol=INTERNAL_TOL, rtol=0.0):
         raise NumericalError("kernel rows do not sum to one; transition mass was lost")
     return kernel
@@ -405,12 +420,12 @@ def analyze_chain(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel)
 class PairChain:
     """Markov chain on consecutive battery levels with the relay symbol as emission.
 
-    States are (u, u') pairs with positive one-step probability. The charge
-    per slot is at most cost - 1 while a pulse removes cost units, so a
-    pulse always leaves u' <= u - 1 and silence always leaves u' >= u: the
-    emission is a deterministic function of the pair, and no pair ever has
-    to be split by relay symbol. ``refined`` records that and is always
-    False; the Monte Carlo substream labels include it.
+    States are (u, u') pairs with positive one-step probability, in
+    row-major order. The charge per slot is at most cost - 1 while a pulse
+    removes cost units, so a pulse always leaves u' <= u - 1 and silence
+    always leaves u' >= u: the emission is 1 exactly when u' < u, and no
+    pair ever has to be split by relay symbol. ``refined`` records that and
+    is always False; the Monte Carlo substream labels include it.
     """
 
     states: tuple
@@ -420,41 +435,24 @@ class PairChain:
     refined: bool = False
 
 
-def _spend_split_tensor(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel) -> np.ndarray:
-    """q[u, x2, u'] = P(relay sends x2 and moves u -> u')."""
-    joint = policy.tensor()
-    tensor = transition_tensor(spec, arrival)
-    return np.einsum("uab,uabv->ubv", joint, tensor)
-
-
 def pair_chain(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel,
                pi: Pmf, kernel=None) -> PairChain:
     """Lift the battery chain to consecutive-level pairs with relay emissions."""
-    if policy.spec != spec:
-        raise ValidationError("policy was built for a different battery geometry")
-    _require_no_underfunded_spending(policy)
-    q = _spend_split_tensor(spec, policy, arrival)
-    level_kernel = q.sum(axis=1)
+    level_kernel = build_kernel(spec, policy, arrival)
     if kernel is not None and not np.allclose(level_kernel, kernel, atol=1e-12, rtol=0.0):
         raise ValidationError("supplied kernel disagrees with the policy and charge law")
     if len(pi) != spec.states:
         raise ValidationError("steady state has the wrong number of levels")
-    states = spec.states
-    labels = [(u, v)
-              for u in range(states) for v in range(states)
-              if level_kernel[u, v] > 0.0]
-    emissions = np.array([1 if q[u, 1, v] > 0.0 else 0 for (u, v) in labels], dtype=np.int8)
-    pis = np.array([pi[u] * level_kernel[u, v] for (u, v) in labels])
-    t = np.zeros((len(labels), len(labels)))
-    for i, (_, v) in enumerate(labels):
-        for j, (src, dst) in enumerate(labels):
-            if src == v:
-                t[i, j] = level_kernel[src, dst]
+    src, dst = np.nonzero(level_kernel > 0.0)
+    weights = level_kernel[src, dst]
+    pis = pi.probs[src] * weights
+    t = np.where(dst[:, None] == src[None, :], weights, 0.0)
     total = pis.sum()
     if abs(total - 1.0) > 1e-9:
         raise NumericalError("pair-state weights do not sum to one")
     pis = pis / total
-    return PairChain(states=tuple(labels), transition=t, pi=pis, emissions=emissions)
+    return PairChain(states=tuple(zip(src.tolist(), dst.tolist())), transition=t, pi=pis,
+                     emissions=(dst < src).astype(np.int8))
 
 
 def markov_entropy_rate(chain: PairChain) -> float:

@@ -240,7 +240,9 @@ def _model(name: str) -> Model:
 
 
 def _loss(cfg: dict) -> LossShape:
-    return LossShape(_need(cfg, "loss.given-zero"), _need(cfg, "loss.given-one"))
+    given = _need(cfg, "loss.given-zero"), _need(cfg, "loss.given-one")
+    with _section("loss"):
+        return LossShape(*given)
 
 
 def _explicit_policy(cfg: dict, spec: BatterySpec) -> StatePolicy:
@@ -469,11 +471,12 @@ def _cmd_codec(cfg: dict, args):
         per_level = per_level_source_entropy_bits(policy.tensor())
         rates = tuple(float(max(h - margin, 0.0)) for h in per_level)
     blocks = node.get("blocks", 2)
-    codec = CodecConfig(spec=spec, policy=policy, rate_bits=rates,
-                        slack=node.get("slack", float(pi.min()) / 2.0),
-                        **_kwargs(node, "rates", "margin", "slack", "blocks"))
     run = _run_config(cfg, args, default_n=400)
-    result = relay_codec_trial(codec, blocks, run)
+    with _section("codec"):
+        codec = CodecConfig(spec=spec, policy=policy, rate_bits=rates,
+                            slack=node.get("slack", float(pi.min()) / 2.0),
+                            **_kwargs(node, "rates", "margin", "slack", "blocks"))
+        result = relay_codec_trial(codec, blocks, run)
     rows = [{"block": b, "n": run.n, "trials": run.trials,
              "p_incomplete": float(result.p_incomplete[b]),
              "p_ambiguous": float(result.p_ambiguous[b]),

@@ -472,8 +472,10 @@ class CodecConfig:
         rates = tuple(float(r) for r in self.rate_bits)
         if len(rates) != self.spec.states:
             raise ValidationError("need one subcodebook rate per battery level")
-        if any(r < 0.0 for r in rates):
-            raise ValidationError("subcodebook rates must be nonnegative")
+        for r in rates:  # a subcodeword is a binary word; NaN fails the test too
+            if not 0.0 <= r <= 1.0:
+                raise ValidationError(
+                    f"subcodebook rates must lie in [0, 1] bit per symbol, got {r!r}")
         object.__setattr__(self, "rate_bits", rates)
         if not 0.0 < self.slack < 1.0:
             raise ValidationError("occupancy slack must lie in (0, 1)")

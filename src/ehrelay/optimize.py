@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .battery import BatterySpec, StatePolicy, _solve_stationary, transition_tensor
+from .battery import BatterySpec, StatePolicy, _kernels, _solve_stationary, transition_tensor
 from .errors import ConstraintError, EhRelayError, ValidationError
 from .pmf import BinaryChannel, Pmf
 from .rates import (
@@ -158,12 +158,7 @@ def _chain_values(joint: np.ndarray, tensor: np.ndarray) -> tuple[np.ndarray, np
     ``stationary`` stays the strict path, and ``finalize`` re-checks the
     winning policy through it.
     """
-    # Summed cell by cell in a fixed order, so that a row's kernel, and with
-    # it the row's value, is the same in any batch.
-    kernel = (joint[..., 0, 0, None] * tensor[:, 0, 0, :]
-              + joint[..., 0, 1, None] * tensor[:, 0, 1, :]
-              + joint[..., 1, 0, None] * tensor[:, 1, 0, :]
-              + joint[..., 1, 1, None] * tensor[:, 1, 1, :])
+    kernel = _kernels(joint, tensor)
     pi, ok = _solve_stationary(kernel)
     flow = (pi[..., None] * kernel).sum(axis=-2)
     ok &= np.abs(flow - pi).max(axis=-1) <= _RESIDUAL_GATE
@@ -491,6 +486,10 @@ class LossShape:
     given_zero: tuple
     given_one: tuple
 
+    def __post_init__(self):
+        for vec in (self.given_zero, self.given_one):
+            Pmf(vec)
+
     def pmfs(self, cost: int) -> tuple[Pmf, Pmf]:
         out = []
         for vec in (self.given_zero, self.given_one):
@@ -549,6 +548,8 @@ class SweepSpec:
             raise ValidationError("sweep parameter must be 'cost' or 'capacity'")
         if Model.TIMING in models:  # a bad wait rule fails here, not at its first timing cell
             _wait_rule(self.wait_rule, self.opts.aux_sizes[0], self.wait_const)
+        if Model.RANDOM_LOSS in models and self.loss is not None:  # likewise a bad loss law
+            self.loss.pmfs(min(self.spec_for(v).cost for v in values))
 
     def spec_for(self, value: int) -> BatterySpec:
         if self.parameter == "cost":

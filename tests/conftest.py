@@ -9,6 +9,8 @@ and the binary-channel information measures go through a validated output
 The ascent oracle is the optimizer's lockstep coordinate ascent as it was
 before it scored ahead: one call per (sweep, coordinate, direction) with
 exactly the moved points it reads.
+The pair-chain oracle is the lift as first written: the transition split
+by relay symbol through ``einsum``, pairs found and filled by nested loops.
 The Monte Carlo oracles are the scalar reference forms of the lab's
 lockstep kernels: one codec trial walked slot by slot from a refilling
 stock of uniforms, and the recharge simulation drawn as one full
@@ -34,6 +36,7 @@ from ehrelay import (
     substream,
     z_pmf,
 )
+from ehrelay.battery import transition_tensor
 from ehrelay.optimize import _STEP0, _STEP_FLOOR
 
 # Worked 3-state instance: capacity 2, cost 2, uniform source everywhere,
@@ -126,6 +129,29 @@ def random_product_parts(spec: BatterySpec, rng: np.random.Generator,
         else:
             rows.append([1.0, 0.0])
     return p_x1, rows
+
+
+def pair_chain_oracle(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel,
+                      pi: Pmf) -> tuple:
+    """(states, transition, pi, emissions) of ``pair_chain``, built pair by pair.
+
+    A pair emits 1 when it can be reached by a pulse, read off the
+    split ``q[u, x2, u'] = P(relay sends x2 and moves u -> u')``.
+    """
+    q = np.einsum("uab,uabv->ubv", policy.tensor(), transition_tensor(spec, arrival))
+    level_kernel = q.sum(axis=1)
+    states = spec.states
+    labels = [(u, v)
+              for u in range(states) for v in range(states)
+              if level_kernel[u, v] > 0.0]
+    emissions = np.array([1 if q[u, 1, v] > 0.0 else 0 for (u, v) in labels], dtype=np.int8)
+    pis = np.array([pi[u] * level_kernel[u, v] for (u, v) in labels])
+    t = np.zeros((len(labels), len(labels)))
+    for i, (_, v) in enumerate(labels):
+        for j, (src, dst) in enumerate(labels):
+            if src == v:
+                t[i, j] = level_kernel[src, dst]
+    return tuple(labels), t, pis / pis.sum(), emissions
 
 
 def exhaustive_observation_loglik(kernel, pi, ch_rows, observed) -> float:

@@ -42,6 +42,7 @@ from conftest import (
     WORKED_PI,
     WORKED_TABLES,
     exhaustive_observation_loglik,
+    pair_chain_oracle,
     random_joint_tables,
     stationary_eig_oracle,
     worked_policy,
@@ -107,7 +108,18 @@ class TestStatePolicy:
                            [[0.25, 0.25], [0.25, 0.25]], atol=1e-15)
 
     def test_tensor_shape(self):
-        assert worked_policy().tensor().shape == (3, 2, 2)
+        # One read-only array per policy, in either mode.
+        product = StatePolicy.product_policy(
+            worked_spec(), [0.5, 0.5], [[1, 0], [1, 0], [0.5, 0.5]])
+        for policy in (worked_policy(), product):
+            tensor = policy.tensor()
+            assert tensor.shape == (3, 2, 2)
+            assert policy.tensor() is tensor
+            assert np.array_equal(tensor[2], policy.joint_table(2))
+            with pytest.raises(ValueError):
+                tensor[0, 0, 0] = 0.0
+            with pytest.raises(ValueError):
+                policy.joint_table(0)[0, 0] = 0.0
 
 
 class TestBuildKernel:
@@ -308,7 +320,8 @@ class TestPairChain:
     def test_shipped_arrivals_never_need_refinement(self):
         # A slot charges at most cost - 1 units and a pulse costs cost, so
         # under every charge law each pair emits 1 exactly when u' < u and
-        # the emission map never needs refining.
+        # the emission map never needs refining. The indexed lift matches
+        # the pair-by-pair oracle bit for bit.
         rng = np.random.default_rng(19)
         for capacity in range(1, 9):
             for cost in range(2, 7):
@@ -324,6 +337,12 @@ class TestPairChain:
                     drops = [int(v < u) for (u, v) in chain.states]
                     assert chain.emissions.tolist() == drops
                     assert not chain.refined
+                    states, transition, pi, emissions = pair_chain_oracle(
+                        spec, policy, arrival, analysis.pi)
+                    assert chain.states == states
+                    assert np.array_equal(chain.transition, transition)
+                    assert np.array_equal(chain.pi, pi)
+                    assert np.array_equal(chain.emissions, emissions)
 
 
 class TestMarkovEntropyRate:

@@ -2,6 +2,7 @@
 the seed override."""
 
 import hashlib
+import importlib
 import pathlib
 import re
 
@@ -9,6 +10,9 @@ import pytest
 import yaml
 
 from ehrelay.cli import _SCHEMA, _fmt, main
+
+# The package attribute ``ehrelay.optimize`` is the function, not the module.
+opt = importlib.import_module("ehrelay.optimize")
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -121,6 +125,7 @@ def _patched(base: str, patch: dict) -> dict:
 
 
 WAIT_ZERO = {"wait": "const", "wait-value": 0}
+NAN, INF = float("nan"), float("inf")
 
 # (command, shipped config, patch or raw YAML text, text the one error line must hold)
 BAD_CONFIGS = {
@@ -188,6 +193,23 @@ BAD_CONFIGS = {
     "charge-p-under-sweep": ("sweep", "sweep-cost.yaml", {"timing": {"charge-p": 0.9}},
                              "timing.charge-p does not apply to sweep"),
     "yaml-syntax": ("rate", None, "model: [\n", "not valid YAML"),
+    "codec-rates-nan": ("codec", "codec-trend.yaml", {"codec": {"rates": [NAN] * 3}},
+                        "codec: subcodebook rates must lie in [0, 1] bit per symbol, got nan"),
+    "codec-rates-inf": ("codec", "codec-trend.yaml", {"codec": {"rates": [INF] * 3}},
+                        "codec: subcodebook rates must lie in [0, 1]"),
+    "codec-rates-huge": ("codec", "codec-trend.yaml", {"codec": {"rates": [1.0e300] * 3}},
+                         "codec: subcodebook rates must lie in [0, 1]"),
+    "codec-margin-nan": ("codec", "codec-trend.yaml", {"codec": {"margin": NAN}},
+                         "codec: subcodebook rates must lie in [0, 1]"),
+    "codec-blocks-zero": ("codec", "codec-trend.yaml", {"codec": {"blocks": 0}},
+                          "codec: need at least one block"),
+    "rate-loss-not-a-pmf": ("rate", "random-loss-variant-a.yaml",
+                            {"loss": {"given-one": [0.2, 0.9]}}, "loss: pmf sums to 1.1"),
+    "sweep-loss-not-a-pmf": ("sweep", "sweep-cost.yaml", {"loss": {"given-one": [0.2, 0.9]}},
+                             "loss: pmf sums to 1.1"),
+    "sweep-loss-longer-than-cost": ("sweep", "sweep-cost.yaml",
+                                    {"loss": {"given-one": [0.1, 0.1, 0.8]}},
+                                    "loss law has 3 entries but the cost is 2"),
 }
 
 
@@ -200,6 +222,17 @@ def test_bad_config_is_one_line_exit_one(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and expected in err
+
+
+@pytest.mark.parametrize("given_one", [[0.2, 0.9], [0.1, 0.1, 0.8]])
+def test_bad_sweep_loss_fails_before_any_cell(given_one, tmp_path, monkeypatch, capsys):
+    cells = []
+    monkeypatch.setattr(opt, "optimize", lambda *a, **kw: cells.append(a))
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_patched("sweep-cost.yaml", {"loss": {"given-one": given_one}})))
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert "loss" in capsys.readouterr().err
+    assert cells == []
 
 
 EPS_CONFIG = """\

@@ -2,6 +2,7 @@
 concentration, collision curves, recharge sampling, and the two codec-side
 experiments."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -385,6 +386,11 @@ class TestRelayCodec:
         with pytest.raises(ValidationError):
             CodecConfig(spec=spec, policy=policy,
                         rate_bits=(0.5, 0.5, -0.1), slack=0.1)
+        for bad in (math.nan, math.inf, 1e300, 1.0 + 1e-12):
+            # a subcodeword is a binary word: at most one bit per symbol
+            with pytest.raises(ValidationError, match="must lie in"):
+                CodecConfig(spec=spec, policy=policy, rate_bits=(0.5, 0.5, bad), slack=0.1)
+        CodecConfig(spec=spec, policy=policy, rate_bits=(0.0, 0.5, 1.0), slack=0.1)
         with pytest.raises(ValidationError):
             CodecConfig(spec=spec, policy=policy,
                         rate_bits=(0.5, 0.5, 0.5), slack=1.5)

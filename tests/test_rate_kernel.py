@@ -18,13 +18,15 @@ from ehrelay import (
     Model,
     OptimizeOptions,
     Pmf,
+    StatePolicy,
     binary_entropy,
+    build_kernel,
     optimize,
     per_level_receiver_bits,
     per_level_source_entropy_bits,
     second_hop_bounds,
 )
-from ehrelay.battery import transition_tensor
+from ehrelay.battery import _kernels, transition_tensor
 from ehrelay.pmf import _h2
 from ehrelay.rates import _scheme
 from conftest import ascend_oracle, random_joint_tables
@@ -163,30 +165,44 @@ class TestLookAheadAscent:
 
 class TestSingularRows:
     def test_decomposable_kernel_scores_minus_inf_on_its_row_only(self):
+        # Each row's kernel is build_kernel's, bit for bit, under every charge law.
         spec = BatterySpec(capacity=2, cost=2)
         ch2 = BinaryChannel(0.9, 0.9)
-        tensor = transition_tensor(spec, ArrivalModel.deterministic())
+        hop = BinaryChannel(0.95, 0.9)
         rng = np.random.default_rng(11)
-        joint = np.stack([np.array(random_joint_tables(spec, rng)) for _ in range(5)])
-        # Level 0 never charges, levels 1 and 2 swap forever: two closed
-        # classes, {0} and {1, 2}, so the balance equations are singular.
-        joint[2] = [[[1.0, 0.0], [0.0, 0.0]],
-                    [[0.0, 0.0], [1.0, 0.0]],
-                    [[0.0, 0.0], [0.0, 1.0]]]
-        kernel = np.einsum("nuab,uabv->nuv", joint, tensor)
-        a = np.swapaxes(kernel, -1, -2) - np.eye(spec.states)
-        a[..., -1, :] = 1.0
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(a, np.ones(a.shape[:-1] + (1,)))
+        tables = [random_joint_tables(spec, rng) for _ in range(5)]
+        # Level 0 never charges, levels 1 and 2 swap forever: under sure
+        # charging two closed classes, {0} and {1, 2}, so the balance
+        # equations are singular.
+        tables[2] = [[[1.0, 0.0], [0.0, 0.0]],
+                     [[0.0, 0.0], [1.0, 0.0]],
+                     [[0.0, 0.0], [0.0, 1.0]]]
+        policies = [StatePolicy.joint_policy(spec, t) for t in tables]
+        joint = np.stack([p.tensor() for p in policies])
+        for arrival in (ArrivalModel.deterministic(), ArrivalModel.first_hop(hop),
+                        ArrivalModel.lossy(hop, Pmf([0.3, 0.7]), Pmf([0.6, 0.4]))):
+            tensor = transition_tensor(spec, arrival)
+            kernel = _kernels(joint, tensor)
+            for k, policy in enumerate(policies):
+                assert np.array_equal(kernel[k], build_kernel(spec, policy, arrival))
+            singular = [arrival.kind == "deterministic" and k == 2 for k in range(5)]
+            if any(singular):
+                a = np.swapaxes(kernel, -1, -2) - np.eye(spec.states)
+                a[..., -1, :] = 1.0
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.solve(a, np.ones(a.shape[:-1] + (1,)))
 
-        pi, ok = opt._chain_values(joint, tensor)
-        scores = opt._scores(ok, *second_hop_bounds(joint, pi, ch2))
-        assert ok.tolist() == [True, True, False, True, True]
-        assert scores[2] == -np.inf
-        for k in (0, 1, 3, 4):
-            pi1, ok1 = opt._chain_values(joint[k:k + 1], tensor)
-            assert ok1[0] and np.array_equal(pi[k], pi1[0])
-            assert scores[k] == opt._scores(ok1, *second_hop_bounds(joint[k:k + 1], pi1, ch2))[0]
+            pi, ok = opt._chain_values(joint, tensor)
+            scores = opt._scores(ok, *second_hop_bounds(joint, pi, ch2))
+            assert ok.tolist() == [not s for s in singular]
+            for k in range(5):
+                if singular[k]:
+                    assert scores[k] == -np.inf
+                    continue
+                pi1, ok1 = opt._chain_values(joint[k:k + 1], tensor)
+                assert ok1[0] and np.array_equal(pi[k], pi1[0])
+                assert scores[k] == opt._scores(
+                    ok1, *second_hop_bounds(joint[k:k + 1], pi1, ch2))[0]
 
 
 class TestChunking:
