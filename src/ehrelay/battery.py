@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConstraintError, NumericalError, ValidationError
-from .pmf import INTERNAL_TOL, USER_TOL, BinaryChannel, JointPmf, Pmf
+from .pmf import INTERNAL_TOL, USER_TOL, BinaryChannel, JointPmf, Pmf, _stacked
 
 STATIONARY_RESIDUAL = 1e-10
 _POWER_ITER_MAX = 1_000_000
@@ -36,6 +37,8 @@ _MAC_US = 1.2e-4  # cost of one multiply-add in a forward step's matrix product
 _WORD_TABLE_CAP = 1 << 16  # entries allowed in the table of word step matrices
 _WORD_MAX = 16  # longest word, for tables that the cap does not bound
 _SCALE_FLOOR = math.sqrt(np.finfo(float).tiny)  # smallest trusted word scale
+_PATTERN_CACHE = 512  # kernel zero patterns whose regularity report is kept
+_PATTERN_STATES = 64  # largest kernel whose pattern is kept
 
 
 @dataclass(frozen=True)
@@ -146,17 +149,13 @@ class StatePolicy:
     @classmethod
     def joint_policy(cls, spec: BatterySpec, tables, tol: float = USER_TOL,
                      strict: bool = True) -> "StatePolicy":
-        entries = []
-        for table in tables:
-            jp = table if isinstance(table, JointPmf) else JointPmf(table, tol=tol)
-            if jp.table.shape != (2, 2):
-                raise ValidationError("joint policy tables must be 2x2 (source x relay)")
-            entries.append(jp.table)
-        if len(entries) != spec.states:
+        tensor = _stacked(list(tables), JointPmf, tol, (2, 2),
+                          "joint policy tables must be 2x2 (source x relay)")
+        if len(tensor) != spec.states:
             raise ValidationError(
-                f"joint policy needs one table per level (expected {spec.states}, got {len(entries)})"
+                f"joint policy needs one table per level (expected {spec.states}, got {len(tensor)})"
             )
-        policy = cls(spec, "joint", np.stack(entries))
+        policy = cls(spec, "joint", tensor)
         if strict:
             _require_no_underfunded_spending(policy)
         return policy
@@ -167,18 +166,15 @@ class StatePolicy:
         src = x1 if isinstance(x1, Pmf) else Pmf(x1, tol=tol)
         if len(src) != 2:
             raise ValidationError("source pmf must be binary")
-        rows = []
-        for row in x2_rows:
-            p = row if isinstance(row, Pmf) else Pmf(row, tol=tol)
-            if len(p) != 2:
-                raise ValidationError("relay pmfs must be binary")
-            rows.append(p)
+        items = list(x2_rows)
+        rows = _stacked(items, Pmf, tol, (2,), "relay pmfs must be binary")
         if len(rows) != spec.states:
             raise ValidationError(
                 f"product policy needs one relay pmf per level (expected {spec.states}, got {len(rows)})"
             )
-        tensor = np.stack([np.outer(src.probs, p.probs) for p in rows])
-        policy = cls(spec, "product", tensor, x1=src, x2=tuple(rows))
+        x2 = tuple(x if isinstance(x, Pmf) else Pmf._checked(row) for x, row in zip(items, rows))
+        tensor = src.probs[None, :, None] * rows[:, None, :]  # np.outer per level
+        policy = cls(spec, "product", tensor, x1=src, x2=x2)
         if strict:
             _require_no_underfunded_spending(policy)
         return policy
@@ -217,23 +213,19 @@ def transition_tensor(spec: BatterySpec, arrival: ArrivalModel) -> np.ndarray:
     """A[u, x1, x2, u'] = P(next level = u' | level u, symbols x1, x2).
 
     Entries for spending at an underfunded level are left all zero; callers
-    must ensure the policy puts no mass there.
+    must ensure the policy puts no mass there. Each charge e with positive
+    probability adds p(e | x1) at u' = min(u + e - cost * x2, capacity).
+    The terms are listed with e outermost, so the charges that the capacity
+    clamps onto one entry add up in increasing e, as in a loop over e.
     """
     profile = energy_profile(arrival, spec)
-    width = profile.shape[1]
-    states = spec.states
+    states, cost = spec.states, spec.cost
+    funded = np.ones((states, 1, 2), dtype=bool)  # (u, 1, x2)
+    funded[:cost, :, 1] = False
+    e, u, x1, x2 = np.nonzero((profile.T[:, None, :, None] != 0.0) & funded)
+    dest = np.minimum(u + e - cost * x2, spec.capacity)
     tensor = np.zeros((states, 2, 2, states))
-    for u in range(states):
-        for x1 in (0, 1):
-            for x2 in (0, 1):
-                if x2 == 1 and u < spec.cost:
-                    continue
-                for e in range(width):
-                    pe = profile[x1, e]
-                    if pe == 0.0:
-                        continue
-                    dest = min(u + e - spec.cost * x2, spec.capacity)
-                    tensor[u, x1, x2, dest] += pe
+    np.add.at(tensor, (u, x1, x2, dest), profile[x1, e])
     return tensor
 
 
@@ -253,13 +245,23 @@ def _kernels(joint: np.ndarray, tensor: np.ndarray) -> np.ndarray:
 
 def build_kernel(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel) -> np.ndarray:
     """Battery-level transition matrix induced by a policy and a charge law."""
+    return _policy_kernel(spec, policy, transition_tensor(spec, arrival))
+
+
+def _policy_kernel(spec: BatterySpec, policy: StatePolicy, tensor: np.ndarray) -> np.ndarray:
+    """``build_kernel`` over a transition tensor the caller has already built."""
     if policy.spec != spec:
         raise ValidationError("policy was built for a different battery geometry")
     _require_no_underfunded_spending(policy)
-    kernel = _kernels(policy.tensor(), transition_tensor(spec, arrival))
-    if not np.allclose(kernel.sum(axis=1), 1.0, atol=INTERNAL_TOL, rtol=0.0):
+    kernel = _kernels(policy.tensor(), tensor)
+    if not _rows_sum_to_one(kernel, INTERNAL_TOL):
         raise NumericalError("kernel rows do not sum to one; transition mass was lost")
     return kernel
+
+
+def _rows_sum_to_one(kernel: np.ndarray, tol: float) -> bool:
+    """Every row sum within ``tol`` of one; False on any NaN or infinity."""
+    return bool(np.abs(kernel.sum(axis=1) - 1.0).max() <= tol)
 
 
 @dataclass(frozen=True)
@@ -274,9 +276,9 @@ def _validate_kernel(kernel) -> np.ndarray:
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.size == 0:
         raise ValidationError("kernel must be a square matrix")
-    if not np.all(np.isfinite(k)) or float(k.min()) < -USER_TOL:
+    if not np.isfinite(k).all() or float(k.min()) < -USER_TOL:
         raise ValidationError("kernel entries must be finite and nonnegative")
-    if not np.allclose(k.sum(axis=1), 1.0, atol=USER_TOL, rtol=0.0):
+    if not _rows_sum_to_one(k, USER_TOL):
         raise ValidationError("kernel rows must sum to one")
     return np.clip(k, 0.0, None)
 
@@ -287,9 +289,27 @@ def check_regularity(kernel) -> RegularityReport:
 
 
 def _regularity(k: np.ndarray) -> RegularityReport:
-    """The unchecked core of ``check_regularity``, for a validated kernel."""
-    n = k.shape[0]
+    """The unchecked core of ``check_regularity``, for a validated kernel.
+
+    The report depends only on which entries are positive, so it is
+    memoized on that pattern for kernels of up to ``_PATTERN_STATES``
+    states, whose patterns take at most 512 bytes each.
+    """
     adj = k > 0.0
+    if adj.shape[0] > _PATTERN_STATES:
+        return _graph_regularity(adj)
+    return _pattern_regularity(adj.shape[0], np.packbits(adj).tobytes())
+
+
+@lru_cache(maxsize=_PATTERN_CACHE)
+def _pattern_regularity(n: int, bits: bytes) -> RegularityReport:
+    positive = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=n * n)
+    return _graph_regularity(positive.reshape(n, n).astype(bool))
+
+
+def _graph_regularity(adj: np.ndarray) -> RegularityReport:
+    """The regularity report of the directed graph with adjacency ``adj``."""
+    n = adj.shape[0]
     reach = adj | np.eye(n, dtype=bool)
     while True:
         closure = reach | (reach @ reach)
@@ -309,7 +329,7 @@ def _regularity(k: np.ndarray) -> RegularityReport:
     for members in seen:
         if not np.any(adj[members][:, ~members]):
             closed += 1
-    diag = np.diag(k) > 0.0
+    diag = np.diag(adj)
     self_loop = int(np.argmax(diag)) if bool(diag.any()) else None
     return RegularityReport(indecomposable=(closed == 1), self_loop_state=self_loop)
 
@@ -382,8 +402,8 @@ def _steady_state(kernel) -> tuple[Pmf, RegularityReport]:
     pi, ok = _solve_stationary(k)
     if not ok or float(np.abs(pi @ k - pi).max()) > STATIONARY_RESIDUAL:
         pi = _power_stationary(k)
-    if pi is None or float(np.abs(pi @ k - pi).max()) > STATIONARY_RESIDUAL:
-        raise NumericalError("stationary solve did not reach the required residual")
+        if pi is None or float(np.abs(pi @ k - pi).max()) > STATIONARY_RESIDUAL:
+            raise NumericalError("stationary solve did not reach the required residual")
     return Pmf(pi, tol=INTERNAL_TOL), report
 
 

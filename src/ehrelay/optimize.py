@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .battery import BatterySpec, StatePolicy, _kernels, _solve_stationary, transition_tensor
+from .battery import BatterySpec, StatePolicy, _kernels, _solve_stationary
 from .errors import ConstraintError, EhRelayError, ValidationError
 from .pmf import BinaryChannel, Pmf
 from .rates import (
@@ -188,7 +188,6 @@ class _PolicyProblem(_CubeProblem):
         self.eps = eps
         self.funded = max(spec.states - spec.cost, 0)
         self.dims = _dims(scheme.model, spec)
-        self.tensor = transition_tensor(spec, scheme.arrival)
 
     def policy(self, theta: np.ndarray) -> tuple[StatePolicy, dict]:
         """The policy at one point, and the result fields that describe it."""
@@ -227,7 +226,7 @@ class _SecondHopProblem(_PolicyProblem):
 
     def values(self, thetas: np.ndarray) -> np.ndarray:
         joint = self.decode(thetas)
-        pi, ok = _chain_values(joint, self.tensor)
+        pi, ok = _chain_values(joint, self.scheme.tensor)
         return _scores(ok, *second_hop_bounds(joint, pi, self.scheme.ch2))
 
     def policy(self, theta: np.ndarray):
@@ -266,7 +265,7 @@ class _ProductProblem(_PolicyProblem):
     def values(self, thetas: np.ndarray) -> np.ndarray:
         src, rows = self.decode(thetas)
         joint = src[:, None, :, None] * rows[:, :, None, :]
-        pi, ok = _chain_values(joint, self.tensor)
+        pi, ok = _chain_values(joint, self.scheme.tensor)
         s = self.scheme
         return _scores(ok, *product_bounds(src, rows, pi, s.ch1, s.ch2, s.penalty))
 
@@ -546,10 +545,22 @@ class SweepSpec:
                 )
         else:
             raise ValidationError("sweep parameter must be 'cost' or 'capacity'")
-        if Model.TIMING in models:  # a bad wait rule fails here, not at its first timing cell
+        # Bad or missing inputs fail here, not at the first cell of the model
+        # that needs them: first the wait rule and the loss law's values, then
+        # each model's requirements in sweep order, at the smallest swept spec.
+        smallest = self.spec_for(min(values))
+        if Model.TIMING in models:
             _wait_rule(self.wait_rule, self.opts.aux_sizes[0], self.wait_const)
-        if Model.RANDOM_LOSS in models and self.loss is not None:  # likewise a bad loss law
-            self.loss.pmfs(min(self.spec_for(v).cost for v in values))
+        if Model.RANDOM_LOSS in models and self.loss is not None:
+            self.loss.pmfs(smallest.cost)
+        for model in models:
+            if model is Model.TIMING:
+                _TimingProblem(smallest, self.ch1, self.opts.aux_sizes[0], self.wait_rule,
+                               self.wait_const, self.overlap)
+            else:
+                loss = self.loss.pmfs(smallest.cost) if (model is Model.RANDOM_LOSS
+                                                         and self.loss is not None) else None
+                _scheme(model, smallest, self.ch1, self.ch2, loss)
 
     def spec_for(self, value: int) -> BatterySpec:
         if self.parameter == "cost":

@@ -10,8 +10,10 @@ to near machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -27,15 +29,62 @@ def _validated_vector(values, tol: float, what: str) -> np.ndarray:
     p = np.array(values, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValidationError(f"{what} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(p)):
+    return _normalized(p, tol, what)
+
+
+def _normalized(p: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """A fresh float array checked, then renormalized by ``_scaled``.
+
+    The entries must be finite, none below ``-tol``, and sum to one within
+    ``tol``; failures are reported in that order. The least and greatest
+    entries are finite exactly when every entry is, and the sum is taken
+    only then, so an infinity never reaches it.
+    """
+    lo, hi = float(p.min()), float(p.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValidationError(f"{what} has a non-finite entry")
-    if float(p.min()) < -tol:
-        raise ValidationError(f"{what} has a negative entry: {float(p.min())!r}")
+    if lo < -tol:
+        raise ValidationError(f"{what} has a negative entry: {lo!r}")
     total = float(p.sum())
     if abs(total - 1.0) > tol:
         raise ValidationError(f"{what} sums to {total!r}, not 1 (tolerance {tol})")
-    p = np.clip(p, 0.0, None)
-    p /= p.sum()
+    return _scaled(p, lo, total)
+
+
+def _normalized_stack(stack: np.ndarray, tol: float) -> Optional[np.ndarray]:
+    """Each item along the first axis checked and renormalized as ``_normalized`` would.
+
+    Returns None when any item fails, so that the caller can build the
+    items one by one and report the first failure with its own message.
+    An entry above ``1 + size * tol`` fails its item's sum, so the sums are
+    taken only when every entry lies in ``[-tol, 1 + size * tol]`` and
+    none can overflow. Row sums over a contiguous last axis add in the
+    order that one item's own sum does, so every accepted item is bit for
+    bit what ``_normalized`` makes of it.
+    """
+    flat = stack.reshape(len(stack), -1)
+    lo, hi = float(flat.min()), float(flat.max())
+    if not (lo >= -tol and hi <= 1.0 + flat.shape[1] * tol):
+        return None
+    total = flat.sum(axis=1, keepdims=True)
+    if not np.abs(total - 1.0).max() <= tol:
+        return None
+    return _scaled(flat, lo, total, axis=1).reshape(stack.shape)
+
+
+def _scaled(p: np.ndarray, lo: float, total, axis=None) -> np.ndarray:
+    """``p`` divided in place by ``total``, its sum over ``axis``, read-only.
+
+    ``lo`` is the least entry. Entries at or below zero first become +0.0,
+    as ``np.clip(p, 0.0, None)`` makes them, and the sum is taken again if
+    any entry was negative.
+    """
+    if lo < 0.0:
+        p = np.clip(p, 0.0, None)
+        total = p.sum(axis=axis, keepdims=axis is not None)
+    elif lo == 0.0:
+        p += 0.0  # -0.0 becomes +0.0; with no negative entry the sum does not change
+    p /= total
     p.flags.writeable = False
     return p
 
@@ -72,6 +121,13 @@ class Pmf:
         p[index] = 1.0
         return cls(p, tol=INTERNAL_TOL)
 
+    @classmethod
+    def _checked(cls, probs: np.ndarray) -> "Pmf":
+        """Wrap a read-only vector that has already passed the constructor's checks."""
+        pmf = cls.__new__(cls)
+        pmf.probs = probs
+        return pmf
+
     def __len__(self) -> int:
         return self.probs.size
 
@@ -91,20 +147,44 @@ class JointPmf:
         t = np.array(table, dtype=float)
         if t.ndim != 2 or t.size == 0:
             raise ValidationError("joint pmf must be a nonempty 2-d table")
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("joint pmf has a non-finite entry")
-        if float(t.min()) < -tol:
-            raise ValidationError(f"joint pmf has a negative entry: {float(t.min())!r}")
-        total = float(t.sum())
-        if abs(total - 1.0) > tol:
-            raise ValidationError(f"joint pmf sums to {total!r}, not 1 (tolerance {tol})")
-        t = np.clip(t, 0.0, None)
-        t /= t.sum()
-        t.flags.writeable = False
-        self.table = t
+        self.table = _normalized(t, tol, "joint pmf")
 
     def __repr__(self) -> str:
         return f"JointPmf({self.table.tolist()!r})"
+
+
+def _stacked(items: list, cls, tol: float, shape: tuple, wrong_shape: str) -> np.ndarray:
+    """The items as ``cls(item, tol=tol)`` holds them, stacked read-only.
+
+    ``cls`` is ``Pmf`` or ``JointPmf``, and every item must hold an array of
+    ``shape``. Instances of ``cls`` are taken as they are; all other items
+    are checked together as one array. When they do not stack to ``shape``
+    or one of them fails, the items are built one by one in order, so the
+    first failure raises with the message and in the order that the
+    per-item constructor and then the shape check (``wrong_shape``) give.
+    """
+    attr = "table" if cls is JointPmf else "probs"
+    fresh = np.array([not isinstance(x, cls) for x in items], dtype=bool)
+    try:
+        stack = np.array([x if new else getattr(x, attr) for x, new in zip(items, fresh)],
+                         dtype=float)
+    except (TypeError, ValueError):
+        stack = None
+    if stack is not None and stack.shape[1:] == shape:
+        checked = _normalized_stack(stack[fresh], tol) if fresh.any() else stack[fresh]
+        if checked is not None:
+            stack[fresh] = checked
+            stack.flags.writeable = False
+            return stack
+    held = []
+    for x in items:
+        values = getattr(x if isinstance(x, cls) else cls(x, tol=tol), attr)
+        if values.shape != shape:
+            raise ValidationError(wrong_shape)
+        held.append(values)
+    stack = np.stack(held) if held else np.zeros((0,) + shape)
+    stack.flags.writeable = False
+    return stack
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,10 @@ from .battery import (
     ArrivalModel,
     BatterySpec,
     StatePolicy,
-    build_kernel,
+    _policy_kernel,
     energy_profile,
     stationary,
+    transition_tensor,
 )
 from .breakdown import BINDING_TIE, RateBreakdown  # noqa: F401  (re-exported)
 from .errors import ConstraintError, ValidationError
@@ -153,8 +154,10 @@ def _charge_law(model: Model, ch1: Optional[BinaryChannel],
 class _Scheme:
     """A per-level model with everything its rate needs besides the policy.
 
-    ``penalty`` is the receiver's charge entropy given each source symbol;
-    the second-hop scheme, whose charge is the source symbol, has none.
+    ``tensor`` is the read-only transition tensor of ``arrival`` on ``spec``,
+    built once for every policy the scheme rates. ``penalty`` is the
+    receiver's charge entropy given each source symbol; the second-hop
+    scheme, whose charge is the source symbol, has none.
     """
 
     model: Model
@@ -162,6 +165,7 @@ class _Scheme:
     ch1: Optional[BinaryChannel]
     ch2: BinaryChannel
     arrival: ArrivalModel
+    tensor: np.ndarray
     penalty: Optional[np.ndarray]
 
 
@@ -187,7 +191,9 @@ def _scheme(model: Model, spec: BatterySpec, ch1: Optional[BinaryChannel] = None
         penalty = ch1.noise_bits
     else:
         penalty = loss_penalty_bits(arrival, spec)
-    return _Scheme(model, spec, ch1, ch2, arrival, penalty)
+    tensor = transition_tensor(spec, arrival)
+    tensor.flags.writeable = False
+    return _Scheme(model, spec, ch1, ch2, arrival, tensor, penalty)
 
 
 def _policy_rate(scheme: _Scheme, policy: StatePolicy) -> RateBreakdown:
@@ -197,7 +203,7 @@ def _policy_rate(scheme: _Scheme, policy: StatePolicy) -> RateBreakdown:
     chain must pass the regularity check. A second-hop policy is joint, the
     others are product policies.
     """
-    kernel = build_kernel(scheme.spec, policy, scheme.arrival)
+    kernel = _policy_kernel(scheme.spec, policy, scheme.tensor)
     pi = stationary(kernel).probs[None]
     if scheme.model is Model.SECOND_HOP:
         relay, receiver = second_hop_bounds(policy.tensor()[None], pi, scheme.ch2)

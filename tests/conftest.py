@@ -11,6 +11,10 @@ before it scored ahead: one call per (sweep, coordinate, direction) with
 exactly the moved points it reads.
 The pair-chain oracle is the lift as first written: the transition split
 by relay symbol through ``einsum``, pairs found and filled by nested loops.
+The transition-tensor oracle is the four-deep loop the tensor was first
+built with. The pmf oracles are the validation as first written: every
+check on its own numpy call, an unconditional ``np.clip``, and policies
+validated one ``JointPmf`` or ``Pmf`` per level.
 The Monte Carlo oracles are the scalar reference forms of the lab's
 lockstep kernels: one codec trial walked slot by slot from a refilling
 stock of uniforms, and the recharge simulation drawn as one full
@@ -26,6 +30,8 @@ import pytest
 from ehrelay import (
     ArrivalModel,
     BatterySpec,
+    ConstraintError,
+    JointPmf,
     Pmf,
     StatePolicy,
     ZNoise,
@@ -36,7 +42,8 @@ from ehrelay import (
     substream,
     z_pmf,
 )
-from ehrelay.battery import transition_tensor
+from ehrelay.battery import energy_profile, transition_tensor
+from ehrelay.errors import ValidationError
 from ehrelay.optimize import _STEP0, _STEP_FLOOR
 
 # Worked 3-state instance: capacity 2, cost 2, uniform source everywhere,
@@ -129,6 +136,109 @@ def random_product_parts(spec: BatterySpec, rng: np.random.Generator,
         else:
             rows.append([1.0, 0.0])
     return p_x1, rows
+
+
+def transition_tensor_oracle(spec: BatterySpec, arrival: ArrivalModel) -> np.ndarray:
+    """A[u, x1, x2, u'] entry by entry, each charge added in increasing e."""
+    profile = energy_profile(arrival, spec)
+    width = profile.shape[1]
+    states = spec.states
+    tensor = np.zeros((states, 2, 2, states))
+    for u in range(states):
+        for x1 in (0, 1):
+            for x2 in (0, 1):
+                if x2 == 1 and u < spec.cost:
+                    continue
+                for e in range(width):
+                    pe = profile[x1, e]
+                    if pe == 0.0:
+                        continue
+                    dest = min(u + e - spec.cost * x2, spec.capacity)
+                    tensor[u, x1, x2, dest] += pe
+    return tensor
+
+
+def validated_vector_oracle(values, tol: float, what: str) -> np.ndarray:
+    """``Pmf``'s checks and renormalization, one numpy call per check."""
+    p = np.array(values, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise ValidationError(f"{what} must be a nonempty 1-d vector")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError(f"{what} has a non-finite entry")
+    if float(p.min()) < -tol:
+        raise ValidationError(f"{what} has a negative entry: {float(p.min())!r}")
+    total = float(p.sum())
+    if abs(total - 1.0) > tol:
+        raise ValidationError(f"{what} sums to {total!r}, not 1 (tolerance {tol})")
+    p = np.clip(p, 0.0, None)
+    p /= p.sum()
+    return p
+
+
+def joint_table_oracle(table, tol: float) -> np.ndarray:
+    """``JointPmf``'s checks and renormalization, one numpy call per check."""
+    t = np.array(table, dtype=float)
+    if t.ndim != 2 or t.size == 0:
+        raise ValidationError("joint pmf must be a nonempty 2-d table")
+    if not np.all(np.isfinite(t)):
+        raise ValidationError("joint pmf has a non-finite entry")
+    if float(t.min()) < -tol:
+        raise ValidationError(f"joint pmf has a negative entry: {float(t.min())!r}")
+    total = float(t.sum())
+    if abs(total - 1.0) > tol:
+        raise ValidationError(f"joint pmf sums to {total!r}, not 1 (tolerance {tol})")
+    t = np.clip(t, 0.0, None)
+    t /= t.sum()
+    return t
+
+
+def _spending_oracle(spec: BatterySpec, spends) -> None:
+    for u in range(min(spec.cost, spec.states)):
+        if float(spends[u]) != 0.0:
+            raise ConstraintError(
+                f"policy spends at level {u}, below the transmission cost {spec.cost}"
+            )
+
+
+def joint_policy_oracle(spec: BatterySpec, tables, tol: float = 1e-9,
+                        strict: bool = True) -> np.ndarray:
+    """The tensor of ``StatePolicy.joint_policy``, validated one table at a time."""
+    entries = []
+    for table in tables:
+        t = table.table if isinstance(table, JointPmf) else joint_table_oracle(table, tol)
+        if t.shape != (2, 2):
+            raise ValidationError("joint policy tables must be 2x2 (source x relay)")
+        entries.append(t)
+    if len(entries) != spec.states:
+        raise ValidationError(
+            f"joint policy needs one table per level (expected {spec.states}, got {len(entries)})"
+        )
+    tensor = np.stack(entries)
+    if strict:
+        _spending_oracle(spec, [t.sum(axis=0)[1] for t in tensor])
+    return tensor
+
+
+def product_policy_oracle(spec: BatterySpec, x1, x2_rows, tol: float = 1e-9,
+                          strict: bool = True) -> tuple:
+    """(source law, relay rows, tensor) of ``StatePolicy.product_policy``,
+    validated one row at a time, the tensor from ``np.outer``."""
+    src = x1.probs if isinstance(x1, Pmf) else validated_vector_oracle(x1, tol, "pmf")
+    if src.size != 2:
+        raise ValidationError("source pmf must be binary")
+    rows = []
+    for row in x2_rows:
+        p = row.probs if isinstance(row, Pmf) else validated_vector_oracle(row, tol, "pmf")
+        if p.size != 2:
+            raise ValidationError("relay pmfs must be binary")
+        rows.append(p)
+    if len(rows) != spec.states:
+        raise ValidationError(
+            f"product policy needs one relay pmf per level (expected {spec.states}, got {len(rows)})"
+        )
+    if strict:
+        _spending_oracle(spec, [p[1] for p in rows])
+    return src, rows, np.stack([np.outer(src, p) for p in rows])
 
 
 def pair_chain_oracle(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel,

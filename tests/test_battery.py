@@ -1,18 +1,24 @@
 """Battery dynamics: kernel construction against a hand enumeration,
 stationary solves against an eigendecomposition, and the pair chain with
-its deterministic relay-symbol emission."""
+its deterministic relay-symbol emission. The fast forms of the policy
+constructors' validation, the transition tensor and the regularity report
+are each compared bit for bit with the form they replaced."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrelay import (
     ArrivalModel,
     BatterySpec,
     BinaryChannel,
     ConstraintError,
+    JointPmf,
     NumericalError,
     Pmf,
     StatePolicy,
@@ -29,6 +35,8 @@ from ehrelay import (
 from ehrelay import battery
 from ehrelay.battery import (
     _BLOCK,
+    _PATTERN_CACHE,
+    _PATTERN_STATES,
     _WORD_TABLE_CAP,
     STATIONARY_RESIDUAL,
     _forward_pass,
@@ -36,15 +44,20 @@ from ehrelay.battery import (
     _word_length,
 )
 from ehrelay.mclab import sample_path
+from ehrelay.optimize import _ProductProblem
+from ehrelay.rates import Model, _scheme
 from conftest import (
     WORKED_KERNEL,
     WORKED_PAIR_ENTROPY,
     WORKED_PI,
     WORKED_TABLES,
     exhaustive_observation_loglik,
+    joint_policy_oracle,
     pair_chain_oracle,
+    product_policy_oracle,
     random_joint_tables,
     stationary_eig_oracle,
+    transition_tensor_oracle,
     worked_policy,
     worked_spec,
 )
@@ -122,7 +135,232 @@ class TestStatePolicy:
                 policy.joint_table(0)[0, 0] = 0.0
 
 
+def _policy_outcome(build, *args):
+    """The arrays a policy constructor returns, as bytes, or its error
+    (numpy's own for a table that is not an array at all), and the warnings
+    raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = build(*args)
+        except (ValidationError, ConstraintError, ValueError) as exc:
+            result = (type(exc).__name__, str(exc))
+        else:
+            result = [(np.asarray(a).tobytes(), np.shape(a)) for a in out]
+    return result, [str(w.message) for w in caught]
+
+
+def _joint_table_sets(spec: BatterySpec, rng: np.random.Generator) -> list:
+    """Valid table sets and sets broken in every way the per-table
+    constructor and the shape and count checks can report, some twice."""
+    good = random_joint_tables(spec, rng)
+    sets = [good, np.array(good), [tuple(map(tuple, t)) for t in good],
+            [JointPmf(t) for t in good], [JointPmf(t) if u % 2 else t for u, t in enumerate(good)],
+            [[[1.0 - 1e-12, -1e-12], [1e-12, -0.0]]] + good[1:],
+            [[[0.5, 0.0], [0.5 + 5e-10, 0.0]]] + good[1:],
+            good[:-1], good + [good[-1]], [], [[[1.0]]] * spec.states]
+    bad_tables = {
+        "nan": [[np.nan, 0.0], [1.0, 0.0]], "inf": [[np.inf, 0.0], [0.0, 0.0]],
+        "minus-inf": [[-np.inf, 1.0], [0.0, 0.0]], "negative": [[1.5, -0.5], [0.0, 0.0]],
+        "sum": [[0.5, 0.0], [0.6, 0.0]], "three-by-two": [[0.2, 0.0], [0.3, 0.0], [0.5, 0.0]],
+        "ragged": [[0.5, 0.0], [0.5]], "flat": [0.5, 0.0, 0.5, 0.0], "empty": [],
+        "instance-three-by-one": JointPmf([[0.2], [0.3], [0.5]]),
+        "spending": [[0.5, 0.1], [0.4, 0.0]], "overflowing": [[1e308, 1e308], [0.0, 0.0]],
+    }
+    names = list(bad_tables)
+    for name in names:
+        for u in (0, spec.states - 1):
+            sets.append(good[:u] + [bad_tables[name]] + good[u + 1:])
+    # An earlier failure is reported before a later table's sum can overflow.
+    sets.append([bad_tables["negative"]] + good[1:-1] + [bad_tables["overflowing"]])
+    for _ in range(12):  # two faults: the earlier level's is reported
+        first, second = rng.choice(len(names), size=2)
+        u, v = sorted(rng.choice(spec.states, size=2, replace=False))
+        tables = list(good)
+        tables[u], tables[v] = bad_tables[names[first]], bad_tables[names[second]]
+        sets.append(tables)
+    return sets
+
+
+def _product_row_sets(spec: BatterySpec, rng: np.random.Generator) -> list:
+    good = [[1.0, 0.0] if u < spec.cost else [1.0 - b, b]
+            for u, b in enumerate(rng.uniform(0.01, 0.99, spec.states))]
+    sets = [good, np.array(good), [Pmf(r) for r in good],
+            [Pmf(r) if u % 2 else r for u, r in enumerate(good)],
+            [[1.0 + 1e-12, -1e-12]] + good[1:], [[-0.0, 1.0]] * spec.states,
+            good[:-1], good + [good[-1]], []]
+    bad_rows = {"nan": [np.nan, 1.0], "inf": [np.inf, 0.0], "negative": [1.5, -0.5],
+                "sum": [0.5, 0.6], "three": [0.2, 0.3, 0.5], "one": [1.0], "nested": [[0.5, 0.5]],
+                "instance-three": Pmf([0.2, 0.3, 0.5]), "spending": [0.9, 0.1],
+                "overflowing": [1e308, 1e308]}
+    names = list(bad_rows)
+    for name in names:
+        for u in (0, spec.states - 1):
+            sets.append(good[:u] + [bad_rows[name]] + good[u + 1:])
+    sets.append([bad_rows["negative"]] + good[1:-1] + [bad_rows["overflowing"]])
+    for _ in range(12):
+        first, second = rng.choice(len(names), size=2)
+        u, v = sorted(rng.choice(spec.states, size=2, replace=False))
+        rows = list(good)
+        rows[u], rows[v] = bad_rows[names[first]], bad_rows[names[second]]
+        sets.append(rows)
+    return sets
+
+
+class TestStatePolicyStackedValidation:
+    """The policy constructors check all their tables as one array; every
+    tensor and every error must be what per-table validation gives."""
+
+    @pytest.mark.parametrize("capacity,cost", [(1, 2), (2, 2), (4, 2), (6, 3), (8, 6)])
+    def test_joint_policy_equals_the_per_table_oracle(self, capacity, cost):
+        spec = BatterySpec(capacity=capacity, cost=cost)
+        rng = np.random.default_rng(capacity * 10 + cost)
+        for tables in _joint_table_sets(spec, rng):
+            for tol, strict in ((1e-9, True), (1e-6, False)):
+                got = _policy_outcome(
+                    lambda: (StatePolicy.joint_policy(spec, tables, tol, strict).tensor(),))
+                want = _policy_outcome(
+                    lambda: (joint_policy_oracle(spec, tables, tol, strict),))
+                assert got == want
+
+    @pytest.mark.parametrize("capacity,cost", [(2, 2), (4, 2), (6, 3), (8, 6)])
+    def test_product_policy_equals_the_per_row_oracle(self, capacity, cost):
+        spec = BatterySpec(capacity=capacity, cost=cost)
+        rng = np.random.default_rng(capacity * 10 + cost)
+        sources = [[0.3, 0.7], Pmf([0.5, 0.5]), [0.3, 0.6], [0.5, 0.25, 0.25], [np.nan, 1.0]]
+        for rows in _product_row_sets(spec, rng):
+            for x1 in sources:
+                def build():
+                    policy = StatePolicy.product_policy(spec, x1, rows)
+                    assert all(isinstance(p, Pmf) and not p.probs.flags.writeable
+                               for p in policy.x2)
+                    return policy.x1.probs, [p.probs for p in policy.x2], policy.tensor()
+                assert _policy_outcome(build) == _policy_outcome(
+                    lambda: product_policy_oracle(spec, x1, rows))
+
+    def test_instances_are_kept_as_they_are(self):
+        spec = worked_spec()
+        tables = [JointPmf(t) for t in WORKED_TABLES]
+        policy = StatePolicy.joint_policy(spec, tables)
+        for u, table in enumerate(tables):
+            assert policy.joint_table(u).tobytes() == table.table.tobytes()
+        rows = [Pmf([1.0, 0.0]), [1.0, 0.0], Pmf([0.5, 0.5])]
+        product = StatePolicy.product_policy(spec, [0.5, 0.5], rows)
+        assert product.x2[0] is rows[0] and product.x2[2] is rows[2]
+
+
+def _kernel_from_pattern(pattern: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A stochastic matrix positive exactly on ``pattern`` (diagonal added
+    to rows that would be empty)."""
+    pattern = pattern | np.diag(~pattern.any(axis=1))
+    k = np.where(pattern, weights, 0.0)
+    return k / k.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def patterned_kernels(draw):
+    n = draw(st.integers(1, 9))
+    bits = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    shape = draw(st.sampled_from(["free", "blocks", "cycle"]))
+    pattern = np.array(bits).reshape(n, n)
+    if shape == "blocks":  # two closed classes once both blocks are nonempty
+        cut = draw(st.integers(0, n))
+        pattern[:cut, cut:] = False
+        pattern[cut:, :cut] = False
+    elif shape == "cycle":  # periodic: no self-loop anywhere
+        pattern = np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.1, 1.0, (n, n))
+    return _kernel_from_pattern(pattern, weights)
+
+
+class TestRegularityMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(patterned_kernels())
+    def test_equals_the_uncached_core(self, kernel):
+        assert battery._regularity(kernel) == battery._graph_regularity(kernel > 0.0)
+        assert check_regularity(kernel) == battery._graph_regularity(kernel > 0.0)
+
+    def test_same_pattern_same_report_whatever_the_weights(self):
+        rng = np.random.default_rng(5)
+        pattern = rng.random((6, 6)) < 0.4
+        first = battery._regularity(_kernel_from_pattern(pattern, rng.uniform(0.1, 1, (6, 6))))
+        hits = battery._pattern_regularity.cache_info().hits
+        again = battery._regularity(_kernel_from_pattern(pattern, rng.uniform(0.1, 1, (6, 6))))
+        assert again == first
+        assert battery._pattern_regularity.cache_info().hits == hits + 1
+
+    def test_cache_stays_within_its_bound(self):
+        rng = np.random.default_rng(9)
+        assert battery._pattern_regularity.cache_info().maxsize == _PATTERN_CACHE
+        for _ in range(_PATTERN_CACHE + 100):
+            pattern = rng.random((8, 8)) < 0.5
+            kernel = _kernel_from_pattern(pattern, np.ones((8, 8)))
+            assert battery._regularity(kernel) == battery._graph_regularity(kernel > 0.0)
+            assert battery._pattern_regularity.cache_info().currsize <= _PATTERN_CACHE
+
+    def test_large_kernels_are_not_kept(self):
+        n = _PATTERN_STATES + 1
+        cycle_with_loops = np.roll(np.eye(n, dtype=bool), 1, axis=1) | np.eye(n, dtype=bool)
+        kernel = _kernel_from_pattern(cycle_with_loops, np.ones((n, n)))
+        before = battery._pattern_regularity.cache_info()
+        report = check_regularity(kernel)
+        assert report.indecomposable and report.self_loop_state == 0
+        after = battery._pattern_regularity.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_strict_path_still_refuses_irregular_kernels(self):
+        # A memo hit on a regular pattern must not let an irregular kernel through.
+        stationary(WORKED_KERNEL)
+        with pytest.raises(NumericalError, match="no state with a self-loop"):
+            stationary([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValidationError, match="rows must sum to one"):
+            stationary([[0.5, 0.4], [0.5, 0.5]])
+
+
+class TestBuildKernelTensor:
+    @staticmethod
+    def _arrivals(spec: BatterySpec, rng: np.random.Generator):
+        yield ArrivalModel.deterministic()
+        for q1, q2 in ((0.9, 0.8), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+            yield ArrivalModel.first_hop(BinaryChannel(q1, q2))
+        for _ in range(4):
+            laws = rng.random((2, spec.cost))
+            laws[rng.random((2, spec.cost)) < 0.3] = 0.0
+            laws[:, -1] += 0.05  # the widest charge keeps mass, so it clamps
+            laws /= laws.sum(axis=1, keepdims=True)
+            yield ArrivalModel.lossy(BinaryChannel(0.9, 0.85), Pmf(laws[0]), Pmf(laws[1]))
+
+    def test_equals_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        clamped = 0
+        for cost in range(2, 7):
+            for capacity in sorted({1, cost - 1, cost, cost + 1, cost + 3, 9}):
+                spec = BatterySpec(capacity=capacity, cost=cost)
+                for arrival in self._arrivals(spec, rng):
+                    if arrival.kind != "deterministic" and capacity < cost:
+                        continue
+                    got = battery.transition_tensor(spec, arrival)
+                    want = transition_tensor_oracle(spec, arrival)
+                    assert got.tobytes() == want.tobytes()
+                    profile = energy_profile(arrival, spec)
+                    clamped += arrival.kind == "lossy" and np.count_nonzero(profile[1]) >= 3
+        assert clamped > 20  # several energies clamp onto the top level
+
+    def test_schemes_share_one_read_only_tensor(self):
+        spec = BatterySpec(capacity=4, cost=2)
+        scheme = _scheme(Model.BOTH_HOPS, spec, BinaryChannel(0.9, 0.9), BinaryChannel(0.8, 0.8))
+        assert not scheme.tensor.flags.writeable
+        assert scheme.tensor.tobytes() == transition_tensor_oracle(spec, scheme.arrival).tobytes()
+        assert _ProductProblem(scheme, 1e-6).scheme.tensor is scheme.tensor
+
+
 class TestBuildKernel:
+    def test_row_sum_check_fails_on_nan_and_inf(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            assert not battery._rows_sum_to_one(np.array([[bad, 0.0], [0.5, 0.5]]), 1.0)
+        assert battery._rows_sum_to_one(np.array([[0.5, 0.5], [1.0, 0.0]]), 0.0)
+        assert not battery._rows_sum_to_one(np.array([[0.5, 0.5 + 1e-9], [1.0, 0.0]]), 1e-10)
+
     def test_worked_instance_rows(self, worked):
         spec, policy, arrival = worked
         kernel = build_kernel(spec, policy, arrival)

@@ -235,6 +235,26 @@ def test_bad_sweep_loss_fails_before_any_cell(given_one, tmp_path, monkeypatch, 
     assert cells == []
 
 
+@pytest.mark.parametrize("drop,expected", [
+    ({"loss": DROP}, "error: the random-loss scheme needs the loss laws\n"),
+    ({"channels": {"first": DROP}}, "error: timing optimization needs the first-hop channel\n"),
+    ({"channels": {"second": DROP}},
+     "error: the second-hop scheme needs the second-hop channel\n"),
+])
+def test_missing_sweep_input_fails_before_any_cell(drop, expected, tmp_path, monkeypatch,
+                                                   capsys):
+    cells = []
+    real = opt.optimize
+    monkeypatch.setattr(opt, "optimize", lambda *a, **kw: (cells.append(a), real(*a, **kw))[1])
+    cfg = _patched("sweep-cost.yaml", {**drop, "sweep": {"values": [2]},
+                                       "optimizer": {"grid-budget": 200}})
+    path = tmp_path / "missing.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["sweep", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == expected
+    assert cells == []
+
+
 EPS_CONFIG = """\
 model: second-hop
 battery: {{capacity: 2, cost: 2}}

@@ -2,9 +2,11 @@
 information-measure identities every other module leans on, checked on the
 formulas that carry them (the channel output law, H(output | input), and
 the per-level mutual information and conditional entropy of the rate
-kernels)."""
+kernels). Validation is compared in bytes with its one-call-per-check
+form, messages and warnings included."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from ehrelay import (
     per_level_receiver_bits,
     per_level_source_entropy_bits,
 )
-from conftest import H_01, ONE_MINUS_H_01
+from ehrelay.pmf import INTERNAL_TOL, USER_TOL, _validated_vector
+from conftest import H_01, ONE_MINUS_H_01, joint_table_oracle, validated_vector_oracle
 
 # Frozen from a direct evaluation of sum_x2 p(x2) H(X1 | x2) for the joint
 # table [[0.4, 0.1], [0.2, 0.3]]: 0.6 h(2/3) + 0.4 h(1/4).
@@ -202,6 +205,66 @@ class TestJointPmf:
     def test_rejects_bad_total(self):
         with pytest.raises(ValidationError):
             JointPmf([[0.5, 0.5], [0.5, 0.5]])
+
+    def test_equals_the_one_call_per_check_oracle(self):
+        for table in [*(np.reshape(v, (2, 2)) for v in _vector_cases() if len(v) == 4),
+                      [[0.5, 0.5]], [[0.2], [0.8]], [[0.25] * 2] * 2 + [[0.0, 0.0]],
+                      [0.5, 0.5], [], [[]], [[[1.0]]]]:
+            got = _outcome(lambda t: JointPmf(t, tol=USER_TOL).table, table)
+            assert got == _outcome(joint_table_oracle, table, USER_TOL), table
+
+
+def _outcome(fn, *args):
+    """("ok", bytes, shape) of a returned array or ("error", message), and
+    the warnings raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args)
+        except ValidationError as exc:
+            result = ("error", str(exc))
+        else:
+            result = ("ok", np.asarray(out).tobytes(), np.shape(out))
+    return result, [str(w.message) for w in caught]
+
+
+def _vector_cases() -> list:
+    """Vectors on both sides of every check, with signed and tiny zeros."""
+    cases = [
+        [0.4, 0.6], [1.0, 0.0], [0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [-0.0, -0.0, 1.0],
+        [1.0], [0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4],
+        [-1e-12, 1.0 + 1e-12], [1.0 + 1e-12, -1e-12, -0.0], [-1e-10, 0.5, 0.5],
+        [0.5, 0.5 + 5e-10], [0.5, 0.5 + 2e-9], [0.5, 0.5 - 2e-9], [0.3, 0.3],
+        [1e-320, 1.0], [-1e-320, 1.0], [5e-324, -0.0, 1.0 - 5e-324],
+        [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], [np.inf, -np.inf], [0.5, np.nan, -1.0],
+        [-2.0, 3.0], [-1.0, np.inf], [1e308, 1e308], [1e308, 1e308, -1e308, -1e308],
+        [], [[0.5, 0.5]], [[0.25, 0.25], [0.25, 0.25]],
+    ]
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        v = rng.random(int(rng.integers(1, 9))) * (rng.random() < 0.8)
+        v[rng.random(v.size) < 0.3] = 0.0
+        v = v / v.sum() if v.sum() > 0 else np.full(v.size, 1.0 / v.size)
+        v = v + rng.choice([0.0, 1e-13, -1e-13, 1e-10, -3e-9], size=v.size)
+        v[rng.random(v.size) < 0.1] = -0.0
+        cases.append(v.tolist())
+    return cases
+
+
+class TestValidatedVector:
+    @pytest.mark.parametrize("tol", [USER_TOL, INTERNAL_TOL, 1e-6])
+    def test_equals_the_one_call_per_check_oracle(self, tol):
+        for values in _vector_cases():
+            got = _outcome(_validated_vector, values, tol, "pmf")
+            assert got == _outcome(validated_vector_oracle, values, tol, "pmf"), values
+
+    def test_no_negative_zero_survives(self):
+        for values in ([-0.0, 1.0], [-1e-12, -0.0, 1.0 + 1e-12]):
+            assert not np.signbit(Pmf(values).probs).any()
+
+    def test_probs_are_read_only(self):
+        for values in ([0.4, 0.6], [1.0, 0.0], [-1e-12, 1.0 + 1e-12]):
+            assert not Pmf(values).probs.flags.writeable
 
 
 class TestOutputEntropyGivenInput:

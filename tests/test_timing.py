@@ -129,6 +129,12 @@ class TestZPmf:
         with pytest.raises(NumericalError, match="does not fit a double"):
             z_pmf(ZNoise(cost=600, p1=0.5))
 
+    def test_cost_516_is_the_first_to_overflow(self):
+        z_pmf(ZNoise(cost=515, p1=0.99))
+        with pytest.raises(NumericalError) as err:
+            z_pmf(ZNoise(cost=516, p1=0.99))
+        assert str(err.value) == "recharge-time coefficient comb(1030, 515) does not fit a double"
+
     def test_explicit_horizon_is_capped(self):
         ZNoise(cost=3, p1=0.5, zmax=_SUPPORT_CAP)
         with pytest.raises(ValidationError, match="support cap"):
