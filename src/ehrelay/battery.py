@@ -32,9 +32,10 @@ from .pmf import INTERNAL_TOL, USER_TOL, BinaryChannel, JointPmf, Pmf, _stacked
 STATIONARY_RESIDUAL = 1e-10
 _POWER_ITER_MAX = 1_000_000
 _BLOCK = 1024  # forward-pass words per batch of keys and scales
-_WORD_STEP_US = 6.0  # fixed numpy cost of one forward step, in microseconds
-_MAC_US = 1.2e-4  # cost of one multiply-add in a forward step's matrix product
-_WORD_TABLE_CAP = 1 << 16  # entries allowed in the table of word step matrices
+_WORD_STEP_US = 5.0  # fixed numpy cost of one forward step, in microseconds
+_GATHER_US = 1e-3  # cost of one gathered word-matrix entry in a forward step
+_MAC_US = 2e-4  # cost of one multiply-add in the word table build
+_WORD_TABLE_CAP = 1 << 17  # entries (8 bytes each) allowed in the table of word matrices
 _WORD_MAX = 16  # longest word, for tables that the cap does not bound
 _SCALE_FLOOR = math.sqrt(np.finfo(float).tiny)  # smallest trusted word scale
 _PATTERN_CACHE = 512  # kernel zero patterns whose regularity report is kept
@@ -501,22 +502,27 @@ def _observation_table(chain: PairChain, channel: Optional[BinaryChannel]) -> np
     return rows[chain.emissions].T
 
 
-def _word_length(kinds: int, states: int, batch: int) -> int:
-    """Symbols per forward step for a (kinds, states) table and a batch of rows.
+def _word_length(kinds: int, states: int, batch: int, n: int) -> int:
+    """Symbols per forward step for a (kinds, states) table and a (batch, n) block of rows.
 
-    Each step costs a fixed ``_WORD_STEP_US`` of numpy calls plus
-    ``_MAC_US`` per multiply-add of its matrix product, which grows as
-    ``batch * states * (states + 1) * kinds**k``. This returns the word
-    length k with the least estimated cost per symbol among those whose
-    table of ``kinds**k`` word products fits in ``_WORD_TABLE_CAP`` entries.
+    A pass of word length k takes about (n - 1) / k steps. Each step costs a
+    fixed ``_WORD_STEP_US`` of numpy calls plus ``_GATHER_US`` per entry of
+    the ``batch`` word matrices it gathers and multiplies, ``states *
+    (states + 1)`` each. Building the table of ``kinds**k`` word matrices
+    costs ``_MAC_US`` per multiply-add. This returns the k of least total
+    estimated cost among those no longer than n - 1 whose table fits in
+    ``_WORD_TABLE_CAP`` entries; since the per-step part falls as 1/k and the
+    build cost only grows, k never falls as the batch or n grows.
     """
     width = states * (states + 1)
+    per_step = _WORD_STEP_US + _GATHER_US * batch * width
 
     def cost(k: int) -> float:
-        return (_WORD_STEP_US + _MAC_US * batch * width * kinds ** k) / k
+        build = _MAC_US * states * width * sum(kinds ** length for length in range(2, k + 1))
+        return (n - 1) / k * per_step + build
 
     best = 1
-    for k in range(2, _WORD_MAX + 1):
+    for k in range(2, min(n - 1, _WORD_MAX) + 1):
         if kinds ** k * width > _WORD_TABLE_CAP:
             break
         if cost(k) < cost(best):
@@ -534,54 +540,53 @@ def _forward_pass(chain: PairChain, table: np.ndarray, codes: np.ndarray,
     fine. Returns shape (B,), with -inf for a row of probability zero.
 
     After the first symbol the recursion advances ``word`` symbols per step
-    (by default ``_word_length`` of the table and batch shapes); the last
-    step takes the ``(n - 1) % word`` symbols left over. The call first
+    (by default ``_word_length`` of the table and row shapes); the last step
+    takes the ``(n - 1) % word`` symbols left over. The call first
     multiplies out every code word's step matrix, each followed by its
-    row-sum column, and lays them side by side. Each step is then one
-    matrix product of the (B, states) forward vectors with that wide
-    matrix, one gather of each row's own block and one renormalization:
-    the per-step numpy call count does not depend on B or on the number of
-    codes. A row that dies turns NaN from its next step on and is mapped to
-    -inf at the end. A word's scale is the product of its symbols' scales
-    and can underflow where theirs would not, so every row with a word
-    scale below ``_SCALE_FLOOR`` (a dead row included) is scored again one
-    symbol per step.
+    row-sum column, into a table of shape (kinds**word, states, states + 1).
+    Each step then gathers every row's own word matrix and makes one batched
+    (B, 1, states) @ (B, states, states + 1) product and one
+    renormalization: the per-step numpy call count does not depend on B or
+    on the number of codes. A row that dies turns NaN from its next step on
+    and is mapped to -inf at the end. A word's scale is the product of its
+    symbols' scales and can underflow where theirs would not, so every row
+    with a word scale below ``_SCALE_FLOOR`` (a dead row included) is scored
+    again one symbol per step.
     """
     kinds, states = table.shape
     batch, n = codes.shape
     if word is None:
-        word = _word_length(kinds, states, batch)
+        word = _word_length(kinds, states, batch, n)
     word = max(1, min(word, n - 1))
     full, rest = divmod(n - 1, word)
     step = chain.transition[None] * table[:, None, :]
     step = np.concatenate([step, step.sum(axis=2, keepdims=True)], axis=2)
     walks = [(word, full, 1)] + ([(rest, 1, n - rest)] if rest else [])
-    wides = {}
+    words = {}
     product = step
     for length in range(1, word + 1):
         if length > 1:
             product = (product[:, None, :, :states] @ step[None]).reshape(-1, states, states + 1)
         if length in (word, rest):
-            wides[length] = product.transpose(1, 0, 2).reshape(states, -1)
+            words[length] = product
     low = np.zeros(batch, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = chain.pi * table[codes[:, 0]]
         scale = alpha.sum(axis=1)
         loglik = np.log(scale)
-        alpha /= scale[:, None]
+        alpha = (alpha / scale[:, None])[:, None, :]
         for length, count, first in walks:
-            wide = wides[length]
-            offsets = np.arange(batch) * kinds ** length
+            matrices = words[length]
             powers = kinds ** np.arange(length - 1, -1, -1)
             for start in range(0, count, _BLOCK):
                 stop = min(start + _BLOCK, count)
                 span = codes[:, first + start * length:first + stop * length]
-                keys = (span.reshape(batch, stop - start, length) @ powers).T + offsets
+                keys = (span.reshape(batch, stop - start, length) @ powers).T
                 scales = np.empty(keys.shape)
                 for i, key in enumerate(keys):
-                    nxt = (alpha @ wide).reshape(-1, states + 1)[key]
-                    scales[i] = nxt[:, states]
-                    alpha = nxt[:, :states] / nxt[:, states:]
+                    nxt = alpha @ matrices.take(key, axis=0)
+                    scales[i] = nxt[:, 0, states]
+                    alpha = nxt[:, :, :states] / nxt[:, :, states:]
                 loglik += np.log(scales).sum(axis=0)
                 if length > 1:
                     low |= ~(scales >= _SCALE_FLOOR).all(axis=0)

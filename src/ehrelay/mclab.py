@@ -90,10 +90,10 @@ def sample_path(transition, init: int, n: int, rng: np.random.Generator) -> np.n
     cum[:, -1] = 1.0
     stocks: list[list[int]] = [[] for _ in range(states)]
     chunks = [1024] * states
-    path = np.empty(n, dtype=np.int64)
+    path = []
     state = init
-    for i in range(n):
-        path[i] = state
+    for _ in range(n):
+        path.append(state)
         stock = stocks[state]
         if not stock:
             draws = np.searchsorted(cum[state], rng.random(chunks[state]), side="right")
@@ -101,7 +101,7 @@ def sample_path(transition, init: int, n: int, rng: np.random.Generator) -> np.n
             if chunks[state] < 65536:
                 chunks[state] *= 2
         state = stock.pop()
-    return path
+    return np.array(path, dtype=np.int64)
 
 
 def _draw_index(cum: np.ndarray, rng: np.random.Generator, size: Optional[int] = None):
@@ -398,7 +398,10 @@ def z_empirical(cost: int, p1: float, overlap: bool, cfg: RunConfig) -> ZEmpiric
     interest). Each round draws ``horizon`` slots for every pending sample,
     in blocks of 1,024 samples; uniforms are drawn row-major, so the blocks
     consume the stream exactly as one (pending, horizon) draw would, and
-    memory stays O(1024 * horizon).
+    memory stays O(1024 * horizon). A block's hits are found once, in
+    row-major order: each row's hit count and the offset of its first hit
+    give the slot of the hit that completes its charge, and a row that falls
+    short carries its count into the next round.
     """
     noise = ZNoise(cost=cost, p1=p1, overlap=overlap)
     reference = z_pmf(noise)
@@ -421,18 +424,17 @@ def z_empirical(cost: int, p1: float, overlap: bool, cfg: RunConfig) -> ZEmpiric
             pending = np.flatnonzero(~done)
             for lo in range(0, pending.size, _Z_BLOCK_ROWS):
                 idx = pending[lo:lo + _Z_BLOCK_ROWS]
-                hits = rng.random((idx.size, horizon)) < p1
-                cumhits = np.cumsum(hits, axis=1) + successes[idx][:, None]
-                reached = cumhits >= targets[idx][:, None]
-                found = reached.any(axis=1)
-                first = np.argmax(reached, axis=1)
-                z[idx[found]] += first[found] + 1
+                flat = np.flatnonzero(rng.random((idx.size, horizon)) < p1)
+                counts = np.bincount(flat // horizon, minlength=idx.size)
+                need = targets[idx] - successes[idx]
+                found = counts >= need
+                # the need-th hit of each found row, counted from its first
+                nth = (np.cumsum(counts) - counts + need - 1)[found]
+                z[idx[found]] += flat[nth] % horizon + 1
                 done[idx[found]] = True
                 rest = idx[~found]
                 z[rest] += horizon
-                successes[rest] = cumhits[~found, -1]
-        zero_target = targets == 0
-        z[zero_target] = 0
+                successes[rest] += counts[~found]
         out[filled:filled + batch] = z
         filled += batch
     lo = int(min(out.min(), reference.values[0]))

@@ -12,7 +12,7 @@ raw throughput of the second hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, exp, lgamma, log
 
 import numpy as np
 
@@ -88,6 +88,10 @@ def _nb_pmf(start: int, stop: int, k: int, p: float) -> np.ndarray:
     formula gives it: the coefficient is an exact integer, carried from one z
     to the next by recurrence and rounded once to a double, and the powers
     use Python's ``**`` (numpy's vector power rounds some inputs differently).
+    From the first z whose coefficient does not fit a double, the entries
+    are exp(lgamma(z) - lgamma(k) - lgamma(z-k+1) + k log p + (z-k) log q)
+    instead. Their relative error grows with lgamma(z): about 2e-11 at
+    z = 6,647, where cost 150 at p = 0.05 switches.
     """
     out = np.zeros(stop - start)
     first = max(start, k)
@@ -98,13 +102,16 @@ def _nb_pmf(start: int, stop: int, k: int, p: float) -> np.ndarray:
         try:
             coef.append(float(c))
         except OverflowError:
-            raise NumericalError(
-                f"recharge-time coefficient comb({z - 1}, {k - 1}) does not fit a double"
-            ) from None
+            break
         c = c * z // (z - k + 1)
     q = 1.0 - p
-    powers = [q ** (z - k) for z in range(first, stop)]
-    out[first - start:] = np.array(coef) * p**k * np.array(powers)
+    linear = first + len(coef)
+    powers = [q ** (z - k) for z in range(first, linear)]
+    out[first - start:linear - start] = np.array(coef) * p**k * np.array(powers)
+    if linear < stop and q > 0.0:  # with q == 0 every entry past z = k is 0
+        base = k * log(p) - lgamma(k)
+        out[linear - start:] = [exp(lgamma(z) - lgamma(z - k + 1) + base + (z - k) * log(q))
+                                for z in range(linear, stop)]
     return out
 
 

@@ -18,7 +18,9 @@ validated one ``JointPmf`` or ``Pmf`` per level.
 The Monte Carlo oracles are the scalar reference forms of the lab's
 lockstep kernels: one codec trial walked slot by slot from a refilling
 stock of uniforms, and the recharge simulation drawn as one full
-(pending, horizon) matrix per round.
+(pending, horizon) matrix per round whose hits are found by a cumulative
+sum. The path oracle is ``sample_path`` as first written, each state stored
+into a numpy array as it is visited.
 """
 
 import itertools
@@ -372,6 +374,28 @@ def relay_codec_oracle(codec, blocks: int, cfg) -> tuple:
             clash = stock.take() < p_amb
             counts[:, b] += (miss, clash, miss or clash)
     return tuple(counts / float(cfg.trials))
+
+
+def sample_path_oracle(transition, init: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``sample_path``'s states, stored one numpy item per step."""
+    t = np.asarray(transition, dtype=np.float64)
+    states = t.shape[0]
+    cum = np.cumsum(t, axis=1)
+    cum[:, -1] = 1.0
+    stocks: list[list[int]] = [[] for _ in range(states)]
+    chunks = [1024] * states
+    path = np.empty(n, dtype=np.int64)
+    state = init
+    for i in range(n):
+        path[i] = state
+        stock = stocks[state]
+        if not stock:
+            draws = np.searchsorted(cum[state], rng.random(chunks[state]), side="right")
+            stocks[state] = stock = np.minimum(draws, states - 1)[::-1].tolist()
+            if chunks[state] < 65536:
+                chunks[state] *= 2
+        state = stock.pop()
+    return path
 
 
 def z_empirical_oracle(cost: int, p1: float, overlap: bool, cfg) -> np.ndarray:

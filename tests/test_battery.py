@@ -4,7 +4,6 @@ its deterministic relay-symbol emission. The fast forms of the policy
 constructors' validation, the transition tensor and the regularity report
 are each compared bit for bit with the form they replaced."""
 
-import itertools
 import math
 import warnings
 
@@ -759,22 +758,23 @@ class TestForwardWords:
     def test_matches_the_scalar_recursion(self, name, noisy, batch):
         chain = _chain(name)
         table = _observation_table(chain, BinaryChannel(0.9, 0.8) if noisy else None)
-        word = _word_length(2, len(chain.states), batch)
+        # the word the pass picks for this batch of 20,000-symbol rows
+        word = _word_length(2, len(chain.states), batch, 20_000)
         assert word > 1
         rng = np.random.default_rng(batch)
         # n = 1 and every remainder (n - 1) % word, with and without a full word
         for n in range(1, 2 * word + 2):
             rows = rng.integers(0, 2, size=(batch, n)) if noisy else _emitted(chain, batch, n, rng)
-            got = _forward_pass(chain, table, rows)
+            got = _forward_pass(chain, table, rows, word=word)
             want = [scalar_loglik(chain, table, y) for y in rows]
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_rows_past_one_block_of_words(self):
         chain = _chain("worked")
         table = _observation_table(chain, BinaryChannel(0.9, 0.8))
-        word = _word_length(2, len(chain.states), 1)
+        word = _word_length(2, len(chain.states), 1, 20_000)
         y = np.random.default_rng(43).integers(0, 2, size=_BLOCK * word + 3)
-        got = _forward_pass(chain, table, y[None, :])[0]
+        got = _forward_pass(chain, table, y[None, :], word=word)[0]
         assert got == pytest.approx(scalar_loglik(chain, table, y), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("word", range(1, 10))
@@ -818,17 +818,24 @@ class TestForwardWords:
             for i in (0, 1):
                 assert np.unique(got[which == i]).size == 1
 
-    def test_word_length_stays_one_past_the_table_cap(self):
+    def test_word_length_grows_with_the_rows_within_the_table_cap(self):
+        batches, lengths = (1, 2, 16, 256, 4096), (1, 2, 3, 10, 64, 2_000, 20_000, 10**6)
         for kinds in (2, 3, 4):
-            states = 1
-            while kinds ** 2 * states * (states + 1) <= _WORD_TABLE_CAP:
-                states += 1
-            assert _word_length(kinds, states, 1) == 1
-            assert _word_length(kinds, states - 1, 1) == 2
-        for kinds, states in itertools.product((2, 3), (3, 7, 23, 60)):
-            lengths = [_word_length(kinds, states, batch) for batch in (1, 2, 16, 256, 4096)]
-            assert lengths == sorted(lengths, reverse=True)
-            assert kinds ** lengths[0] * states * (states + 1) <= _WORD_TABLE_CAP
+            wide = 1
+            while kinds ** 2 * wide * (wide + 1) <= _WORD_TABLE_CAP:
+                wide += 1
+            for states in (3, 7, 23, 60, wide - 1, wide):
+                words = np.array([[_word_length(kinds, states, batch, n) for n in lengths]
+                                  for batch in batches])
+                # k never falls as the batch or the row length grows
+                assert (np.diff(words, axis=0) >= 0).all()
+                assert (np.diff(words, axis=1) >= 0).all()
+                assert (words[:, :2] == 1).all()  # n <= 2 leaves no word to form
+                if states == wide:  # even a two-symbol table is past the cap
+                    assert (words == 1).all()
+                else:
+                    assert kinds ** words.max() * states * (states + 1) <= _WORD_TABLE_CAP
+                    assert words.max() > 1
 
     def test_underflowing_words_are_rescored_one_symbol_at_a_time(self):
         # Each symbol scales by about 1e-150, so a word of three underflows.
@@ -841,3 +848,14 @@ class TestForwardWords:
         y = np.zeros(40, dtype=int)
         got = _forward_pass(chain, table, y[None, :], word=3)[0]
         assert got == pytest.approx(scalar_loglik(chain, table, y), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("word", [8, 10])
+    def test_long_words_that_underflow_are_rescored(self, word):
+        # Symbols that each scale by 1e-40: a word of 8 lands among the
+        # subnormals and a word of 10 underflows to zero.
+        chain = _chain("seven-level")
+        table = np.full((2, len(chain.states)), 1e-40)
+        rows = np.random.default_rng(59).integers(0, 2, size=(3, 5 * word + 4))
+        got = _forward_pass(chain, table, rows, word=word)
+        want = [scalar_loglik(chain, table, y) for y in rows]
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)

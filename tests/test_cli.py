@@ -442,8 +442,12 @@ class TestTimingCommand:
     def test_invalid_charge_probability(self, capsys):
         assert main(["timing", "--cost", "2", "--charge-p", "1.5"]) == 1
 
-    def test_cost_beyond_double_range_is_one_numerical_line(self, capsys):
-        assert main(["timing", "--cost", "600", "--charge-p", "0.5"]) == 3
+    def test_cost_516_is_past_the_double_range_and_rated(self, capsys):
+        assert main(["timing", "--cost", "516", "--charge-p", "0.99"]) == 0
+        assert "recharge time: mean 521.212121" in capsys.readouterr().out
+
+    def test_truncating_horizon_is_one_numerical_line(self, capsys):
+        assert main(["timing", "--cost", "2", "--charge-p", "0.5", "--zmax", "6"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and err.count("\n") == 1
 

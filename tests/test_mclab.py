@@ -17,6 +17,7 @@ from ehrelay import (
     BinaryChannel,
     BudgetError,
     CodecConfig,
+    IntegerPmf,
     JointPmf,
     Pmf,
     RunConfig,
@@ -37,12 +38,14 @@ from ehrelay import (
     z_pmf,
     ZNoise,
 )
+import conftest
 from conftest import (
     WORKED_KERNEL,
     WORKED_PAIR_ENTROPY,
     WORKED_TABLES,
     random_joint_tables,
     relay_codec_oracle,
+    sample_path_oracle,
     worked_spec,
     z_empirical_oracle,
 )
@@ -160,6 +163,23 @@ class TestSamplePath:
         kernel = np.eye(2)
         with pytest.raises(ValidationError):
             sample_path(kernel, 5, 4, substream(0, "path", 0))
+
+    @pytest.mark.parametrize("capacity", [2, 6])
+    def test_matches_the_item_by_item_path(self, capacity):
+        # the worked pair chain (7 states) and a 7-level battery's (23)
+        spec = BatterySpec(capacity=capacity, cost=2)
+        tables = (WORKED_TABLES if capacity == 2
+                  else random_joint_tables(spec, np.random.default_rng(41)))
+        policy = StatePolicy.joint_policy(spec, tables)
+        arrival = ArrivalModel.deterministic()
+        chain = pair_chain(spec, policy, arrival, analyze_chain(spec, policy, arrival).pi)
+        assert len(chain.states) == (7 if capacity == 2 else 23)
+        n = 400_000
+        path = sample_path(chain.transition, 1, n, substream(3, "path", capacity))
+        want = sample_path_oracle(chain.transition, 1, n, substream(3, "path", capacity))
+        assert path.dtype == want.dtype and np.array_equal(path, want)
+        # past 1,024 + 2,048 + ... + 32,768 visits a state refills 65,536 draws
+        assert np.bincount(path).max() > 64_512
 
 
 class TestLockstepSampler:
@@ -301,6 +321,30 @@ class TestZEmpirical:
         res = z_empirical(*case, cfg)
         want = z_empirical_oracle(*case, cfg)
         assert res.values[0] <= want.min() and want.max() <= res.values[-1]
+        assert np.array_equal(res.counts,
+                              np.bincount(want - res.values[0], minlength=res.values.size))
+        assert res.mean == float(want.mean())
+
+    @pytest.mark.parametrize("case", [(4, 0.3, False), (6, 0.08, True),
+                                      (2, 0.6, True), (5, 0.02, True)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_hit_counts_carry_across_rounds(self, monkeypatch, case, seed):
+        # A reference law cut at cost + 3 shrinks the horizon to cost + 11,
+        # far below most of these recharge times, so rows run several rounds.
+        exact = z_pmf
+
+        def cut(noise):
+            law = exact(noise)
+            keep = law.values <= noise.cost + 3
+            return IntegerPmf(law.values[keep], law.probs[keep] / law.probs[keep].sum())
+
+        monkeypatch.setattr(mclab, "z_pmf", cut)
+        monkeypatch.setattr(conftest, "z_pmf", cut)
+        cfg = RunConfig(seed=seed, n=5000)
+        res = z_empirical(*case, cfg)
+        want = z_empirical_oracle(*case, cfg)
+        if case[1] < 0.5:
+            assert want.max() > case[0] + 11  # some row needed a later round
         assert np.array_equal(res.counts,
                               np.bincount(want - res.values[0], minlength=res.values.size))
         assert res.mean == float(want.mean())

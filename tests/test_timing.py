@@ -2,6 +2,8 @@
 distributions by brute-force double sums, and the timing rate's closed-form
 reductions."""
 
+import hashlib
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -26,7 +28,7 @@ from ehrelay import (
     timing_rate,
     z_pmf,
 )
-from ehrelay.timing import MASS_TOL, _SUPPORT_CAP, _timing_bounds, _wait_rule
+from ehrelay.timing import MASS_TOL, _SUPPORT_CAP, _nb_pmf, _timing_bounds, _wait_rule
 from conftest import mutual_information, output_entropy_given_input
 
 
@@ -125,15 +127,31 @@ class TestZPmf:
                     seen.add(doublings)
         assert {0, 1, 2, 3} <= seen
 
-    def test_coefficient_beyond_double_range_is_a_numerical_error(self):
-        with pytest.raises(NumericalError, match="does not fit a double"):
-            z_pmf(ZNoise(cost=600, p1=0.5))
+    def test_cost_600_at_half_charge_is_a_law(self):
+        # comb(z - 1, 599) leaves the double range at z = 1,047, inside the support
+        dist = z_pmf(ZNoise(cost=600, p1=0.5))
+        assert dist.values[-1] > 1047
+        assert dist.mean() == pytest.approx(1200.0, rel=1e-9)
 
-    def test_cost_516_is_the_first_to_overflow(self):
-        z_pmf(ZNoise(cost=515, p1=0.99))
-        with pytest.raises(NumericalError) as err:
-            z_pmf(ZNoise(cost=516, p1=0.99))
-        assert str(err.value) == "recharge-time coefficient comb(1030, 515) does not fit a double"
+    def test_cost_516_is_a_law_and_cost_515_keeps_its_bits(self):
+        dist = z_pmf(ZNoise(cost=515, p1=0.99))
+        assert hashlib.sha256(dist.probs.tobytes()).hexdigest() == (
+            "8566385c3849d1b84d34721af35e67f6bea22e4662ca53b0f808bc57ffb46120")
+        dist = z_pmf(ZNoise(cost=516, p1=0.99))
+        assert dist.mean() == pytest.approx(516 / 0.99, rel=1e-9)
+
+    @pytest.mark.parametrize("cost, p1, switch", [(600, 0.5, 1047), (150, 0.05, 6647)])
+    def test_log_space_entries_continue_the_exact_ones(self, cost, p1, switch):
+        # switch is the first z whose coefficient comb(z - 1, cost - 1) is past a double
+        float(comb(switch - 2, cost - 1))
+        with pytest.raises(OverflowError):
+            float(comb(switch - 1, cost - 1))
+        zs = range(switch - 4, switch + 4)
+        got = _nb_pmf(zs.start, zs.stop, cost, p1)
+        p, q = Fraction(p1), Fraction(1.0 - p1)
+        want = [float(comb(z - 1, cost - 1) * p**cost * q ** (z - cost)) for z in zs]
+        assert min(want) > 0.0
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_explicit_horizon_is_capped(self):
         ZNoise(cost=3, p1=0.5, zmax=_SUPPORT_CAP)
