@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import hashlib
 import inspect
+import os
 import sys
 
 import numpy as np
@@ -100,6 +101,18 @@ def _emit(rows, columns, meta, pretty_lines, args) -> None:
                 _write_csv(rows, columns, meta, fh)
         except OSError as exc:
             raise ValidationError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+
+
+def _detach_stdout() -> None:
+    """Point stdout's descriptor at os.devnull, so the exit flush of a closed
+    pipe cannot raise again; a stdout without a descriptor is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 # The config schema: every section and key, and each key's type. A type is
@@ -582,7 +595,11 @@ def main(argv=None) -> int:
         meta = {"config_hash": digest, "seed": seed,
                 "version": __version__, "command": args.command}
         rows, columns, pretty = _HANDLERS[args.command](cfg, args)
-        _emit(rows, columns, meta, pretty, args)
+        try:
+            _emit(rows, columns, meta, pretty, args)
+        except BrokenPipeError:  # the reader closed early: exit 1, as Python does on EPIPE
+            _detach_stdout()
+            return 1
         return 0
     except ConstraintError as exc:
         print(f"constraint error: {exc}", file=sys.stderr)

@@ -354,76 +354,68 @@ def _start_points(dims: int, opts: OptimizeOptions, rng: np.random.Generator,
     return np.vstack(blocks)
 
 
-def _pending_moves(problem: _CubeProblem, base: np.ndarray, steps: np.ndarray, start: int):
-    """The moves of a sweep from ``start`` on, from points ``base``, and their values.
-
-    Move k shifts coordinate k // 2 up (even k) or down (odd k) by the
-    point's step, clipped to the cube. Returns the moved points, whether
-    each move left its point, and each move's value, shaped (R, m, dims),
-    (R, m) and (R, m) for R points and m moves. A move that the clip keeps
-    in place is not scored; all others go to the problem in one uncounted
-    ``score`` call.
-    """
-    ks = np.arange(start, 2 * base.shape[1])
-    coord = ks // 2
-    sign = np.where(ks % 2 == 0, 1.0, -1.0)
-    old = base[:, coord]
-    new = np.minimum(np.maximum(old + sign * steps[:, None], 0.0), 1.0)
-    points = np.repeat(base[:, None, :], ks.size, axis=1)
-    points[:, np.arange(ks.size), coord] = new
-    moved = new != old
-    values = np.full(moved.shape, -np.inf)
-    if moved.any():
-        values[moved] = problem.score(points[moved])
-    return points, moved, values
-
-
 def _ascend(problem: _CubeProblem, starts: np.ndarray, values: np.ndarray, iters: int):
     """Cyclic coordinate ascent with a halving step, inside the unit cube.
 
     ``values`` holds the starts' values, which the caller has scored; they
-    count once more in ``evaluations`` as the ascents begin from them. All
-    starts climb in lockstep, each keeping its own point, step, exit and
-    evaluations exactly as if it ran alone. A sweep walks the 2 * dims
-    moves (coordinate, direction) in a fixed order, and each ascent still
-    running replaces its point with a moved one only if strictly better.
-    Each sweep's pending moves are scored ahead: at the start of the sweep
-    every move of every running ascent is scored in one call, and after a
-    position where some ascents accepted, the rest of the sweep's moves of
-    those ascents are scored from their new points in one more call. The
-    walk reads the values a position-by-position walk would, since every
-    row is scored on its own, and ``evaluations`` grows only by the points
-    it reads. Returns the final points and their values, one row per start.
+    count once more in ``evaluations`` as the ascents begin from them. Each
+    start climbs exactly as if it ran alone, with its own point, step, sweep
+    position and exit. A sweep walks the 2 * dims moves in a fixed order:
+    move k shifts coordinate k // 2 up (even k) or down (odd k) by the step,
+    clipped to the cube, and the ascent takes a move only if it is strictly
+    better. A sweep that takes no move halves the step; an ascent stops at
+    the step floor or after ``iters`` sweeps.
+
+    Each round scores, in one uncounted ``score`` call, every running
+    ascent's moves from its sweep position to the end of its sweep, from its
+    current point; moves the clip keeps in place are not scored. Each ascent
+    then advances to its first better move, or to its sweep's end, and
+    resumes from there in the next round. So a search makes as many calls as
+    its busiest ascent would make alone. Every row is scored on its own, so
+    the walk reads the values a move-by-move walk would, and ``evaluations``
+    grows only by the moves it reads. Returns the final points and their
+    values, one row per start.
     """
     thetas = starts.astype(np.float64)
     best = values.astype(np.float64)
     problem.evaluations += len(thetas)
     count, dims = thetas.shape
     width = 2 * dims
-    points = np.empty((count, width, dims))
-    moved = np.zeros((count, width), dtype=bool)
-    ahead = np.empty((count, width))
+    ks = np.arange(width)
+    coord = ks // 2
+    sign = np.where(ks % 2 == 0, 1.0, -1.0)
     steps = np.full(count, _STEP0)
-    running = np.ones(count, dtype=bool)
-    for _ in range(iters):
-        if not running.any():
-            break
-        improved = np.zeros(count, dtype=bool)
-        live = np.flatnonzero(running)
-        stale = live
-        for k in range(width):
-            if stale.size:
-                points[stale, k:], moved[stale, k:], ahead[stale, k:] = _pending_moves(
-                    problem, thetas[stale], steps[stale], k)
-            rows = live[moved[live, k]]
-            problem.evaluations += rows.size
-            up = ahead[rows, k] > best[rows]
-            stale = rows = rows[up]
-            best[rows], thetas[rows] = ahead[rows, k], points[rows, k]
-            improved[rows] = True
-        stalled = running & ~improved
+    at = np.zeros(count, dtype=np.int64)  # each ascent's next move in its sweep
+    sweeps = np.zeros(count, dtype=np.int64)
+    improved = np.zeros(count, dtype=bool)
+    live = np.arange(count if iters > 0 else 0)
+    while live.size:
+        old = thetas[live][:, coord]
+        new = np.minimum(np.maximum(old + sign * steps[live, None], 0.0), 1.0)
+        moved = (ks >= at[live, None]) & (new != old)
+        points = np.repeat(thetas[live, None, :], width, axis=1)
+        points[:, ks, coord] = new
+        ahead = np.full(moved.shape, -np.inf)
+        if moved.any():
+            ahead[moved] = problem.score(points[moved])
+        up = moved & (ahead > best[live, None])
+        first = up.argmax(axis=1)
+        took = up[np.arange(live.size), first]
+        first[~took] = width
+        problem.evaluations += int((moved & (ks <= first[:, None])).sum())
+        rows = np.flatnonzero(took)
+        best[live[rows]] = ahead[rows, first[rows]]
+        thetas[live[rows]] = points[rows, first[rows]]
+        improved[live[rows]] = True
+        at[live] = first + 1
+        ended = live[at[live] >= width]
+        stalled = ended[~improved[ended]]
         steps[stalled] *= 0.5
-        running &= ~(stalled & (steps < _STEP_FLOOR))
+        sweeps[ended] += 1
+        at[ended] = 0
+        improved[ended] = False
+        done = (sweeps[live] >= iters) | (steps[live] < _STEP_FLOOR)
+        live = live[~done]
     return thetas, best
 
 

@@ -12,6 +12,7 @@ raw throughput of the second hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, exp, lgamma, log
 
 import numpy as np
@@ -23,6 +24,7 @@ from .pmf import BinaryChannel, Pmf, _entropy_bits, entropy
 
 MASS_TOL = 1e-12
 _SUPPORT_CAP = 1_000_000
+_COEF_SPAN = 2048  # longest support range whose coefficients are cached
 
 
 @dataclass(frozen=True)
@@ -81,22 +83,14 @@ class ZNoise:
             raise ValidationError(f"zmax must be at most {_SUPPORT_CAP}, the recharge support cap")
 
 
-def _nb_pmf(start: int, stop: int, k: int, p: float) -> np.ndarray:
-    """P(k-th success on trial z) for Bernoulli(p) trials, z in [start, stop).
+def _nb_coefficients(first: int, stop: int, k: int) -> np.ndarray:
+    """comb(z-1, k-1) as doubles for z from ``first`` up, read-only.
 
-    Each entry is comb(z-1, k-1) * p**k * (1-p)**(z-k) exactly as the scalar
-    formula gives it: the coefficient is an exact integer, carried from one z
-    to the next by recurrence and rounded once to a double, and the powers
-    use Python's ``**`` (numpy's vector power rounds some inputs differently).
-    From the first z whose coefficient does not fit a double, the entries
-    are exp(lgamma(z) - lgamma(k) - lgamma(z-k+1) + k log p + (z-k) log q)
-    instead. Their relative error grows with lgamma(z): about 2e-11 at
-    z = 6,647, where cost 150 at p = 0.05 switches.
+    Each coefficient is an exact integer, carried from one z to the next by
+    recurrence and rounded once to a double. The array stops before the
+    first coefficient that does not fit a double, so it is shorter than
+    ``stop - first`` exactly when the law needs log space from there on.
     """
-    out = np.zeros(stop - start)
-    first = max(start, k)
-    if first >= stop:
-        return out
     coef, c = [], comb(first - 1, k - 1)
     for z in range(first, stop):
         try:
@@ -104,10 +98,39 @@ def _nb_pmf(start: int, stop: int, k: int, p: float) -> np.ndarray:
         except OverflowError:
             break
         c = c * z // (z - k + 1)
+    out = np.array(coef, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
+# The recharge law of a given cost asks for the same few support ranges at
+# every source bias; 64 ranges of at most _COEF_SPAN doubles is 1 MiB at most.
+_cached_coefficients = lru_cache(maxsize=64)(_nb_coefficients)
+
+
+def _nb_pmf(start: int, stop: int, k: int, p: float) -> np.ndarray:
+    """P(k-th success on trial z) for Bernoulli(p) trials, z in [start, stop).
+
+    Each entry is comb(z-1, k-1) * p**k * (1-p)**(z-k) exactly as the scalar
+    formula gives it: the coefficients come from ``_nb_coefficients``, kept
+    per support range when the range spans at most ``_COEF_SPAN`` points,
+    and the powers use Python's ``**`` (numpy's vector power rounds some
+    inputs differently). From the first z whose coefficient does not fit a
+    double, the entries are
+    exp(lgamma(z) - lgamma(k) - lgamma(z-k+1) + k log p + (z-k) log q)
+    instead. Their relative error grows with lgamma(z): about 2e-11 at
+    z = 6,647, where cost 150 at p = 0.05 switches.
+    """
+    out = np.zeros(stop - start)
+    first = max(start, k)
+    if first >= stop:
+        return out
+    coefficients = _cached_coefficients if stop - first <= _COEF_SPAN else _nb_coefficients
+    coef = coefficients(first, stop, k)
     q = 1.0 - p
     linear = first + len(coef)
     powers = [q ** (z - k) for z in range(first, linear)]
-    out[first - start:linear - start] = np.array(coef) * p**k * np.array(powers)
+    out[first - start:linear - start] = coef * p**k * np.array(powers)
     if linear < stop and q > 0.0:  # with q == 0 every entry past z = k is 0
         base = k * log(p) - lgamma(k)
         out[linear - start:] = [exp(lgamma(z) - lgamma(z - k + 1) + base + (z - k) * log(q))

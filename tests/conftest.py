@@ -20,11 +20,14 @@ lockstep kernels: one codec trial walked slot by slot from a refilling
 stock of uniforms, and the recharge simulation drawn as one full
 (pending, horizon) matrix per round whose hits are found by a cumulative
 sum. The path oracle is ``sample_path`` as first written, each state stored
-into a numpy array as it is visited.
+into a numpy array as it is visited. The negative-binomial oracle is the
+recharge law's range kernel before its coefficients were cached: the exact
+integer recurrence rerun on every call.
 """
 
 import itertools
 import math
+from math import comb, exp, lgamma, log
 
 import numpy as np
 import pytest
@@ -457,3 +460,27 @@ def ascend_oracle(problem, starts: np.ndarray, iters: int):
         steps[stalled] *= 0.5
         running &= ~(stalled & (steps < _STEP_FLOOR))
     return thetas, best
+
+
+def nb_pmf_oracle(start: int, stop: int, k: int, p: float) -> np.ndarray:
+    """``timing._nb_pmf`` with no cache: the coefficients rebuilt on each call."""
+    out = np.zeros(stop - start)
+    first = max(start, k)
+    if first >= stop:
+        return out
+    coef, c = [], comb(first - 1, k - 1)
+    for z in range(first, stop):
+        try:
+            coef.append(float(c))
+        except OverflowError:
+            break
+        c = c * z // (z - k + 1)
+    q = 1.0 - p
+    linear = first + len(coef)
+    powers = [q ** (z - k) for z in range(first, linear)]
+    out[first - start:linear - start] = np.array(coef) * p**k * np.array(powers)
+    if linear < stop and q > 0.0:  # with q == 0 every entry past z = k is 0
+        base = k * log(p) - lgamma(k)
+        out[linear - start:] = [exp(lgamma(z) - lgamma(z - k + 1) + base + (z - k) * log(q))
+                                for z in range(linear, stop)]
+    return out

@@ -3,8 +3,11 @@ the seed override."""
 
 import hashlib
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -458,6 +461,52 @@ class TestTimingCommand:
                      "--zmax", str(_SUPPORT_CAP + 1)]) == 1
         err = capsys.readouterr().err
         assert "support cap" in err and err.count("\n") == 1
+
+
+class TestClosedPipe:
+    """A reader that closes early ends the run with exit 1 and no traceback."""
+
+    def test_stdout_that_refuses_writes(self, monkeypatch, capsys):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["timing", "--cost", "600", "--charge-p", "0.5", "--format", "csv"]) == 1
+        monkeypatch.undo()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_closed_pipe_leaves_stdout_on_devnull(self, monkeypatch, capsys):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(["timing", "--cost", "600", "--charge-p", "0.5", "--format", "csv"]) == 1
+            monkeypatch.undo()
+            # the exit flush now writes to os.devnull and cannot raise again
+            assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+            stream.write("more\n")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_reader_that_closes_after_three_lines(self, tmp_path):
+        # About 390 KB of CSV, several times a pipe's buffer, so the run is
+        # still writing when the reader closes.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        err = tmp_path / "stderr"
+        with open(err, "w") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "ehrelay", "timing", "--cost", "600",
+                 "--charge-p", "0.1", "--format", "csv"],
+                stdout=subprocess.PIPE, stderr=stderr, env=env, cwd=ROOT)
+            lines = [proc.stdout.readline() for _ in range(3)]
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        assert lines[1] == b"series,value,probability\n"
+        assert code == 1
+        assert "Traceback" not in err.read_text()
 
 
 class TestFormatting:

