@@ -7,6 +7,11 @@ them. Decoding from the cube clamps every probability away from zero by the
 positivity floor, so every visited policy is feasible by construction and the
 interior-policy conditions of the rate expressions hold automatically.
 
+The timing scheme has one free parameter, the source bias, so its search is
+a line search instead: the same starts, scored once each, then a
+golden-section refine (Kiefer, "Sequential minimax search for a maximum",
+1953) of the bracket around each of the best local maxima among them.
+
 Runs are reproducible: the only randomness is a generator seeded from the
 options plus a label describing the problem, and ties between equal-value
 optima break lexicographically on the packed parameters.
@@ -40,11 +45,19 @@ _STEP_FLOOR = 1e-9
 _RESIDUAL_GATE = 1e-8
 _CHUNK = 512
 _TIMING_BOX = (0.01, 0.99)
+_GOLDEN = (sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """Knobs for the search; defaults are sized for single-digit-second runs."""
+    """Knobs for the search; defaults are sized for single-digit-second runs.
+
+    ``refine_iters`` caps the sweeps of each coordinate ascent, or, for the
+    timing line search, the golden-section iterations of each bracket.
+    ``restarts`` is the number of seeded random starts beside the grid; the
+    cube searches climb from the best ``restarts + 1`` starts, and the line
+    search refines around the best ``restarts + 1`` local maxima.
+    """
 
     grid_points: int = 21
     grid_budget: int = 20_000
@@ -280,10 +293,9 @@ class _TimingProblem(_CubeProblem):
     """Source bias for the spacing scheme, one dimension per search.
 
     ``values`` scores one point at a time through the array kernel
-    ``_timing_bounds``, and keeps each distinct point's value (-inf for an
-    infeasible one), so a point the search asks for again is not
-    recomputed, whether the walk read it or the ascent scored it ahead.
-    The evaluation counter still counts every request.
+    ``_timing_bounds``. A point whose laws cannot be built scores -inf, and
+    the first such error is kept in ``error`` so that a search that finds
+    nothing feasible can say why.
     """
 
     def __init__(self, spec: BatterySpec, ch1: Optional[BinaryChannel], aux_size: int,
@@ -301,7 +313,7 @@ class _TimingProblem(_CubeProblem):
                            wait_const=wait_const, overlap=overlap)
         aux, self.table, _ = _wait_rule(wait_rule, aux_size, wait_const)
         self.aux = aux.probs
-        self.scores: dict[float, float] = {}
+        self.error: Optional[EhRelayError] = None
 
     @staticmethod
     def _p1(theta: np.ndarray) -> float:
@@ -315,17 +327,12 @@ class _TimingProblem(_CubeProblem):
         try:
             return min(_timing_bounds(src, self.ch1, self.spec.cost, self.overlap,
                                       self.aux, self.table))
-        except EhRelayError:
+        except EhRelayError as exc:
+            self.error = self.error or exc
             return -np.inf
 
     def values(self, thetas: np.ndarray) -> np.ndarray:
-        out = np.empty(len(thetas))
-        for k, theta in enumerate(thetas):
-            key = float(theta[0])
-            if key not in self.scores:
-                self.scores[key] = self._score(theta)
-            out[k] = self.scores[key]
-        return out
+        return np.array([self._score(theta) for theta in thetas], dtype=np.float64)
 
     def finalize(self, theta: np.ndarray):
         p1 = self._p1(theta)
@@ -433,6 +440,62 @@ def _run_search(problem: _CubeProblem, opts: OptimizeOptions, label: str,
     return thetas[min(range(len(keep)), key=lambda i: (-finals[i], tuple(thetas[i])))]
 
 
+def _golden(problem: _TimingProblem, a: float, b: float, best: tuple, iters: int) -> tuple:
+    """Golden-section refine of the bracket [a, b] around ``best``.
+
+    ``best`` is the (value, theta) of the bracket's scored point. Each
+    iteration scores the golden points the bracket lacks (both in the first,
+    one after) and keeps the better point's side, the left one on a tie. A
+    scored point replaces ``best`` only if it is strictly better. The refine
+    stops once the bracket is narrower than ``_STEP_FLOOR`` or after
+    ``iters`` iterations.
+    """
+    inner = [None, None]  # (theta, value) of the left and right golden points
+    for _ in range(iters):
+        if b - a < _STEP_FLOOR:
+            break
+        golden = (b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        need = [k for k in (0, 1) if inner[k] is None]
+        for k, value in zip(need, problem(np.array([[golden[k]] for k in need]))):
+            inner[k] = (golden[k], float(value))
+            if value > best[0]:
+                best = (float(value), golden[k])
+        (c, fc), (d, fd) = inner
+        if fc >= fd:
+            b, inner = d, [None, (c, fc)]
+        else:
+            a, inner = c, [(d, fd), None]
+    return best
+
+
+def _line_search(problem: _TimingProblem, opts: OptimizeOptions, label: str,
+                 extra_starts) -> np.ndarray:
+    """The winning point of a one-dimensional problem.
+
+    The starts of ``_start_points`` are de-duplicated, sorted and scored in
+    one call. Every finite point no worse than either neighbour is a local
+    maximum; the best ``restarts + 1`` of them, ties to the smaller point,
+    are each refined by ``_golden`` over the bracket between their
+    neighbours (a boundary point brackets with itself). The winner is the
+    best refined value, ties to the smallest point.
+    """
+    rng = _search_rng(opts, label)
+    xs = np.unique(_start_points(1, opts, rng, extra_starts)[:, 0])
+    values = problem(xs[:, None])
+    if not np.isfinite(values).any():
+        cause = f" (first error: {problem.error})" if problem.error else ""
+        raise ConstraintError("no feasible policy found anywhere on the search grid" + cause)
+    left = np.concatenate([[-np.inf], values[:-1]])
+    right = np.concatenate([values[1:], [-np.inf]])
+    peaks = np.flatnonzero(np.isfinite(values) & (values >= left) & (values >= right))
+    peaks = peaks[np.argsort(-values[peaks], kind="stable")][: opts.restarts + 1]
+    last = len(xs) - 1
+    finals = [_golden(problem, xs[max(i - 1, 0)], xs[min(i + 1, last)],
+                      (float(values[i]), float(xs[i])), opts.refine_iters) for i in peaks]
+    _, theta = min(finals, key=lambda vt: (-vt[0], vt[1]))
+    return np.array([theta])
+
+
 def optimize(model, spec: BatterySpec, *, ch1: Optional[BinaryChannel] = None,
              ch2: Optional[BinaryChannel] = None,
              loss: Optional[tuple[Pmf, Pmf]] = None,
@@ -458,9 +521,10 @@ def optimize(model, spec: BatterySpec, *, ch1: Optional[BinaryChannel] = None,
         scheme = _scheme(model, spec, ch1, ch2, loss)
         kind = _SecondHopProblem if model is Model.SECOND_HOP else _ProductProblem
         searches = [(label, kind(scheme, opts.eps_pos))]
+    search = _line_search if model is Model.TIMING else _run_search
     best = None
     for tag, problem in searches:
-        theta = _run_search(problem, opts, tag, extra_starts)
+        theta = search(problem, opts, tag, extra_starts)
         breakdown, extras = problem.finalize(theta)
         cand = OptimizeResult(model=model, breakdown=breakdown,
                               theta=tuple(float(t) for t in theta),

@@ -67,6 +67,14 @@ policy:
     - [0.5, 0.5]
 """
 
+DEAD_FIRST_HOP = """\
+model: timing
+battery: {capacity: 2, cost: 2}
+channels:
+  first: {q1: 1.0, q2: 0.0}
+optimizer: {grid-budget: 200}
+"""
+
 
 class TestExitCodes:
     def test_rate_pretty(self, capsys):
@@ -100,6 +108,15 @@ class TestExitCodes:
         path.write_text(UNINFORMATIVE)
         assert main(["rate", "--config", str(path)]) == 2
         assert "q1 + q2 = 1" in capsys.readouterr().err
+
+    def test_search_that_finds_nothing_feasible_names_the_first_error(self, tmp_path, capsys):
+        # the first-hop output is always 0, so no source bias recharges the relay
+        path = tmp_path / "dead-first-hop.yaml"
+        path.write_text(DEAD_FIRST_HOP)
+        assert main(["optimize", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("constraint error: no feasible policy found anywhere on the search grid"
+                       " (first error: charge probability must be in (0, 1]; 0 never recharges)\n")
 
     def test_total_loss(self, tmp_path, capsys):
         path = tmp_path / "dead.yaml"
@@ -372,7 +389,7 @@ SHIPPED_DIGESTS = {
     "simulate-occupancy": ("simulate",
                            "416d195c71c43ebf720df94545c576b777dbe48ef3dfda088f6fef0a6c32630a"),
     "sweep-capacity": ("sweep", "15077fa5fc201f3e283f6f9de01589068bae5fa66ba64ef1659509ed5c894163"),
-    "sweep-cost": ("sweep", "3d91f06caa891f89efd4c57b682c572e04cee97830ddcdfcfd070d6733e0bc53"),
+    "sweep-cost": ("sweep", "07a20678aa7213ce1c976437b52532fdc30d84fafbaa86565b6c4f79c78adc20"),
 }
 
 
