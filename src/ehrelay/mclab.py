@@ -40,6 +40,7 @@ MAX_STEPS = 10_000_000
 MAX_CODEBOOK = 2**20
 _LN2 = math.log(2.0)
 _Z_BLOCK_ROWS = 1024
+_Z_HORIZON_QUANTILE = 0.9  # z_empirical's round length: about one row in ten runs a second round
 _CODEC_STOCK_BUDGET = 2**22  # uniforms pre-drawn per lockstep group of codec trials
 
 
@@ -396,17 +397,23 @@ def z_empirical(cost: int, p1: float, overlap: bool, cfg: RunConfig) -> ZEmpiric
     cost; the histogram of slot counts is compared to ``z_pmf`` by total
     variation (the reference truncation error is far below the tolerance of
     interest). Each round draws ``horizon`` slots for every pending sample,
-    in blocks of 1,024 samples; uniforms are drawn row-major, so the blocks
-    consume the stream exactly as one (pending, horizon) draw would, and
-    memory stays O(1024 * horizon). A block's hits are found once, in
-    row-major order: each row's hit count and the offset of its first hit
-    give the slot of the hit that completes its charge, and a row that falls
-    short carries its count into the next round.
+    where ``horizon`` is the reference law's 0.9 quantile: the smallest
+    support point whose cumulative probability reaches 0.9, capped at the
+    last. Rows that fall short run further rounds, so about one sample in
+    ten takes a second round and a few take more. Rounds are drawn in blocks
+    of 1,024 samples; uniforms are drawn row-major, so the blocks consume
+    the stream exactly as one (pending, horizon) draw would, and memory is
+    bounded by 1,024 * horizon. A block's hits are found once, in row-major
+    order: each row's hit count and the offset of its first hit give the
+    slot of the hit that completes its charge, and a row that falls short
+    carries its count into the next round.
     """
     noise = ZNoise(cost=cost, p1=p1, overlap=overlap)
     reference = z_pmf(noise)
     samples = cfg.n
-    horizon = int(reference.values[-1]) + 8
+    cdf = np.cumsum(reference.probs)
+    at = min(int(np.searchsorted(cdf, _Z_HORIZON_QUANTILE)), cdf.size - 1)
+    horizon = int(reference.values[at])
     label = f"recharge/cost={cost}/p1={p1!r}/overlap={overlap}"
     rng = substream(cfg.seed, label)
     out = np.empty(samples, dtype=np.int64)

@@ -167,7 +167,9 @@ def _z_law(noise: ZNoise) -> tuple[np.ndarray, np.ndarray]:
             )
         probs = np.concatenate([probs, mass(hi + 1, 2 * hi + 1)])
         hi *= 2
-    cut = int(np.searchsorted(np.cumsum(probs), 1.0 - MASS_TOL)) + 1
+    # the loop stops on the pairwise sum, and the sequential cumsum can end
+    # just below it, so the cut is clamped to the points computed
+    cut = min(int(np.searchsorted(np.cumsum(probs), 1.0 - MASS_TOL)) + 1, probs.size)
     probs = probs[:cut]
     return np.arange(lo, lo + cut, dtype=np.int64), probs / probs.sum()
 

@@ -403,8 +403,11 @@ def sample_path_oracle(transition, init: int, n: int, rng: np.random.Generator) 
 
 def z_empirical_oracle(cost: int, p1: float, overlap: bool, cfg) -> np.ndarray:
     """Every recharge-time sample ``z_empirical`` draws, each round's pending
-    samples drawn as one (pending, horizon) matrix."""
-    horizon = int(z_pmf(ZNoise(cost=cost, p1=p1, overlap=overlap)).values[-1]) + 8
+    samples drawn as one (pending, horizon) matrix, with the horizon at the
+    reference law's 0.9 quantile."""
+    law = z_pmf(ZNoise(cost=cost, p1=p1, overlap=overlap))
+    first = int(np.searchsorted(np.cumsum(law.probs), 0.9))
+    horizon = int(law.values[min(first, law.values.size - 1)])
     rng = substream(cfg.seed, f"recharge/cost={cost}/p1={p1!r}/overlap={overlap}")
     out = []
     while len(out) < cfg.n:

@@ -466,6 +466,10 @@ class TestTimingCommand:
         assert main(["timing", "--cost", "516", "--charge-p", "0.99"]) == 0
         assert "recharge time: mean 521.212121" in capsys.readouterr().out
 
+    def test_bias_whose_cumsum_ends_short_is_rated(self, capsys):
+        assert main(["timing", "--cost", "3", "--charge-p", "0.04728146959597227"]) == 0
+        assert "recharge time: mean" in capsys.readouterr().out
+
     def test_truncating_horizon_is_one_numerical_line(self, capsys):
         assert main(["timing", "--cost", "2", "--charge-p", "0.5", "--zmax", "6"]) == 3
         err = capsys.readouterr().err

@@ -329,8 +329,9 @@ class TestZEmpirical:
                                       (2, 0.6, True), (5, 0.02, True)])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_hit_counts_carry_across_rounds(self, monkeypatch, case, seed):
-        # A reference law cut at cost + 3 shrinks the horizon to cost + 11,
-        # far below most of these recharge times, so rows run several rounds.
+        # A reference law cut at cost + 3 puts the horizon at or below cost + 3,
+        # far below most of these recharge times, so rows run several rounds;
+        # a recharge time past cost + 11 took at least three.
         exact = z_pmf
 
         def cut(noise):
@@ -348,6 +349,45 @@ class TestZEmpirical:
         assert np.array_equal(res.counts,
                               np.bincount(want - res.values[0], minlength=res.values.size))
         assert res.mean == float(want.mean())
+
+    @staticmethod
+    def counted_substream(monkeypatch):
+        """Patch ``mclab.substream`` so the uniforms each call draws are summed."""
+        drawn = [0]
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size):
+                drawn[0] += int(np.prod(size))
+                return self.rng.random(size)
+
+        real = mclab.substream
+        monkeypatch.setattr(mclab, "substream", lambda *args: Counted(real(*args)))
+        return drawn
+
+    @pytest.mark.parametrize("case, cap", [((6, 0.08, True), 3_000_000),
+                                           ((4, 0.3, False), 600_000)])
+    def test_uniforms_drawn_stay_near_the_quantile_horizon(self, monkeypatch, case, cap):
+        # a horizon at the support's last point + 8 draws 10.18M and 2.26M
+        drawn = self.counted_substream(monkeypatch)
+        z_empirical(*case, RunConfig(seed=0, n=20000))
+        assert 0 < drawn[0] <= cap
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_sure_arrivals_finish_in_one_round(self, monkeypatch, overlap):
+        cost, cfg = 4, RunConfig(seed=5, n=3000)
+        drawn = self.counted_substream(monkeypatch)
+        res = z_empirical(cost, 1.0, overlap, cfg)
+        want = z_empirical_oracle(cost, 1.0, overlap, cfg)
+        assert np.array_equal(res.counts,
+                              np.bincount(want - res.values[0], minlength=res.values.size))
+        # every slot charges, so the horizon is the one recharge time and each
+        # row draws it once, after its overlap target draw
+        horizon = cost - 1 if overlap else cost
+        assert np.array_equal(np.unique(want), [horizon])
+        assert drawn[0] == cfg.n * (horizon + overlap)
 
     def test_memory_is_bounded_by_the_row_block(self):
         tracemalloc.start()

@@ -9,6 +9,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from ehrelay import (
@@ -67,7 +68,7 @@ def z_pmf_oracle(cost, p1, overlap=False):
     while True:
         probs = np.array([mass(z) for z in range(lo, hi + 1)])
         if probs.sum() >= 1.0 - MASS_TOL:
-            cut = int(np.searchsorted(np.cumsum(probs), 1.0 - MASS_TOL)) + 1
+            cut = min(int(np.searchsorted(np.cumsum(probs), 1.0 - MASS_TOL)) + 1, probs.size)
             probs = probs[:cut] / probs[:cut].sum()
             return np.arange(lo, lo + cut), probs / float(probs.sum()), doublings
         hi, doublings = 2 * hi, doublings + 1
@@ -137,6 +138,35 @@ class TestZPmf:
                     assert np.array_equal(dist.probs, probs)
                     seen.add(doublings)
         assert {0, 1, 2, 3} <= seen
+
+    # the pairwise sum reaches 1 - MASS_TOL here but the sequential cumsum
+    # ends just below it, so an unclamped cut asks for one point too many
+    SHORT_CUMSUM_P1 = 0.04728146959597227
+
+    def test_cut_never_passes_the_computed_points(self):
+        dist = z_pmf(ZNoise(cost=3, p1=self.SHORT_CUMSUM_P1))
+        values, probs, _ = z_pmf_oracle(3, self.SHORT_CUMSUM_P1)
+        assert dist.values.size == dist.probs.size == 702
+        assert np.array_equal(dist.values, values)
+        assert np.array_equal(dist.probs, probs)
+
+    def test_short_cumsum_bias_is_rated(self):
+        # the bias, first hop and wait of a generated rate call that failed
+        src = Pmf([0.9631038163126069, 0.0368961836873931])
+        ch1 = BinaryChannel(1 - 0.0112126973939347, 1 - 0.0112126973939347)
+        assert induced_arrival_prob(src, ch1) == self.SHORT_CUMSUM_P1
+        result = timing_rate(BatterySpec(3, 3), src, ch1, wait_rule="const", wait_const=2)
+        assert result.z_dist.values.size == 702
+        assert np.isfinite(result.breakdown.rate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cost=st.integers(2, 8),
+           p1=st.floats(0.01, 1.0, exclude_min=True),
+           overlap=st.booleans())
+    @example(cost=3, p1=SHORT_CUMSUM_P1, overlap=False)
+    def test_support_and_probabilities_have_one_length(self, cost, p1, overlap):
+        values, probs = timing_module._z_law(ZNoise(cost=cost, p1=p1, overlap=overlap))
+        assert values.shape == probs.shape
 
     def test_cost_600_at_half_charge_is_a_law(self):
         # comb(z - 1, 599) leaves the double range at z = 1,047, inside the support
