@@ -230,31 +230,54 @@ def transition_tensor(spec: BatterySpec, arrival: ArrivalModel) -> np.ndarray:
     return tensor
 
 
-def _kernels(joint: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+def _tensor_cells(tensor: np.ndarray) -> np.ndarray:
+    """The (L, 2, 2, L) transition tensor as one contiguous row per (x1, x2) cell.
+
+    Row 2 * x1 + x2 holds A[u, x1, x2, u'] at u * L + u', read-only; this
+    is the layout ``_kernels`` multiplies.
+    """
+    states = tensor.shape[0]
+    cells = np.ascontiguousarray(tensor.transpose(1, 2, 0, 3)).reshape(4, states * states)
+    cells.flags.writeable = False
+    return cells
+
+
+@lru_cache(maxsize=_PATTERN_STATES)
+def _cell_index(states: int) -> np.ndarray:
+    """Index of p(x1, x2 | u) in a flat (L, 2, 2) table, at (2 * x1 + x2, u * L + u')."""
+    index = 4 * np.repeat(np.arange(states), states) + np.arange(4)[:, None]
+    index.flags.writeable = False
+    return index
+
+
+def _kernels(joint: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Level kernels K[u, u'] = sum over (x1, x2) of p(x1, x2 | u) A[u, x1, x2, u'].
 
     ``joint`` stacks per-level tables with shape (..., L, 2, 2) and
-    ``tensor`` is the (L, 2, 2, L) transition tensor; returns (..., L, L).
-    The four cells are summed in one fixed order, so a kernel does not
-    depend on the batch it is built in.
+    ``cells`` is ``_tensor_cells`` of the transition tensor; returns
+    (..., L, L). Each table entry is spread along its level's kernel row,
+    so all the products are one multiply, and the four cells are added in
+    their fixed order (a reduction over an axis that is not the last adds
+    one term at a time), so a kernel does not depend on the batch it is
+    built in.
     """
-    return (joint[..., 0, 0, None] * tensor[:, 0, 0, :]
-            + joint[..., 0, 1, None] * tensor[:, 0, 1, :]
-            + joint[..., 1, 0, None] * tensor[:, 1, 0, :]
-            + joint[..., 1, 1, None] * tensor[:, 1, 1, :])
+    states = joint.shape[-3]
+    lead = joint.shape[:-3]
+    spread = joint.reshape(lead + (4 * states,)).take(_cell_index(states), axis=-1)
+    return np.add.reduce(spread * cells, axis=-2).reshape(lead + (states, states))
 
 
 def build_kernel(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel) -> np.ndarray:
     """Battery-level transition matrix induced by a policy and a charge law."""
-    return _policy_kernel(spec, policy, transition_tensor(spec, arrival))
+    return _policy_kernel(spec, policy, _tensor_cells(transition_tensor(spec, arrival)))
 
 
-def _policy_kernel(spec: BatterySpec, policy: StatePolicy, tensor: np.ndarray) -> np.ndarray:
-    """``build_kernel`` over a transition tensor the caller has already built."""
+def _policy_kernel(spec: BatterySpec, policy: StatePolicy, cells: np.ndarray) -> np.ndarray:
+    """``build_kernel`` over the ``_tensor_cells`` the caller has already built."""
     if policy.spec != spec:
         raise ValidationError("policy was built for a different battery geometry")
     _require_no_underfunded_spending(policy)
-    kernel = _kernels(policy.tensor(), tensor)
+    kernel = _kernels(policy.tensor(), cells)
     if not _rows_sum_to_one(kernel, INTERNAL_TOL):
         raise NumericalError("kernel rows do not sum to one; transition mass was lost")
     return kernel
@@ -335,6 +358,16 @@ def _graph_regularity(adj: np.ndarray) -> RegularityReport:
     return RegularityReport(indecomposable=(closed == 1), self_loop_state=self_loop)
 
 
+@lru_cache(maxsize=_PATTERN_STATES)
+def _balance_constants(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The identity and the right-hand side e_n of the n-level balance system, read-only."""
+    eye = np.eye(n)
+    b = np.zeros((n, 1))
+    b[-1, 0] = 1.0
+    eye.flags.writeable = b.flags.writeable = False
+    return eye, b
+
+
 def _solve_stationary(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Direct solve of the balance equations for one kernel or a stack of them.
 
@@ -347,29 +380,29 @@ def _solve_stationary(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the same LAPACK call either way, so a row's result does not depend on
     the stack it came in.
     """
-    n = k.shape[-1]
-    a = np.swapaxes(k, -1, -2) - np.eye(n)
+    eye, b = _balance_constants(k.shape[-1])
+    a = k.swapaxes(-1, -2) - eye
     a[..., -1, :] = 1.0
-    b = np.zeros(a.shape[:-1] + (1,))
-    b[..., -1, 0] = 1.0
     try:
-        pi = np.linalg.solve(a, b)[..., 0]
+        # b as a stack of one matrix: numpy before 2.0 reads a b with one
+        # axis fewer than a as a stack of vectors
+        pi = np.linalg.solve(a, b.reshape((1,) * (a.ndim - 2) + b.shape))[..., 0]
     except np.linalg.LinAlgError:
         pi = np.full(a.shape[:-1], np.nan)
         for idx in np.ndindex(a.shape[:-2]):
             try:
-                pi[idx] = np.linalg.solve(a[idx], b[idx])[:, 0]
+                pi[idx] = np.linalg.solve(a[idx], b)[:, 0]
             except np.linalg.LinAlgError:
                 pass
-    # Checked once over the whole stack; rows are masked only when one fails.
-    finite = np.isfinite(pi)
-    if finite.all():
-        ok = np.ones(pi.shape[:-1], dtype=bool)
-    else:
-        ok = finite.all(axis=-1)
-        pi = np.where(ok[..., None], pi, 0.0)
-    if pi.min() < -1e-9:
-        ok &= pi.min(axis=-1) >= -1e-9
+    # The common case: with every entry positive and every row sum finite,
+    # the masking below changes nothing, so only the renormalization runs.
+    if pi.min() > 0.0:
+        total = pi.sum(axis=-1)
+        if total.max() < np.inf:
+            return pi / total[..., None], np.ones(pi.shape[:-1], dtype=bool)
+    ok = np.isfinite(pi).all(axis=-1)
+    pi = np.where(ok[..., None], pi, 0.0)
+    ok &= pi.min(axis=-1) >= -1e-9
     pi = np.clip(pi, 0.0, None)
     total = pi.sum(axis=-1)
     ok &= total > 0.0

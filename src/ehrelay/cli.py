@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import inspect
 import os
@@ -57,6 +58,10 @@ _SIM_COLUMNS = ("level", "frequency", "stationary", "abs_deviation")
 _AEP_COLUMNS = ("trial", "n", "marginal_bits_per_symbol", "joint_bits_per_symbol")
 _CODEC_COLUMNS = ("block", "n", "trials", "p_incomplete", "p_ambiguous", "p_either")
 _TIMING_COLUMNS = ("series", "value", "probability")
+# libyaml's parser where pyyaml was built with it, pyyaml's own otherwise;
+# both feed the same safe constructor and resolver, so a config reads the
+# same either way.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class _UsageError(Exception):
@@ -183,14 +188,19 @@ def _load_config(path: str) -> tuple[dict, str]:
     except OSError as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()[:12]
+    # Reading a nested value, or the repr that names it in an error, takes
+    # one Python frame per level of nesting.
     try:
-        cfg = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"config {path} is not valid YAML: "
-                              + " ".join(str(exc).split())) from exc
-    if not isinstance(cfg, dict):
-        raise ValidationError("config must be a mapping at the top level")
-    return _read(cfg, _SCHEMA, ""), digest
+        try:
+            cfg = yaml.load(raw, Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ValidationError(f"config {path} is not valid YAML: "
+                                  + " ".join(str(exc).split())) from exc
+        if not isinstance(cfg, dict):
+            raise ValidationError("config must be a mapping at the top level")
+        return _read(cfg, _SCHEMA, ""), digest
+    except RecursionError:
+        raise ValidationError(f"config {path} nests too deeply to read") from None
 
 
 def _need(cfg: dict, path: str):
@@ -543,7 +553,13 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> _Parser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The command-line parser, built on first use and shared by later calls.
+
+    ``parse_args`` keeps nothing between calls: each returns a fresh
+    namespace, and usage text goes to the ``sys.stderr`` of the moment.
+    """
     parser = _Parser(prog="ehrelay",
                      description="Rates and experiments for a battery-limited relay link")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -574,9 +590,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError:
         return 1
     try:

@@ -46,6 +46,9 @@ _RESIDUAL_GATE = 1e-8
 _CHUNK = 512
 _TIMING_BOX = (0.01, 0.99)
 _GOLDEN = (sqrt(5.0) - 1.0) / 2.0
+# Factors of a funded level's four cells among (a, b, c, 1-a, 1-b, 1-c).
+_SPLIT_LEFT = np.array([0, 0, 3, 3])
+_SPLIT_RIGHT = np.array([1, 4, 2, 5])
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,8 @@ class _CubeProblem:
         raise NotImplementedError
 
     def score(self, thetas: np.ndarray) -> np.ndarray:
+        if len(thetas) <= _CHUNK:
+            return self.values(thetas)
         return np.concatenate([self.values(thetas[i:i + _CHUNK])
                                for i in range(0, len(thetas), _CHUNK)])
 
@@ -158,11 +163,11 @@ def _dims(model: Model, spec: BatterySpec) -> int:
     return 1 + funded
 
 
-def _chain_values(joint: np.ndarray, tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _chain_values(joint: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Steady states of the kernels induced by a stack of joint tables.
 
-    ``joint`` has shape (B, L, 2, 2) and ``tensor`` is the (L, 2, 2, L)
-    transition tensor; returns ``(pi, ok)`` with shapes (B, L) and (B,).
+    ``joint`` has shape (B, L, 2, 2) and ``cells`` is the scheme's
+    ``_tensor_cells``; returns ``(pi, ok)`` with shapes (B, L) and (B,).
     The search's rule for a steady state: one direct solve per kernel
     (``_solve_stationary``, which marks singular, non-finite and clearly
     negative solutions), then a residual max|pi K - pi| of at most
@@ -171,10 +176,10 @@ def _chain_values(joint: np.ndarray, tensor: np.ndarray) -> tuple[np.ndarray, np
     ``stationary`` stays the strict path, and ``finalize`` re-checks the
     winning policy through it.
     """
-    kernel = _kernels(joint, tensor)
+    kernel = _kernels(joint, cells)
     pi, ok = _solve_stationary(kernel)
-    flow = (pi[..., None] * kernel).sum(axis=-2)
-    ok &= np.abs(flow - pi).max(axis=-1) <= _RESIDUAL_GATE
+    flow = np.add.reduce(pi[..., None] * kernel, axis=-2)
+    ok &= np.maximum.reduce(np.abs(flow - pi), axis=-1) <= _RESIDUAL_GATE
     return pi, ok
 
 
@@ -229,17 +234,16 @@ class _SecondHopProblem(_PolicyProblem):
         joint[:, :m, 1, 0] = bias
         if self.funded:
             abc = thetas[:, m:].reshape(len(thetas), self.funded, 3)
-            a, b, c = abc[..., 0], abc[..., 1], abc[..., 2]
-            cells = np.stack(
-                [a * b, a * (1.0 - b), (1.0 - a) * c, (1.0 - a) * (1.0 - c)], axis=-1
-            )
+            split = np.concatenate([abc, 1.0 - abc], axis=-1)  # a, b, c, 1-a, 1-b, 1-c
+            # the cells a b, a (1-b), (1-a) c and (1-a)(1-c)
+            cells = split.take(_SPLIT_LEFT, axis=-1) * split.take(_SPLIT_RIGHT, axis=-1)
             joint[:, m:] = (eps + (1.0 - 4.0 * eps) * cells).reshape(
                 len(thetas), self.funded, 2, 2)
         return joint
 
     def values(self, thetas: np.ndarray) -> np.ndarray:
         joint = self.decode(thetas)
-        pi, ok = _chain_values(joint, self.scheme.tensor)
+        pi, ok = _chain_values(joint, self.scheme.cells)
         return _scores(ok, *second_hop_bounds(joint, pi, self.scheme.ch2))
 
     def policy(self, theta: np.ndarray):
@@ -262,23 +266,26 @@ class _ProductProblem(_PolicyProblem):
         super().__init__(scheme, eps)
         self.lo = sqrt(eps)
         self.span = 1.0 - 2.0 * self.lo
+        # where each coordinate lands among P(source 1), P(spend) at each level
+        self.slots = np.r_[0, np.arange(1 + self.spec.cost, 1 + self.spec.states)]
 
     def decode(self, thetas: np.ndarray):
-        """Source laws (B, 2) and relay rows (B, L, 2) for points (B, dims)."""
-        vals = self.lo + self.span * thetas
-        p1 = vals[:, 0]
-        src = np.stack([1.0 - p1, p1], axis=-1)
-        rows = np.zeros((len(thetas), self.spec.states, 2))
-        rows[:, :, 0] = 1.0
-        if self.funded:
-            rows[:, self.spec.cost:, 1] = vals[:, 1:]
-            rows[:, self.spec.cost:, 0] = 1.0 - vals[:, 1:]
-        return src, rows
+        """Source laws (B, 2) and relay rows (B, L, 2) for points (B, dims).
+
+        Both are views of one (B, 1 + L, 2) array of binary laws, the
+        source's first; levels below the cost never spend.
+        """
+        p_one = np.zeros((len(thetas), 1 + self.spec.states))
+        p_one[:, self.slots] = self.lo + self.span * thetas
+        laws = np.empty(p_one.shape + (2,))
+        laws[..., 1] = p_one
+        np.subtract(1.0, p_one, out=laws[..., 0])
+        return laws[:, 0], laws[:, 1:]
 
     def values(self, thetas: np.ndarray) -> np.ndarray:
         src, rows = self.decode(thetas)
         joint = src[:, None, :, None] * rows[:, :, None, :]
-        pi, ok = _chain_values(joint, self.scheme.tensor)
+        pi, ok = _chain_values(joint, self.scheme.cells)
         s = self.scheme
         return _scores(ok, *product_bounds(src, rows, pi, s.ch1, s.ch2, s.penalty))
 
@@ -389,40 +396,52 @@ def _ascend(problem: _CubeProblem, starts: np.ndarray, values: np.ndarray, iters
     count, dims = thetas.shape
     width = 2 * dims
     ks = np.arange(width)
-    coord = ks // 2
     sign = np.where(ks % 2 == 0, 1.0, -1.0)
-    steps = np.full(count, _STEP0)
-    at = np.zeros(count, dtype=np.int64)  # each ascent's next move in its sweep
-    sweeps = np.zeros(count, dtype=np.int64)
-    improved = np.zeros(count, dtype=bool)
+    # The running ascents' state, one row each, compacted as ascents stop.
     live = np.arange(count if iters > 0 else 0)
+    point, value = thetas[live], best[live]
+    steps = np.full(live.size, _STEP0)
+    shift = sign * steps[:, None]  # each move's shift, renewed when a step halves
+    at = np.zeros(live.size, dtype=np.int64)  # each ascent's next move in its sweep
+    sweeps = np.zeros(live.size, dtype=np.int64)
+    improved = np.zeros(live.size, dtype=bool)
     while live.size:
-        old = thetas[live][:, coord]
-        new = np.minimum(np.maximum(old + sign * steps[live, None], 0.0), 1.0)
-        moved = (ks >= at[live, None]) & (new != old)
-        points = np.repeat(thetas[live, None, :], width, axis=1)
-        points[:, ks, coord] = new
-        ahead = np.full(moved.shape, -np.inf)
-        if moved.any():
-            ahead[moved] = problem.score(points[moved])
-        up = moved & (ahead > best[live, None])
-        first = up.argmax(axis=1)
-        took = up[np.arange(live.size), first]
-        first[~took] = width
-        problem.evaluations += int((moved & (ks <= first[:, None])).sum())
-        rows = np.flatnonzero(took)
-        best[live[rows]] = ahead[rows, first[rows]]
-        thetas[live[rows]] = points[rows, first[rows]]
-        improved[live[rows]] = True
-        at[live] = first + 1
-        ended = live[at[live] >= width]
-        stalled = ended[~improved[ended]]
-        steps[stalled] *= 0.5
-        sweeps[ended] += 1
+        old = point.repeat(2, axis=1)  # move k shifts coordinate k // 2
+        new = np.minimum(np.maximum(old + shift, 0.0), 1.0)
+        moved = (new != old) & (ks >= at[:, None])
+        rows, cols = moved.nonzero()
+        # A move left unscored stays at -inf; the last column, at +inf, is
+        # where the argmax lands when no move is better.
+        ahead = np.full((live.size, width + 1), -np.inf)
+        ahead[:, width] = np.inf
+        if rows.size:
+            points = point[rows]
+            points[np.arange(rows.size), cols // 2] = new[moved]
+            ahead[rows, cols] = problem.score(points)
+        first = (ahead > value[:, None]).argmax(axis=1)
+        problem.evaluations += int(np.count_nonzero(cols <= first[rows]))
+        took = (first < width).nonzero()[0]
+        if took.size:
+            k = first[took]
+            value[took] = ahead[took, k]
+            point[took, k // 2] = new[took, k]
+            improved[took] = True
+        at = first + 1
+        ended = at >= width
+        if not np.count_nonzero(ended):
+            continue
+        steps[ended & ~improved] *= 0.5
+        shift = sign * steps[:, None]
+        sweeps += ended
         at[ended] = 0
-        improved[ended] = False
-        done = (sweeps[live] >= iters) | (steps[live] < _STEP_FLOOR)
-        live = live[~done]
+        improved &= ~ended
+        done = (sweeps >= iters) | (steps < _STEP_FLOOR)
+        if np.count_nonzero(done):
+            thetas[live[done]] = point[done]
+            best[live[done]] = value[done]
+            keep = ~done
+            live, point, value, shift = live[keep], point[keep], value[keep], shift[keep]
+            steps, at, sweeps, improved = steps[keep], at[keep], sweeps[keep], improved[keep]
     return thetas, best
 
 

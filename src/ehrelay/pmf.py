@@ -22,7 +22,7 @@ from .errors import ValidationError
 USER_TOL = 1e-9
 INTERNAL_TOL = 1e-12
 
-_LN2 = float(np.log(2.0))
+_LEAST = float(np.finfo(float).smallest_subnormal)
 
 
 def _validated_vector(values, tol: float, what: str) -> np.ndarray:
@@ -240,15 +240,14 @@ def _h2(p) -> np.ndarray:
 
     The unvalidated core of ``binary_entropy`` for internal hot paths whose
     arguments are probabilities by construction; rounding slop just outside
-    [0, 1] is clipped the same way.
+    [0, 1] is clipped the same way. A zero probability takes the logarithm
+    of the least subnormal instead of its own; times zero that is a zero
+    term, so 0 * log 0 = 0 holds with the bits of skipping the logarithm.
     """
-    arr = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    arr = np.minimum(np.maximum(p, 0.0), 1.0)
     comp = 1.0 - arr
-    log_arr = np.zeros_like(arr)
-    log_comp = np.zeros_like(arr)
-    np.log2(arr, out=log_arr, where=arr > 0.0)
-    np.log2(comp, out=log_comp, where=comp > 0.0)
-    return (0.0 - arr * log_arr) - comp * log_comp
+    return ((0.0 - arr * np.log2(np.maximum(arr, _LEAST)))
+            - comp * np.log2(np.maximum(comp, _LEAST)))
 
 
 def binary_entropy(p):

@@ -30,6 +30,7 @@ from .battery import (
     BatterySpec,
     StatePolicy,
     _policy_kernel,
+    _tensor_cells,
     energy_profile,
     stationary,
     transition_tensor,
@@ -59,8 +60,9 @@ def require_informative_second_hop(ch2: BinaryChannel) -> None:
 def per_level_receiver_bits(x2_rows: np.ndarray, ch2: BinaryChannel) -> np.ndarray:
     """I(relay symbol; destination symbol) at each level, over any leading batch axes."""
     noise = ch2.noise_bits
-    out0 = x2_rows[..., 0] * ch2.q1 + x2_rows[..., 1] * (1.0 - ch2.q2)
-    cond = x2_rows[..., 0] * noise[0] + x2_rows[..., 1] * noise[1]
+    zero, one = x2_rows[..., 0], x2_rows[..., 1]
+    out0 = zero * ch2.q1 + one * (1.0 - ch2.q2)
+    cond = zero * noise[0] + one * noise[1]
     return np.maximum(_h2(out0) - cond, 0.0)
 
 
@@ -70,11 +72,9 @@ def per_level_source_entropy_bits(joint: np.ndarray) -> np.ndarray:
     ``joint`` stacks (source x relay) tables on its last two axes.
     """
     flat = joint.reshape(joint.shape[:-2] + (4,))
-    mask = flat > 0.0
-    logs = np.zeros_like(flat)
-    np.log2(flat, out=logs, where=mask)
-    h_joint = -(flat * logs).sum(axis=-1)
-    h_x2 = _h2(joint.sum(axis=-2)[..., 1])
+    logs = np.log2(flat, out=np.zeros(flat.shape), where=flat > 0.0)
+    h_joint = -np.add.reduce(flat * logs, axis=-1)
+    h_x2 = _h2(joint[..., 0, 1] + joint[..., 1, 1])
     return np.maximum(h_joint - h_x2, 0.0)
 
 
@@ -155,9 +155,10 @@ class _Scheme:
     """A per-level model with everything its rate needs besides the policy.
 
     ``tensor`` is the read-only transition tensor of ``arrival`` on ``spec``,
-    built once for every policy the scheme rates. ``penalty`` is the
-    receiver's charge entropy given each source symbol; the second-hop
-    scheme, whose charge is the source symbol, has none.
+    built once for every policy the scheme rates, and ``cells`` its
+    ``_tensor_cells``, the layout every kernel is built from. ``penalty``
+    is the receiver's charge entropy given each source symbol; the
+    second-hop scheme, whose charge is the source symbol, has none.
     """
 
     model: Model
@@ -166,6 +167,7 @@ class _Scheme:
     ch2: BinaryChannel
     arrival: ArrivalModel
     tensor: np.ndarray
+    cells: np.ndarray
     penalty: Optional[np.ndarray]
 
 
@@ -193,7 +195,7 @@ def _scheme(model: Model, spec: BatterySpec, ch1: Optional[BinaryChannel] = None
         penalty = loss_penalty_bits(arrival, spec)
     tensor = transition_tensor(spec, arrival)
     tensor.flags.writeable = False
-    return _Scheme(model, spec, ch1, ch2, arrival, tensor, penalty)
+    return _Scheme(model, spec, ch1, ch2, arrival, tensor, _tensor_cells(tensor), penalty)
 
 
 def _policy_rate(scheme: _Scheme, policy: StatePolicy) -> RateBreakdown:
@@ -203,7 +205,7 @@ def _policy_rate(scheme: _Scheme, policy: StatePolicy) -> RateBreakdown:
     chain must pass the regularity check. A second-hop policy is joint, the
     others are product policies.
     """
-    kernel = _policy_kernel(scheme.spec, policy, scheme.tensor)
+    kernel = _policy_kernel(scheme.spec, policy, scheme.cells)
     pi = stationary(kernel).probs[None]
     if scheme.model is Model.SECOND_HOP:
         relay, receiver = second_hop_bounds(policy.tensor()[None], pi, scheme.ch2)

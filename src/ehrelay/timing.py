@@ -46,7 +46,22 @@ class IntegerPmf:
         total = float(pr.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"probabilities sum to {total}, expected 1")
-        pr = pr / total
+        self._hold(vals, pr / total)
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray, probs: np.ndarray) -> "IntegerPmf":
+        """The pmf of a law that ``_z_law`` or ``_t_law`` built.
+
+        Their supports ascend and their weights are finite, nonnegative and
+        sum to one by construction, so only the constructor's
+        renormalization is applied, not its checks.
+        """
+        dist = cls.__new__(cls)
+        vals = np.asarray(values, dtype=np.int64)
+        dist._hold(vals, probs / float(probs.sum()))
+        return dist
+
+    def _hold(self, vals: np.ndarray, pr: np.ndarray) -> None:
         vals.setflags(write=False)
         pr.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -181,7 +196,7 @@ def z_pmf(noise: ZNoise) -> IntegerPmf:
     tail must weigh under ``MASS_TOL`` or the horizon is rejected. Without
     ``zmax`` the smallest adequate horizon is found by doubling.
     """
-    return IntegerPmf(*_z_law(noise))
+    return IntegerPmf._trusted(*_z_law(noise))
 
 
 def default_wait_table(aux_size: int, z_values: np.ndarray) -> np.ndarray:
@@ -254,7 +269,8 @@ def t_pmf(z_dist: IntegerPmf, scheme: TimingScheme) -> IntegerPmf:
     """Distribution of T = Z + v(A, Z) with A independent of Z."""
     if scheme.wait.shape[1] != len(z_dist.values):
         raise ValidationError("wait table columns must cover the recharge support")
-    return IntegerPmf(*_t_law(z_dist.values, z_dist.probs, scheme.aux.probs, scheme.wait))
+    return IntegerPmf._trusted(*_t_law(z_dist.values, z_dist.probs, scheme.aux.probs,
+                                       scheme.wait))
 
 
 def induced_arrival_prob(p_x1: Pmf, ch1: BinaryChannel) -> float:

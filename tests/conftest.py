@@ -434,6 +434,48 @@ def z_empirical_oracle(cost: int, p1: float, overlap: bool, cfg) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+def h2_oracle(p) -> np.ndarray:
+    """Binary entropy with the logarithm taken only where its argument is positive."""
+    arr = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    comp = 1.0 - arr
+    log_arr = np.zeros_like(arr)
+    log_comp = np.zeros_like(arr)
+    np.log2(arr, out=log_arr, where=arr > 0.0)
+    np.log2(comp, out=log_comp, where=comp > 0.0)
+    return (0.0 - arr * log_arr) - comp * log_comp
+
+
+def kernels_oracle(joint: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """Level kernels as the four (x1, x2) cell terms, added left to right."""
+    return (joint[..., 0, 0, None] * tensor[:, 0, 0, :]
+            + joint[..., 0, 1, None] * tensor[:, 0, 1, :]
+            + joint[..., 1, 0, None] * tensor[:, 1, 0, :]
+            + joint[..., 1, 1, None] * tensor[:, 1, 1, :])
+
+
+def solve_stationary_oracle(k: np.ndarray) -> tuple:
+    """The balance solve of a kernel stack with every row masked the long way:
+    one solve per kernel, -1e-9 as the negativity gate, clip, renormalize."""
+    n = k.shape[-1]
+    pi = np.full(k.shape[:-1], np.nan)
+    for idx in np.ndindex(k.shape[:-2]):
+        a = k[idx].T - np.eye(n)
+        a[-1, :] = 1.0
+        b = np.zeros((n, 1))
+        b[-1, 0] = 1.0
+        try:
+            pi[idx] = np.linalg.solve(a, b)[:, 0]
+        except np.linalg.LinAlgError:
+            pass
+    ok = np.isfinite(pi).all(axis=-1)
+    pi = np.where(ok[..., None], pi, 0.0)
+    ok &= pi.min(axis=-1) >= -1e-9
+    pi = np.clip(pi, 0.0, None)
+    total = pi.sum(axis=-1)
+    ok &= total > 0.0
+    return pi / np.where(ok, total, 1.0)[..., None], ok
+
+
 def ascend_oracle(problem, starts: np.ndarray, iters: int):
     """The lockstep ascent scoring, at every (sweep, coordinate, direction),
     the moved points of the ascents still running in one counted call."""

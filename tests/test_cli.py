@@ -16,6 +16,7 @@ from ehrelay.cli import _SCHEMA, _fmt, main
 
 # The package attribute ``ehrelay.optimize`` is the function, not the module.
 opt = importlib.import_module("ehrelay.optimize")
+cli = importlib.import_module("ehrelay.cli")
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -314,6 +315,75 @@ def test_float_key_takes_the_yaml11_exponent_string(tmp_path, capsys):
         assert main(["optimize", "--config", str(path), "--format", "csv"]) == 0
         rows.append(capsys.readouterr().out.splitlines()[2])
     assert rows[0] == rows[1]
+
+
+# The two config loaders: libyaml's parser, when pyyaml was built with it,
+# and pyyaml's own. ``main`` reads with the first it has.
+LOADERS = {"libyaml": getattr(yaml, "CSafeLoader", None), "pure": yaml.SafeLoader}
+
+
+@pytest.fixture(params=sorted(LOADERS))
+def loader(request, monkeypatch):
+    """Run the test with ``main`` reading configs through one loader."""
+    chosen = LOADERS[request.param]
+    if chosen is None:
+        pytest.skip("pyyaml was built without libyaml")
+    monkeypatch.setattr(cli, "_YAML_LOADER", chosen)
+    return chosen
+
+
+def test_main_reads_with_libyaml_when_pyyaml_has_it():
+    assert cli._YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+def test_shipped_configs_read_the_same_under_both_loaders(monkeypatch):
+    if LOADERS["libyaml"] is None:
+        pytest.skip("pyyaml was built without libyaml")
+    configs = sorted((ROOT / "configs").glob("*.yaml"))
+    assert configs
+    for path in configs:
+        read = {}
+        for name, chosen in LOADERS.items():
+            monkeypatch.setattr(cli, "_YAML_LOADER", chosen)
+            read[name] = cli._load_config(str(path))
+        # repr tells an int from an equal float, and a tuple from a list
+        assert repr(read["libyaml"]) == repr(read["pure"]), path.name
+        assert read["libyaml"] == read["pure"], path.name
+
+
+def test_yaml_syntax_error_is_one_line_under_each_loader(loader, tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("model: second-hop\nbattery: {capacity: 2, cost: 2\n")
+    assert main(["rate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config {path} is not valid YAML: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_deeply_nested_config_is_one_line_under_each_loader(loader, tmp_path, capsys):
+    path = tmp_path / "deep.yaml"
+    path.write_text("model: " + "[" * 5000 + "]" * 5000 + "\n")
+    assert main(["rate", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: config {path} nests too deeply to read\n"
+
+
+def test_cached_parser_keeps_no_state_between_runs(loader, capsys):
+    usage = ["rate", "--config", RATE_CONFIG, "--format", "xml"]
+    good = ["rate", "--config", RATE_CONFIG, "--format", "csv"]
+
+    def run(argv, fresh):
+        if fresh:
+            cli._parser.cache_clear()
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = [run(usage, True), run(good, True)]
+    assert alone[0][0] == 1 and "invalid choice" in alone[0][2] and alone[0][1] == ""
+    assert alone[1][0] == 0 and alone[1][2] == ""
+    cli._parser.cache_clear()
+    assert [run(usage, False), run(good, False), run(usage, False)] == alone + alone[:1]
 
 
 def test_readme_schema_block_matches_the_table():

@@ -361,6 +361,7 @@ class TestLookAhead:
         assert ahead_calls <= 170
         assert (ahead.theta, ahead.policy_digest, ahead.evaluations) == (
             oracle.theta, oracle.policy_digest, oracle.evaluations)
+        assert type(ahead.evaluations) is int  # not a numpy integer: JSON reports take it
 
 
 class TestSweep:

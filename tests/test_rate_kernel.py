@@ -5,6 +5,7 @@ stack must cost only its own row. The ascent that scores each sweep's moves
 ahead must walk exactly as the one that scores them position by position,
 and its ascents must wait only on their own moves."""
 
+import hashlib
 import importlib
 
 import numpy as np
@@ -27,10 +28,16 @@ from ehrelay import (
     per_level_source_entropy_bits,
     second_hop_bounds,
 )
-from ehrelay.battery import _kernels, transition_tensor
+from ehrelay.battery import _kernels, _solve_stationary, _tensor_cells, transition_tensor
 from ehrelay.pmf import _h2
 from ehrelay.rates import _scheme
-from conftest import ascend_oracle, random_joint_tables
+from conftest import (
+    ascend_oracle,
+    h2_oracle,
+    kernels_oracle,
+    random_joint_tables,
+    solve_stationary_oracle,
+)
 
 # The package attribute ``ehrelay.optimize`` is the function, not the module.
 opt = importlib.import_module("ehrelay.optimize")
@@ -99,6 +106,26 @@ class TestBatchedKernel:
             breakdown, _ = problem.finalize(theta)
             assert abs(breakdown.rate - value) <= 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(problems(), st.integers(0, 2**32 - 1))
+    def test_chain_helpers_match_their_reference_forms(self, problem, seed):
+        # The kernels, the steady-state solve and the binary entropy of a
+        # scored batch, each bit for bit what its plain form gives.
+        thetas = _thetas(problem, seed, wide=True)
+        if thetas.shape[0] > 2:
+            thetas[1, -1] = np.nan  # a row whose chain fails
+        if isinstance(problem, opt._ProductProblem):
+            src, rows = problem.decode(thetas)
+            joint = src[:, None, :, None] * rows[:, :, None, :]
+        else:
+            joint = problem.decode(thetas)
+        kernel = _kernels(joint, problem.scheme.cells)
+        assert kernel.tobytes() == kernels_oracle(joint, problem.scheme.tensor).tobytes()
+        pi, ok = _solve_stationary(kernel)
+        want_pi, want_ok = solve_stationary_oracle(kernel)
+        assert pi.tobytes() == want_pi.tobytes() and ok.tolist() == want_ok.tolist()
+        assert _h2(joint).tobytes() == h2_oracle(joint).tobytes()
+
     def test_h2_equals_binary_entropy(self):
         tiny = np.finfo(float).smallest_subnormal
         grid = np.concatenate([
@@ -107,6 +134,7 @@ class TestBatchedKernel:
              1e-300, 1e-17, 1.0 - 1e-16, np.nextafter(1.0, 0.0)],
         ])
         assert np.array_equal(_h2(grid), binary_entropy(grid))
+        assert _h2(grid).tobytes() == h2_oracle(grid).tobytes()
         for p in grid[-10:]:
             assert float(_h2(p)) == binary_entropy(float(p))
 
@@ -249,8 +277,8 @@ class TestSingularRows:
         joint = np.stack([p.tensor() for p in policies])
         for arrival in (ArrivalModel.deterministic(), ArrivalModel.first_hop(hop),
                         ArrivalModel.lossy(hop, Pmf([0.3, 0.7]), Pmf([0.6, 0.4]))):
-            tensor = transition_tensor(spec, arrival)
-            kernel = _kernels(joint, tensor)
+            cells = _tensor_cells(transition_tensor(spec, arrival))
+            kernel = _kernels(joint, cells)
             for k, policy in enumerate(policies):
                 assert np.array_equal(kernel[k], build_kernel(spec, policy, arrival))
             singular = [arrival.kind == "deterministic" and k == 2 for k in range(5)]
@@ -260,14 +288,14 @@ class TestSingularRows:
                 with pytest.raises(np.linalg.LinAlgError):
                     np.linalg.solve(a, np.ones(a.shape[:-1] + (1,)))
 
-            pi, ok = opt._chain_values(joint, tensor)
+            pi, ok = opt._chain_values(joint, cells)
             scores = opt._scores(ok, *second_hop_bounds(joint, pi, ch2))
             assert ok.tolist() == [not s for s in singular]
             for k in range(5):
                 if singular[k]:
                     assert scores[k] == -np.inf
                     continue
-                pi1, ok1 = opt._chain_values(joint[k:k + 1], tensor)
+                pi1, ok1 = opt._chain_values(joint[k:k + 1], cells)
                 assert ok1[0] and np.array_equal(pi[k], pi1[0])
                 assert scores[k] == opt._scores(
                     ok1, *second_hop_bounds(joint[k:k + 1], pi1, ch2))[0]
@@ -286,3 +314,57 @@ class TestChunking:
         assert again.theta == reference.theta
         assert again.policy_digest == reference.policy_digest
         assert again.evaluations == reference.evaluations
+
+
+# ``values`` of the three batched scorers frozen in ``float.hex``, at cost 2
+# and capacities 2, 6 and 8 under the shipped sweep channels and loss laws.
+# Each (model, capacity) scores seeded batches of 1, 17, 31 and 80 rows, a
+# fifth of whose coordinates sit on the cube faces; one row of the 31-row
+# batch has a NaN source coordinate, so its chain fails and it scores -inf.
+# A pin is the row count, the number of -inf rows, the greatest value and a
+# sha256 prefix of every row's ``float.hex``, so one flipped bit in any row
+# breaks it.
+SCORER_PIN_BATCHES = (1, 17, 31, 80)
+
+
+def _scorer_problem(model: str, capacity: int):
+    loss = (Pmf([1.0, 0.0]), Pmf([0.1, 0.9])) if model == "random-loss" else None
+    scheme = _scheme(Model(model), BatterySpec(capacity=capacity, cost=2),
+                     BinaryChannel.from_crossover(0.05), BinaryChannel.from_crossover(0.1),
+                     loss)
+    kind = opt._SecondHopProblem if model == "second-hop" else opt._ProductProblem
+    return kind(scheme, EPS)
+
+
+def _scorer_pin(model: str, capacity: int) -> tuple:
+    problem = _scorer_problem(model, capacity)
+    rng = np.random.default_rng([2026, capacity, len(model)])
+    out = []
+    for rows in SCORER_PIN_BATCHES:
+        thetas = rng.random((rows, problem.dims))
+        on_face = rng.random(thetas.shape) < 0.2
+        thetas[on_face] = rng.integers(0, 2, size=int(on_face.sum()))
+        if rows == 31:
+            thetas[int(rng.integers(rows)), 0] = np.nan
+        out.extend(float(v).hex() for v in problem.values(thetas))
+    digest = hashlib.sha256("\n".join(out).encode()).hexdigest()[:16]
+    finite = [float.fromhex(v) for v in out if v != "-inf"]
+    return len(out), out.count("-inf"), max(finite).hex(), digest
+
+
+SCORER_PINS = {
+    ("second-hop", 2): (129, 1, "0x1.6a6d15d25f74fp-2", "723a6958a521162f"),
+    ("second-hop", 6): (129, 1, "0x1.92ec8f0229267p-2", "df67f7402ece06bd"),
+    ("second-hop", 8): (129, 1, "0x1.8648f9820ab75p-2", "c7e0cde183bb2b04"),
+    ("both-hops", 2): (129, 1, "0x1.f6450b28ca9d8p-5", "fc57ad6ca3dce6d2"),
+    ("both-hops", 6): (129, 1, "0x1.f2890bea16cacp-4", "33601e2ae3bcf42c"),
+    ("both-hops", 8): (129, 1, "0x1.12e5b13968658p-3", "e4f7235d0d32a27d"),
+    ("random-loss", 2): (129, 1, "-0x1.97b5e4a487e90p-3", "d277dbea66d31a40"),
+    ("random-loss", 6): (129, 1, "-0x1.4cac39711b6bcp-3", "6940b5912118f051"),
+    ("random-loss", 8): (129, 1, "-0x1.9ffa174317484p-4", "5f3bde2288a3e3db"),
+}
+
+
+@pytest.mark.parametrize("model, capacity", sorted(SCORER_PINS))
+def test_scorer_values_are_pinned(model, capacity):
+    assert _scorer_pin(model, capacity) == SCORER_PINS[model, capacity]

@@ -36,8 +36,10 @@ from ehrelay.timing import (
     _SUPPORT_CAP,
     _cached_coefficients,
     _nb_pmf,
+    _t_law,
     _timing_bounds,
     _wait_rule,
+    _z_law,
 )
 from conftest import mutual_information, nb_pmf_oracle, output_entropy_given_input
 
@@ -506,6 +508,25 @@ class TestIntegerPmf:
             IntegerPmf(np.array([3, 2]), np.array([0.5, 0.5]))
         with pytest.raises(ValidationError):
             IntegerPmf(np.array([1, 2]), np.array([0.6, 0.6]))
+
+    @pytest.mark.parametrize("cost, p1, overlap, zmax", [
+        (2, 0.5, False, None), (3, 0.05, True, None), (6, 0.3, False, 150),
+        (4, 0.9, True, None), (150, 0.05, False, None), (2, 1.0, False, None)])
+    def test_built_laws_equal_the_checked_constructor(self, cost, p1, overlap, zmax):
+        # z_pmf and t_pmf skip the constructor's checks for the laws they
+        # build, and nothing else: the same support and weights, bit for bit.
+        noise = ZNoise(cost=cost, p1=p1, overlap=overlap, zmax=zmax)
+        z = z_pmf(noise)
+        checked = IntegerPmf(*_z_law(noise))
+        aux, table, _ = _wait_rule("mod", 5, 1)
+        scheme = TimingScheme(aux, table(z.values))
+        t = t_pmf(z, scheme)
+        t_checked = IntegerPmf(*_t_law(z.values, z.probs, aux.probs, scheme.wait))
+        for got, want in ((z, checked), (t, t_checked)):
+            assert got.values.dtype == want.values.dtype == np.int64
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert not got.values.flags.writeable and not got.probs.flags.writeable
 
     def test_moments(self):
         dist = IntegerPmf(np.array([1, 3]), np.array([0.5, 0.5]))
