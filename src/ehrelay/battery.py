@@ -501,10 +501,7 @@ def pair_chain(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel,
     weights = level_kernel[src, dst]
     pis = pi.probs[src] * weights
     t = np.where(dst[:, None] == src[None, :], weights, 0.0)
-    total = pis.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise NumericalError("pair-state weights do not sum to one")
-    pis = pis / total
+    pis = pis / pis.sum()
     return PairChain(states=tuple(zip(src.tolist(), dst.tolist())), transition=t, pi=pis,
                      emissions=(dst < src).astype(np.int8))
 

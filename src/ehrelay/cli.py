@@ -47,7 +47,7 @@ from .rates import (
     feasibility_check,
     per_level_source_entropy_bits,
 )
-from .timing import TimingScheme, ZNoise, _wait_rule, t_pmf, timing_rate, z_pmf
+from .timing import TimingScheme, ZNoise, _timing_result, _wait_rule, t_pmf, timing_rate, z_pmf
 
 _RATE_COLUMNS = ("model", "cost", "capacity", "relay_bound", "receiver_bound",
                  "rate", "achievable", "binding")
@@ -383,8 +383,9 @@ def _cmd_rate(cfg: dict, args):
         src = Pmf(_need(cfg, "policy.x1"))
         first = _channels(cfg, "first")["first"]
         opts = _timing_opts(cfg)
-        _, _, scheme_note = _timing_rule(opts)
-        breakdown = timing_rate(spec, src, first, **opts).breakdown
+        rule, scheme_note = _timing_rule(opts)
+        result = _timing_result(spec, src, first, rule, opts["overlap"], opts["zmax"])
+        breakdown = result.breakdown
         pretty = _breakdown_pretty(model, spec, breakdown) + [scheme_note]
         return [_breakdown_row(model, spec, breakdown)], _RATE_COLUMNS, pretty
     policy = _explicit_policy(cfg, spec)
@@ -526,8 +527,8 @@ def _cmd_timing(cfg: dict, args):
         raise ValidationError("the timing command needs --cost and --charge-p "
                               "(or a config providing them)")
     z = z_pmf(ZNoise(cost=cost, p1=p1, overlap=opts["overlap"], zmax=opts["zmax"]))
-    aux, table, scheme_note = _timing_rule(opts)
-    t = t_pmf(z, TimingScheme(aux, table(z.values)))
+    rule, scheme_note = _timing_rule(opts)
+    t = t_pmf(z, TimingScheme(*rule(z.values)))
     rows = [{"series": "recharge", "value": int(v), "probability": float(p)}
             for v, p in zip(z.values, z.probs)]
     rows += [{"series": "spacing", "value": int(v), "probability": float(p)}

@@ -207,6 +207,7 @@ def empirical_aep(chain: PairChain, ch2: Optional[BinaryChannel], cfg: RunConfig
     relay = np.empty((trials, n), dtype=np.int8)
     received = np.empty_like(relay)
     log_channel = np.zeros(trials)
+    rows = None if ch2 is None else ch2.rows  # P(y | x2), rows indexed by x2
     label = f"aep/states={len(chain.states)}/refined={chain.refined}"
     for trial in range(trials):
         rng = substream(cfg.seed, label, trial)
@@ -214,16 +215,9 @@ def empirical_aep(chain: PairChain, ch2: Optional[BinaryChannel], cfg: RunConfig
         path = sample_path(chain.transition, start, n, rng)
         x2 = chain.emissions[path]
         relay[trial] = x2
-        if ch2 is not None:
-            p_one = np.where(x2 == 1, ch2.q2, 1.0 - ch2.q1)
-            y = (rng.random(n) < p_one).astype(np.int8)
-            correct = y == x2
-            terms = np.where(x2 == 1,
-                             np.where(correct, ch2.q2, 1.0 - ch2.q2),
-                             np.where(correct, ch2.q1, 1.0 - ch2.q1))
-            if np.any(terms <= 0.0):
-                raise NumericalError("received a symbol the channel cannot produce")
-            log_channel[trial] = float(np.log(terms).sum())
+        if rows is not None:
+            y = (rng.random(n) < rows[x2, 1]).astype(np.int8)
+            log_channel[trial] = float(np.log(rows[x2, y]).sum())
             received[trial] = y
     log_chain = _forward_pass(chain, _observation_table(chain, None), relay)
     log_received = (log_chain if ch2 is None
@@ -650,20 +644,17 @@ def receiver_smoke_trial(chain: PairChain, ch2: BinaryChannel, message_bits: int
     words = 1 << message_bits
     n = cfg.n
     pair_cum = np.cumsum(chain.pi)
+    rows = ch2.rows  # P(y | x2), rows indexed by x2
     errors = 0
     label = f"receiver/n={n}/bits={message_bits}"
     for trial in range(cfg.trials):
         rng = substream(cfg.seed, label, trial)
         starts = _draw_index(pair_cum, rng, words)
         book = chain.emissions[_sample_paths(chain.transition, starts, n, rng)]
-        x2 = book[0]
-        p_one = np.where(x2 == 1, ch2.q2, 1.0 - ch2.q1)
-        y = (rng.random(n) < p_one).astype(np.int8)
+        y = (rng.random(n) < rows[book[0], 1]).astype(np.int8)
         scores = _forward_pass(chain, _observation_table(chain, None), book)
-        channel_rows = ch2.rows
-        terms = channel_rows[book, y[None, :]]
         with np.errstate(divide="ignore"):
-            scores = scores + np.log(terms).sum(axis=1)
+            scores = scores + np.log(rows[book, y[None, :]]).sum(axis=1)
         if int(np.argmax(scores)) != 0:
             errors += 1
     return ReceiverSmokeResult(n=n, message_bits=message_bits, trials=cfg.trials,

@@ -8,9 +8,10 @@ positivity floor, so every visited policy is feasible by construction and the
 interior-policy conditions of the rate expressions hold automatically.
 
 The timing scheme has one free parameter, the source bias, so its search is
-a line search instead: the same starts, scored once each, then a
-golden-section refine (Kiefer, "Sequential minimax search for a maximum",
-1953) of the bracket around each of the best local maxima among them.
+a line search instead: the same starts, scored once each through the path
+that ``timing_rate`` takes, then a golden-section refine (Kiefer,
+"Sequential minimax search for a maximum", 1953) of the bracket around each
+of the best local maxima among them.
 
 Runs are reproducible: the only randomness is a generator seeded from the
 options plus a label describing the problem, and ties between equal-value
@@ -38,7 +39,8 @@ from .rates import (
     product_bounds,
     second_hop_bounds,
 )
-from .timing import TimingRateResult, _timing_bounds, _wait_rule, timing_rate
+from .timing import (TimingRateResult, _spacing_bounds, _timing_inputs, _timing_laws,
+                     _timing_result, _wait_rule)
 
 _STEP0 = 0.25
 _STEP_FLOOR = 1e-9
@@ -299,27 +301,19 @@ class _ProductProblem(_PolicyProblem):
 class _TimingProblem(_CubeProblem):
     """Source bias for the spacing scheme, one dimension per search.
 
-    ``values`` scores one point at a time through the array kernel
-    ``_timing_bounds``. A point whose laws cannot be built scores -inf, and
-    the first such error is kept in ``error`` so that a search that finds
-    nothing feasible can say why.
+    Biases are scored and the winner reported through the path that
+    ``timing_rate`` takes. A point whose laws cannot be built scores -inf,
+    and the first such error is kept in ``error`` so that a search that
+    finds nothing feasible can say why.
     """
 
     def __init__(self, spec: BatterySpec, ch1: Optional[BinaryChannel], aux_size: int,
                  wait_rule: str, wait_const: int, overlap: bool):
         super().__init__()
-        if ch1 is None:
-            raise ValidationError("timing optimization needs the first-hop channel")
-        if spec.capacity != spec.cost:
-            raise ConstraintError("timing scheme requires capacity equal to the cost")
-        self.spec = spec
+        _timing_inputs(spec, ch1)
+        self.rule, _ = _wait_rule(wait_rule, aux_size, wait_const)
+        self.spec, self.ch1, self.overlap = spec, ch1, overlap
         self.dims = _dims(Model.TIMING, spec)
-        self.ch1 = ch1
-        self.overlap = overlap
-        self.kwargs = dict(aux_size=aux_size, wait_rule=wait_rule,
-                           wait_const=wait_const, overlap=overlap)
-        aux, self.table, _ = _wait_rule(wait_rule, aux_size, wait_const)
-        self.aux = aux.probs
         self.error: Optional[EhRelayError] = None
 
     @staticmethod
@@ -328,26 +322,24 @@ class _TimingProblem(_CubeProblem):
         return lo + (hi - lo) * float(theta[0])
 
     def _score(self, theta: np.ndarray) -> float:
-        p1 = self._p1(theta)
-        src = np.array([1.0 - p1, p1])
-        src /= src.sum()  # what Pmf.binary(p1) holds
         try:
-            return min(_timing_bounds(src, self.ch1, self.spec.cost, self.overlap,
-                                      self.aux, self.table))
+            src, _, _, _, t_law = _timing_laws(self.spec, Pmf.binary(self._p1(theta)),
+                                               self.ch1, self.rule, self.overlap)
         except EhRelayError as exc:
             self.error = self.error or exc
             return -np.inf
+        return min(_spacing_bounds(src.probs, self.ch1, *t_law))
 
     def values(self, thetas: np.ndarray) -> np.ndarray:
         return np.array([self._score(theta) for theta in thetas], dtype=np.float64)
 
     def finalize(self, theta: np.ndarray):
         p1 = self._p1(theta)
-        result = timing_rate(self.spec, Pmf.binary(p1), self.ch1, **self.kwargs)
+        src = Pmf.binary(p1)
+        result = _timing_result(self.spec, src, self.ch1, self.rule, self.overlap)
         digest = _digest([[p1], result.scheme.aux.probs,
                           result.scheme.wait.astype(np.float64)])
-        return result.breakdown, {"p_x1": Pmf.binary(p1), "timing": result,
-                                  "policy_digest": digest}
+        return result.breakdown, {"p_x1": src, "timing": result, "policy_digest": digest}
 
 
 def _start_points(dims: int, opts: OptimizeOptions, rng: np.random.Generator,
@@ -527,8 +519,8 @@ def optimize(model, spec: BatterySpec, *, ch1: Optional[BinaryChannel] = None,
     ``ch1`` (and capacity equal to cost); both-hops needs both channels;
     random-loss needs both channels plus the pair of per-symbol loss laws.
     The reported breakdown is recomputed at the winning policy through the
-    path the public rate functions take (the timing search through
-    ``timing_rate``), so it satisfies exactly the invariants they enforce.
+    path the public rate functions take (``timing_rate``'s for the timing
+    search), so it satisfies exactly the invariants they enforce.
     """
     model = Model(model)
     label = f"optimize/{model.value}/cost={spec.cost}/capacity={spec.capacity}"
@@ -630,8 +622,7 @@ class SweepSpec:
             self.loss.pmfs(smallest.cost)
         for model in models:
             if model is Model.TIMING:
-                _TimingProblem(smallest, self.ch1, self.opts.aux_sizes[0], self.wait_rule,
-                               self.wait_const, self.overlap)
+                _timing_inputs(smallest, self.ch1)
             else:
                 loss = self.loss.pmfs(smallest.cost) if (model is Model.RANDOM_LOSS
                                                          and self.loss is not None) else None

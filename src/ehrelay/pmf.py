@@ -218,10 +218,12 @@ class BinaryChannel:
         bits.flags.writeable = False
         return bits
 
-    @property
+    @cached_property
     def rows(self) -> np.ndarray:
-        """Transition table, rows indexed by input symbol."""
-        return np.array([[self.q1, 1.0 - self.q1], [1.0 - self.q2, self.q2]])
+        """Transition table, rows indexed by input symbol; read-only."""
+        rows = np.array([[self.q1, 1.0 - self.q1], [1.0 - self.q2, self.q2]])
+        rows.flags.writeable = False
+        return rows
 
 
 def entropy(p) -> float:
@@ -231,8 +233,8 @@ def entropy(p) -> float:
 
 def _entropy_bits(probs: np.ndarray) -> float:
     """The unchecked core of ``entropy``, for vectors already normalized."""
-    mask = probs > 0.0
-    return float(-(probs[mask] * np.log2(probs[mask])).sum()) + 0.0
+    live = probs[probs > 0.0]
+    return -float((live * np.log2(live)).sum()) + 0.0
 
 
 def _h2(p) -> np.ndarray:

@@ -50,15 +50,13 @@ class IntegerPmf:
 
     @classmethod
     def _trusted(cls, values: np.ndarray, probs: np.ndarray) -> "IntegerPmf":
-        """The pmf of a law that ``_z_law`` or ``_t_law`` built.
+        """The pmf of a law that ``_z_law`` or ``_t_law`` built, held as it is.
 
-        Their supports ascend and their weights are finite, nonnegative and
-        sum to one by construction, so only the constructor's
-        renormalization is applied, not its checks.
+        Its support ascends and its weights are finite, nonnegative and
+        renormalized by construction, so the constructor's steps are skipped.
         """
         dist = cls.__new__(cls)
-        vals = np.asarray(values, dtype=np.int64)
-        dist._hold(vals, probs / float(probs.sum()))
+        dist._hold(np.asarray(values, dtype=np.int64), probs)
         return dist
 
     def _hold(self, vals: np.ndarray, pr: np.ndarray) -> None:
@@ -145,7 +143,7 @@ def _nb_pmf(start: int, stop: int, k: int, p: float) -> np.ndarray:
     q = 1.0 - p
     linear = first + len(coef)
     powers = [q ** (z - k) for z in range(first, linear)]
-    out[first - start:linear - start] = coef * p**k * np.array(powers)
+    np.multiply(coef * p**k, powers, out=out[first - start:linear - start])
     if linear < stop and q > 0.0:  # with q == 0 every entry past z = k is 0
         base = k * log(p) - lgamma(k)
         out[linear - start:] = [exp(lgamma(z) - lgamma(z - k + 1) + base + (z - k) * log(q))
@@ -153,10 +151,17 @@ def _nb_pmf(start: int, stop: int, k: int, p: float) -> np.ndarray:
     return out
 
 
+def _renormalized(probs: np.ndarray) -> np.ndarray:
+    """``probs`` divided by its sum: the renormalization every law here gets."""
+    return probs / probs.sum()
+
+
 def _z_law(noise: ZNoise) -> tuple[np.ndarray, np.ndarray]:
-    """Support and probabilities of ``z_pmf`` before ``IntegerPmf`` renormalizes them.
+    """Support and probabilities of the recharge law, as ``z_pmf`` holds them.
 
     Each doubling of the horizon computes only the new half of the support.
+    The cut law is renormalized twice: the second pass still moves single
+    ulps, and every recorded law carries its bits.
     """
     m, p = noise.cost, noise.p1
     lo = m - 1 if noise.overlap else m
@@ -172,21 +177,21 @@ def _z_law(noise: ZNoise) -> tuple[np.ndarray, np.ndarray]:
             raise NumericalError(
                 f"horizon {noise.zmax} truncates {1.0 - probs.sum():.3e} of the recharge mass"
             )
-        return np.arange(lo, noise.zmax + 1, dtype=np.int64), probs / probs.sum()
-    hi = max(lo + 8, 2 * m)
-    probs = mass(lo, hi + 1)
-    while probs.sum() < 1.0 - MASS_TOL:
-        if hi > _SUPPORT_CAP:
-            raise NumericalError(
-                f"recharge-time support exceeds {_SUPPORT_CAP} points at p1={p}"
-            )
-        probs = np.concatenate([probs, mass(hi + 1, 2 * hi + 1)])
-        hi *= 2
-    # the loop stops on the pairwise sum, and the sequential cumsum can end
-    # just below it, so the cut is clamped to the points computed
-    cut = min(int(np.searchsorted(np.cumsum(probs), 1.0 - MASS_TOL)) + 1, probs.size)
-    probs = probs[:cut]
-    return np.arange(lo, lo + cut, dtype=np.int64), probs / probs.sum()
+    else:
+        hi = max(lo + 8, 2 * m)
+        probs = mass(lo, hi + 1)
+        while probs.sum() < 1.0 - MASS_TOL:
+            if hi > _SUPPORT_CAP:
+                raise NumericalError(
+                    f"recharge-time support exceeds {_SUPPORT_CAP} points at p1={p}"
+                )
+            probs = np.concatenate([probs, mass(hi + 1, 2 * hi + 1)])
+            hi *= 2
+        # the loop stops on the pairwise sum, and the sequential cumsum can end
+        # just below it, so the cut is clamped to the points computed
+        probs = probs[:min(int(np.searchsorted(np.cumsum(probs), 1.0 - MASS_TOL)) + 1,
+                           probs.size)]
+    return np.arange(lo, lo + probs.size, dtype=np.int64), _renormalized(_renormalized(probs))
 
 
 def z_pmf(noise: ZNoise) -> IntegerPmf:
@@ -233,50 +238,51 @@ class TimingScheme:
 
 
 def _wait_rule(rule: str, aux_size: int, wait_const: int):
-    """A named wait rule as (aux law, wait-table builder, "wait selector" note).
+    """A named wait rule as (scheme builder, "wait selector" note).
 
-    The builder maps the recharge support to the wait table, so the scheme
-    for a given recharge law is ``TimingScheme(aux, table(z_values))``.
+    The builder maps a recharge support to the aux law and the wait table
+    over that support, the two halves of the rule's ``TimingScheme``.
     """
     if rule == "mod":
-        return (Pmf.uniform(aux_size), lambda z: default_wait_table(aux_size, z),
+        aux = Pmf.uniform(aux_size)
+        return (lambda z: (aux, default_wait_table(aux_size, z)),
                 f"wait selector: uniform over {aux_size} letters (default choice), "
                 f"modular wait rule")
     if rule == "const":
         if wait_const < 1:
             raise ValidationError(f"constant wait must be at least one slot, got {wait_const!r}")
-        return (Pmf.point(1, 0), lambda z: constant_wait_table(wait_const, 1, z),
+        aux = Pmf.point(1, 0)
+        return (lambda z: (aux, constant_wait_table(wait_const, 1, z)),
                 f"wait selector: constant wait {wait_const}")
     raise ValidationError(f"unknown wait rule {rule!r}")
 
 
 def _t_law(z_values: np.ndarray, z_probs: np.ndarray, aux: np.ndarray,
            wait: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support and probabilities of ``t_pmf`` before ``IntegerPmf`` renormalizes them.
+    """Support and probabilities of the spacing law, as ``t_pmf`` holds them.
 
     Every (aux symbol, recharge time) pair adds its weight to its spacing in
     the order of the flattened table, as ``np.add.at`` would.
     """
+    if wait.shape[1] != len(z_values):
+        raise ValidationError("wait table columns must cover the recharge support")
     t_vals = z_values[None, :] + wait
     weights = aux[:, None] * z_probs[None, :]
     lo = int(t_vals.min())
     acc = np.bincount((t_vals - lo).ravel(), weights=weights.ravel())
     keep = acc > 0.0
-    return np.flatnonzero(keep) + lo, acc[keep]
+    return keep.nonzero()[0] + lo, _renormalized(acc[keep])
 
 
 def t_pmf(z_dist: IntegerPmf, scheme: TimingScheme) -> IntegerPmf:
     """Distribution of T = Z + v(A, Z) with A independent of Z."""
-    if scheme.wait.shape[1] != len(z_dist.values):
-        raise ValidationError("wait table columns must cover the recharge support")
     return IntegerPmf._trusted(*_t_law(z_dist.values, z_dist.probs, scheme.aux.probs,
                                        scheme.wait))
 
 
 def induced_arrival_prob(p_x1: Pmf, ch1: BinaryChannel) -> float:
     """Charge probability seen by the relay: P(first-hop output = 1)."""
-    out = np.asarray(p_x1.probs) @ ch1.rows
-    return float(out[1])
+    return float((p_x1.probs @ ch1.rows)[1])
 
 
 def _spacing_bounds(src: np.ndarray, ch1: BinaryChannel, t_values: np.ndarray,
@@ -291,28 +297,38 @@ def _spacing_bounds(src: np.ndarray, ch1: BinaryChannel, t_values: np.ndarray,
     bounds equal those computed through the validated objects.
     """
     charge_bits = float(src[0] * ch1.noise_bits[0] + src[1] * ch1.noise_bits[1])
-    receiver = _entropy_bits(t_probs / t_probs.sum()) / float(t_values @ t_probs)
+    receiver = _entropy_bits(_renormalized(t_probs)) / float(t_values @ t_probs)
     receiver -= charge_bits
-    out = src @ ch1.rows
-    relay = max(_entropy_bits(out / out.sum()) - charge_bits, 0.0)
+    relay = max(_entropy_bits(_renormalized(src @ ch1.rows)) - charge_bits, 0.0)
     return relay, receiver
 
 
-def _timing_bounds(src: np.ndarray, ch1: BinaryChannel, cost: int, overlap: bool,
-                   aux: np.ndarray, table) -> tuple[float, float]:
-    """(relay, receiver) bounds of ``timing_rate`` from raw arrays.
+def _timing_inputs(spec: BatterySpec, ch1: BinaryChannel | None) -> None:
+    """Raise unless the timing scheme applies: a first hop, capacity equal to the cost."""
+    if ch1 is None:
+        raise ValidationError("the timing scheme needs the first-hop channel")
+    if spec.capacity != spec.cost:
+        raise ConstraintError("timing scheme requires capacity equal to the cost")
 
-    ``src`` is the source law as ``Pmf`` holds it, ``aux`` the aux law's
-    probabilities and ``table`` the wait-table builder of ``_wait_rule``.
-    The recharge and spacing laws are renormalized where ``z_pmf``,
-    ``t_pmf`` and ``IntegerPmf`` would, so the bounds are those of
-    ``timing_rate`` bit for bit, without building its validated objects.
+
+def _timing_laws(spec: BatterySpec, p_x1, ch1: BinaryChannel | None, rule,
+                 overlap: bool = False, zmax: int | None = None) -> tuple:
+    """The timing scheme at a source law: the path of every timing entry point.
+
+    Checks the inputs, then returns the source ``Pmf``, the charge noise it
+    induces through the first hop, the recharge law, the (aux law, wait
+    table) that ``rule``, a scheme builder of ``_wait_rule``, gives for the
+    recharge support, and the spacing law; each law as (support, probabilities).
     """
-    noise = ZNoise(cost=cost, p1=float((src @ ch1.rows)[1]), overlap=overlap)
-    z_values, z_probs = _z_law(noise)
-    z_probs = z_probs / float(z_probs.sum())
-    t_values, t_probs = _t_law(z_values, z_probs, aux, table(z_values))
-    return _spacing_bounds(src, ch1, t_values, t_probs / float(t_probs.sum()))
+    _timing_inputs(spec, ch1)
+    src = p_x1 if isinstance(p_x1, Pmf) else Pmf(p_x1)
+    if len(src) != 2:
+        raise ValidationError("source law must be binary")
+    noise = ZNoise(cost=spec.cost, p1=induced_arrival_prob(src, ch1),
+                   overlap=overlap, zmax=zmax)
+    z_law = _z_law(noise)
+    aux, wait = rule(z_law[0])
+    return src, noise, z_law, (aux, wait), _t_law(*z_law, aux.probs, wait)
 
 
 @dataclass(frozen=True)
@@ -322,6 +338,15 @@ class TimingRateResult:
     z_dist: IntegerPmf
     t_dist: IntegerPmf
     scheme: TimingScheme
+
+
+def _timing_result(spec: BatterySpec, p_x1, ch1: BinaryChannel | None, rule,
+                   overlap: bool = False, zmax: int | None = None) -> TimingRateResult:
+    """``_timing_laws`` as a ``TimingRateResult``, bounded by ``_spacing_bounds``."""
+    src, noise, z_law, scheme, t_law = _timing_laws(spec, p_x1, ch1, rule, overlap, zmax)
+    breakdown = RateBreakdown.from_bounds(*_spacing_bounds(src.probs, ch1, *t_law))
+    return TimingRateResult(breakdown, noise, IntegerPmf._trusted(*z_law),
+                            IntegerPmf._trusted(*t_law), TimingScheme(*scheme))
 
 
 def timing_rate(spec: BatterySpec, p_x1, ch1: BinaryChannel, *,
@@ -336,18 +361,9 @@ def timing_rate(spec: BatterySpec, p_x1, ch1: BinaryChannel, *,
     the first-hop mutual information. The recharge law is the negative
     binomial induced by the source law through the first hop.
     """
-    if spec.capacity != spec.cost:
-        raise ConstraintError("timing scheme requires capacity equal to the cost")
-    src = p_x1 if isinstance(p_x1, Pmf) else Pmf(p_x1)
-    if len(src) != 2:
-        raise ValidationError("source law must be binary")
-    noise = ZNoise(cost=spec.cost, p1=induced_arrival_prob(src, ch1),
-                   overlap=overlap, zmax=zmax)
-    z_dist = z_pmf(noise)
-    if scheme is None:
-        aux, table, _ = _wait_rule(wait_rule, aux_size, wait_const)
-        scheme = TimingScheme(aux, table(z_dist.values))
-    t_dist = t_pmf(z_dist, scheme)
-    breakdown = RateBreakdown.from_bounds(
-        *_spacing_bounds(src.probs, ch1, t_dist.values, t_dist.probs))
-    return TimingRateResult(breakdown, noise, z_dist, t_dist, scheme)
+    def rule(z_values):  # asked once the recharge law is built, so its errors come first
+        if scheme is not None:
+            return scheme.aux, scheme.wait
+        return _wait_rule(wait_rule, aux_size, wait_const)[0](z_values)
+
+    return _timing_result(spec, p_x1, ch1, rule, overlap, zmax)

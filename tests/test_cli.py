@@ -231,6 +231,32 @@ BAD_CONFIGS = {
     "sweep-loss-longer-than-cost": ("sweep", "sweep-cost.yaml",
                                     {"loss": {"given-one": [0.1, 0.1, 0.8]}},
                                     "loss law has 3 entries but the cost is 2"),
+    "top-level-list": ("rate", None, "- model\n- battery\n",
+                       "config must be a mapping at the top level"),
+    "unknown-model": ("rate", "rate-second-hop.yaml", {"model": "nonsense"},
+                      "unknown model 'nonsense' (choose from: second-hop, timing"),
+    "battery-not-a-mapping": ("rate", "rate-second-hop.yaml", {"battery": 3},
+                              "battery must be a mapping, got 3"),
+    "sweep-models-not-a-list": ("sweep", "sweep-cost.yaml", {"sweep": {"models": "second-hop"}},
+                                "sweep.models must be a list, got 'second-hop'"),
+    "word-for-crossover": ("rate", "rate-second-hop.yaml",
+                           {"channels": {"second": {"crossover": "abc"}}},
+                           "channels.second.crossover must be a number, got 'abc'"),
+    "channel-with-q1-alone": ("rate", "rate-second-hop.yaml",
+                              {"channels": {"second": {"crossover": DROP, "q1": 0.9}}},
+                              "channels.second: needs either crossover or q1+q2"),
+    "policy-optimize-under-rate": ("rate", "rate-second-hop.yaml", {"policy": "optimize"},
+                                   "the rate command evaluates a fixed policy"),
+    "policy-optimize-under-simulate": ("simulate", "simulate-occupancy.yaml",
+                                       {"policy": "optimize"},
+                                       "this command needs a fixed policy, not 'optimize'"),
+    "policy-with-neither-form": ("rate", "rate-second-hop.yaml",
+                                 {"policy": {"joint-given-level": DROP, "x1": [0.5, 0.5]}},
+                                 "policy needs joint-given-level, or x1 plus x2-given-level"),
+    "timing-config-without-charge-p": ("timing", "rate-timing.yaml", {},
+                                       "the timing command needs --cost and --charge-p"),
+    "timing-config-without-cost-or-charge-p": ("timing", "rate-timing.yaml", {"battery": DROP},
+                                               "config is missing battery.capacity"),
 }
 
 
@@ -243,6 +269,21 @@ def test_bad_config_is_one_line_exit_one(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and expected in err
+
+
+def test_policy_optimize_under_optimize_prints_the_pinned_rows(tmp_path, capsys):
+    # the README allows policy: optimize in an optimize config; the search
+    # ignores it, so only the config hash in the comment line differs
+    assert main(["optimize", "--config", "configs/optimize-second-hop.yaml", "--format", "csv"]) == 0
+    shipped = capsys.readouterr().out
+    assert hashlib.sha256(shipped.encode()).hexdigest() == SHIPPED_DIGESTS["optimize-second-hop"][1]
+    path = tmp_path / "policy-optimize.yaml"
+    path.write_text(yaml.safe_dump(_patched("optimize-second-hop.yaml", {"policy": "optimize"})))
+    assert main(["optimize", "--config", str(path), "--format", "csv"]) == 0
+    (head, rows), (shipped_head, shipped_rows) = (text.split("\n", 1) for text in
+                                                  (capsys.readouterr().out, shipped))
+    assert rows == shipped_rows
+    assert head.split()[2:] == shipped_head.split()[2:]  # all but "# config_hash=..."
 
 
 @pytest.mark.parametrize("given_one", [[0.2, 0.9], [0.1, 0.1, 0.8]])
@@ -258,7 +299,7 @@ def test_bad_sweep_loss_fails_before_any_cell(given_one, tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("drop,expected", [
     ({"loss": DROP}, "error: the random-loss scheme needs the loss laws\n"),
-    ({"channels": {"first": DROP}}, "error: timing optimization needs the first-hop channel\n"),
+    ({"channels": {"first": DROP}}, "error: the timing scheme needs the first-hop channel\n"),
     ({"channels": {"second": DROP}},
      "error: the second-hop scheme needs the second-hop channel\n"),
 ])

@@ -105,13 +105,13 @@ class TestLineSearch:
         spec = BatterySpec(capacity=cost, cost=cost)
         ch1 = BinaryChannel.from_crossover(0.05)
         calls = []
-        real = optimize_module._timing_bounds
-        monkeypatch.setattr(optimize_module, "_timing_bounds",
+        real = optimize_module._timing_laws
+        monkeypatch.setattr(optimize_module, "_timing_laws",
                             lambda *args: (calls.append(args), real(*args))[1])
         res = optimize(Model.TIMING, spec, ch1=ch1,
                        opts=OptimizeOptions(grid_budget=4000, restarts=4, seed=0))
         assert len(calls) == res.evaluations <= 80
-        biases = [float(args[0][1]) for args in calls]
+        biases = [args[1][1] for args in calls]
         assert len(set(biases)) == len(biases)
         p1 = _TimingProblem._p1(np.array(res.theta))
         assert timing_rate(spec, Pmf.binary(p1), ch1).breakdown == res.breakdown
@@ -178,11 +178,15 @@ class TestTimingMemo:
             optimize(Model.TIMING, SPEC22, ch1=dead, opts=SMALL)
 
     def test_search_equals_the_per_point_reference(self, monkeypatch):
+        wait = {}  # the wait options of the search running now
+
         def run():
             out = []
             for cost in (2, 4):
                 spec = BatterySpec(capacity=cost, cost=cost)
                 for kw in ({}, {"wait_rule": "const", "wait_const": 2}, {"overlap": True}):
+                    wait.clear()
+                    wait.update(kw)
                     res = optimize(Model.TIMING, spec, ch1=CH1, opts=SMALL, **kw)
                     out.append((res.theta, res.policy_digest, res.evaluations, res.breakdown))
             return out
@@ -192,7 +196,7 @@ class TestTimingMemo:
             for k, theta in enumerate(thetas):
                 try:
                     out[k] = timing_rate(self.spec, Pmf.binary(self._p1(theta)), self.ch1,
-                                         **self.kwargs).breakdown.rate
+                                         **wait).breakdown.rate
                 except EhRelayError:
                     pass
             return out
@@ -259,6 +263,10 @@ class TestTimingMemo:
             assert res.theta == (theta,)
             assert (res.policy_digest, res.evaluations) == (digest, evaluations)
             assert res.breakdown.rate >= min(relay, receiver) - 1e-12
+
+    def test_capacity_above_the_cost_is_a_constraint_error(self):
+        with pytest.raises(ConstraintError, match="requires capacity equal to the cost"):
+            optimize(Model.TIMING, BatterySpec(3, 2), ch1=CH1, opts=SMALL)
 
     def test_unknown_wait_rule_is_rejected_up_front(self):
         with pytest.raises(ValidationError, match="unknown wait rule"):

@@ -36,11 +36,9 @@ from ehrelay.timing import (
     _SUPPORT_CAP,
     _cached_coefficients,
     _nb_pmf,
-    _t_law,
-    _timing_bounds,
     _wait_rule,
-    _z_law,
 )
+from ehrelay.optimize import _TimingProblem
 from conftest import mutual_information, nb_pmf_oracle, output_entropy_given_input
 
 timing_module = importlib.import_module("ehrelay.timing")
@@ -292,15 +290,14 @@ class TestCoefficientCache:
     def test_rate_path_search_and_law_share_the_cache(self):
         spec = BatterySpec(capacity=4, cost=4)
         ch1 = BinaryChannel(0.95, 0.9)
-        aux, table, _ = _wait_rule("mod", 5, 1)
+        search = _TimingProblem(spec, ch1, 5, "mod", 1, False)
         _cached_coefficients.cache_clear()
         z_pmf(ZNoise(cost=4, p1=0.3))
         hits = _cached_coefficients.cache_info().hits
         timing_rate(spec, Pmf.binary(0.4), ch1)
         assert _cached_coefficients.cache_info().hits > hits
         hits = _cached_coefficients.cache_info().hits
-        src = Pmf.binary(0.6).probs
-        _timing_bounds(src, ch1, 4, False, aux.probs, table)
+        assert np.isfinite(search.values(np.array([[0.6]])))
         assert _cached_coefficients.cache_info().hits > hits
 
 
@@ -458,6 +455,10 @@ class TestTimingRate:
         assert result.breakdown.relay_bound == pytest.approx(
             mutual_information(src, self.CH1), abs=1e-12)
 
+    def test_missing_first_hop_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="the timing scheme needs the first-hop channel"):
+            timing_rate(BatterySpec(2, 2), Pmf([0.5, 0.5]), None)
+
     def test_charge_probability_is_induced_not_assumed(self):
         src = Pmf([0.2, 0.8])
         result = timing_rate(BatterySpec(2, 2), src, self.CH1)
@@ -476,26 +477,27 @@ class TestTimingRate:
 
 class TestTimingKernel:
     def test_bounds_equal_timing_rate(self):
+        # the search's scorer and its report at a bias, against the public call
         rng = np.random.default_rng(11)
         for cost in range(2, 7):
+            spec = BatterySpec(cost, cost)
             for p in rng.uniform(0.01, 0.99, 6):
                 ch1 = BinaryChannel(*rng.uniform(0.6, 1.0, 2))
-                src = Pmf.binary(p)
+                theta = np.array([(p - 0.01) / 0.98])
+                src = Pmf.binary(_TimingProblem._p1(theta))
                 for rule, aux_size, const in [("mod", int(rng.integers(1, 8)), 1),
                                               ("const", 1, int(rng.integers(1, 4)))]:
                     for overlap in (False, True):
-                        aux, table, _ = _wait_rule(rule, aux_size, const)
-                        relay, receiver = _timing_bounds(src.probs, ch1, cost, overlap,
-                                                         aux.probs, table)
-                        want = timing_rate(BatterySpec(cost, cost), src, ch1,
-                                           aux_size=aux_size, wait_rule=rule,
+                        search = _TimingProblem(spec, ch1, aux_size, rule, const, overlap)
+                        want = timing_rate(spec, src, ch1, aux_size=aux_size, wait_rule=rule,
                                            wait_const=const, overlap=overlap).breakdown
-                        assert (relay, receiver) == (want.relay_bound, want.receiver_bound)
+                        assert search.values(theta[None]).tolist() == [want.rate]
+                        assert search.finalize(theta)[0] == want
 
     def test_wait_rule_note_names_the_scheme(self):
-        assert _wait_rule("mod", 3, 1)[2] == (
+        assert _wait_rule("mod", 3, 1)[1] == (
             "wait selector: uniform over 3 letters (default choice), modular wait rule")
-        assert _wait_rule("const", 5, 2)[2] == "wait selector: constant wait 2"
+        assert _wait_rule("const", 5, 2)[1] == "wait selector: constant wait 2"
         with pytest.raises(ValidationError, match="unknown wait rule"):
             _wait_rule("bogus", 5, 1)
         with pytest.raises(ValidationError, match="constant wait must be at least one slot"):
@@ -512,16 +514,19 @@ class TestIntegerPmf:
     @pytest.mark.parametrize("cost, p1, overlap, zmax", [
         (2, 0.5, False, None), (3, 0.05, True, None), (6, 0.3, False, 150),
         (4, 0.9, True, None), (150, 0.05, False, None), (2, 1.0, False, None)])
-    def test_built_laws_equal_the_checked_constructor(self, cost, p1, overlap, zmax):
-        # z_pmf and t_pmf skip the constructor's checks for the laws they
-        # build, and nothing else: the same support and weights, bit for bit.
-        noise = ZNoise(cost=cost, p1=p1, overlap=overlap, zmax=zmax)
-        z = z_pmf(noise)
-        checked = IntegerPmf(*_z_law(noise))
-        aux, table, _ = _wait_rule("mod", 5, 1)
-        scheme = TimingScheme(aux, table(z.values))
-        t = t_pmf(z, scheme)
-        t_checked = IntegerPmf(*_t_law(z.values, z.probs, aux.probs, scheme.wait))
+    def test_built_laws_equal_the_checked_constructor(self, cost, p1, overlap, zmax,
+                                                      monkeypatch):
+        # z_pmf and t_pmf hold the laws they build without the constructor's
+        # checks; their last renormalization is the constructor's, so the
+        # constructor on the law before it gives the same bits.
+        raw, real = [], timing_module._renormalized
+        monkeypatch.setattr(timing_module, "_renormalized",
+                            lambda probs: (raw.append(probs), real(probs))[1])
+        z = z_pmf(ZNoise(cost=cost, p1=p1, overlap=overlap, zmax=zmax))
+        checked = IntegerPmf(z.values, raw[-1])
+        rule, _ = _wait_rule("mod", 5, 1)
+        t = t_pmf(z, TimingScheme(*rule(z.values)))
+        t_checked = IntegerPmf(t.values, raw[-1])
         for got, want in ((z, checked), (t, t_checked)):
             assert got.values.dtype == want.values.dtype == np.int64
             assert got.values.tobytes() == want.values.tobytes()
