@@ -299,7 +299,8 @@ def test_bad_sweep_loss_fails_before_any_cell(given_one, tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("drop,expected", [
     ({"loss": DROP}, "error: the random-loss scheme needs the loss laws\n"),
-    ({"channels": {"first": DROP}}, "error: the timing scheme needs the first-hop channel\n"),
+    pytest.param({"channels": {"first": DROP}},
+                 "error: the timing scheme needs the first-hop channel\n", id="drop1-first-hop"),
     ({"channels": {"second": DROP}},
      "error: the second-hop scheme needs the second-hop channel\n"),
 ])
