@@ -11,10 +11,13 @@ and spending is only allowed when the level covers the cost. This module
 builds the state kernel for the three charging models (deterministic charge
 equal to the source symbol, charge through a noisy first hop, and random
 per-symbol energy loss), checks the sufficient conditions for a steady state
-(a single closed communicating class plus at least one self-loop), and
-exposes the lagged pair chain (u, u') whose deterministic emission is the
-relay symbol, together with a forward-algorithm likelihood for observation
-sequences seen through a binary channel.
+(some state reachable from every state, so one closed communicating class,
+plus a self-loop), and exposes the lagged pair chain (u, u') whose
+deterministic emission is the relay symbol, with a forward-algorithm
+likelihood for observation sequences seen through a binary channel. A
+user's kernel is validated where it enters (``stationary``,
+``check_regularity``); a kernel built from a checked policy is valid by
+construction and is not validated again.
 """
 
 from __future__ import annotations
@@ -273,14 +276,15 @@ def build_kernel(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel) 
 
 
 def _policy_kernel(spec: BatterySpec, policy: StatePolicy, cells: np.ndarray) -> np.ndarray:
-    """``build_kernel`` over the ``_tensor_cells`` the caller has already built."""
+    """``build_kernel`` over the ``_tensor_cells`` the caller has already built.
+
+    Valid by construction: the tables and the charge law are checked and
+    renormalized when built, so with no underfunded spending each row sums
+    to one within a few ulps."""
     if policy.spec != spec:
         raise ValidationError("policy was built for a different battery geometry")
     _require_no_underfunded_spending(policy)
-    kernel = _kernels(policy.tensor(), cells)
-    if not _rows_sum_to_one(kernel, INTERNAL_TOL):
-        raise NumericalError("kernel rows do not sum to one; transition mass was lost")
-    return kernel
+    return _kernels(policy.tensor(), cells)
 
 
 def _rows_sum_to_one(kernel: np.ndarray, tol: float) -> bool:
@@ -308,7 +312,7 @@ def _validate_kernel(kernel) -> np.ndarray:
 
 
 def check_regularity(kernel) -> RegularityReport:
-    """Graph analysis of the kernel: closed communicating classes and self-loops."""
+    """Validate a kernel, then report whether it has one closed class and a self-loop."""
     return _regularity(_validate_kernel(kernel))
 
 
@@ -332,7 +336,10 @@ def _pattern_regularity(n: int, bits: bytes) -> RegularityReport:
 
 
 def _graph_regularity(adj: np.ndarray) -> RegularityReport:
-    """The regularity report of the directed graph with adjacency ``adj``."""
+    """The regularity report of the directed graph with adjacency ``adj``.
+
+    A finite chain has exactly one closed communicating class if and only if
+    some state is reached from every state: some column of the closure is all true."""
     n = adj.shape[0]
     reach = adj | np.eye(n, dtype=bool)
     while True:
@@ -340,22 +347,9 @@ def _graph_regularity(adj: np.ndarray) -> RegularityReport:
         if np.array_equal(closure, reach):
             break
         reach = closure
-    comm = reach & reach.T
-    seen: list[np.ndarray] = []
-    labels = np.full(n, -1, dtype=int)
-    for i in range(n):
-        if labels[i] >= 0:
-            continue
-        members = comm[i]
-        labels[members] = len(seen)
-        seen.append(members)
-    closed = 0
-    for members in seen:
-        if not np.any(adj[members][:, ~members]):
-            closed += 1
     diag = np.diag(adj)
     self_loop = int(np.argmax(diag)) if bool(diag.any()) else None
-    return RegularityReport(indecomposable=(closed == 1), self_loop_state=self_loop)
+    return RegularityReport(bool(reach.all(axis=0).any()), self_loop)
 
 
 @lru_cache(maxsize=_PATTERN_STATES)
@@ -422,9 +416,11 @@ def _power_stationary(k: np.ndarray) -> Optional[np.ndarray]:
     return None
 
 
-def _steady_state(kernel) -> tuple[Pmf, RegularityReport]:
-    """Steady state of a kernel together with the regularity report that licenses it."""
-    k = _validate_kernel(kernel)
+def _steady_state(k: np.ndarray) -> tuple[Pmf, RegularityReport]:
+    """Steady state of a valid kernel together with the regularity report that licenses it.
+
+    ``k`` is a user's kernel that passed ``_validate_kernel`` or one that
+    ``_policy_kernel`` built from a checked policy; it is not checked again."""
     report = _regularity(k)
     if not report.indecomposable or report.self_loop_state is None:
         parts = []
@@ -444,11 +440,11 @@ def _steady_state(kernel) -> tuple[Pmf, RegularityReport]:
 def stationary(kernel) -> Pmf:
     """Steady-state law of the battery level.
 
-    Requires the regularity check to pass on both counts; solves the balance
-    equations directly and falls back to power iteration if the direct solve
-    is ill-conditioned. The result satisfies ``max|pi K - pi| <= 1e-10``.
+    Validates the kernel and requires the regularity check to pass on both
+    counts; solves the balance equations directly, falling back to power
+    iteration if that is ill-conditioned. ``max|pi K - pi| <= 1e-10`` holds.
     """
-    return _steady_state(kernel)[0]
+    return _steady_state(_validate_kernel(kernel))[0]
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,8 @@ from .battery import (
     StatePolicy,
     _forward_pass,
     _observation_table,
+    _steady_state,
     build_kernel,
-    stationary,
 )
 from .errors import BudgetError, NumericalError, ValidationError
 from .pmf import BinaryChannel, JointPmf
@@ -159,7 +159,7 @@ def simulate_states(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalMode
         counts += np.bincount(path, minlength=spec.states)
     freq = counts / float(cfg.n * cfg.trials)
     try:
-        pi = stationary(kernel).probs
+        pi = _steady_state(kernel)[0].probs
     except NumericalError:
         return OccupancyResult(frequencies=freq, stationary=None, max_deviation=None)
     return OccupancyResult(frequencies=freq, stationary=pi,
@@ -275,13 +275,18 @@ def collision_curve(joint: JointPmf, n: int, rate_grid, cfg: RunConfig,
     word's conditional probability) and flips one coin against it; the same
     coin serves every grid point, so the reported fractions are monotone in
     the rate by construction. The materialize method draws the book
-    explicitly and is capped at 2^20 words.
+    explicitly and is capped at 2^20 words. ``n`` must be at least 1 and
+    every rate finite and nonnegative.
     """
     if method not in ("conditional", "materialize"):
         raise ValidationError(f"unknown collision method {method!r}")
     grid = tuple(float(r) for r in rate_grid)
     if not grid or any(r < 0.0 for r in grid):
         raise ValidationError("rate grid must be nonempty and nonnegative")
+    if not all(math.isfinite(r) for r in grid):
+        raise ValidationError(f"codebook rates must be finite, got {grid}")
+    if n < 1:
+        raise ValidationError(f"codeword length must be at least 1, got {n}")
     if n > MAX_STEPS:
         raise BudgetError(f"n = {n} exceeds the desk-scale cap {MAX_STEPS}")
     p_u, rows = _conditional_tables(joint)
@@ -369,8 +374,7 @@ def collision_experiment(joint: JointPmf, n: int, rate_bits: float, cfg: RunConf
                          method: str = "auto") -> CollisionResult:
     """Single-rate collision run; auto materializes when the book fits 2^20."""
     if method == "auto":
-        words = 2.0 ** (n * rate_bits)
-        method = "materialize" if words <= MAX_CODEBOOK else "conditional"
+        method = "materialize" if n * rate_bits <= math.log2(MAX_CODEBOOK) else "conditional"
     return collision_curve(joint, n, (rate_bits,), cfg, method=method)
 
 
@@ -534,10 +538,8 @@ def relay_codec_trial(codec: CodecConfig, blocks: int, cfg: RunConfig) -> CodecR
     n = cfg.n
     arrival = ArrivalModel.deterministic()
     kernel = build_kernel(spec, policy, arrival)
-    pi = stationary(kernel).probs
+    pi = _steady_state(kernel)[0].probs
     lengths, bits = codec.plan(n, pi)
-    if int(lengths.sum()) > n:
-        raise ValidationError("subcodeword lengths exceed the block length")
     pad = codec.pad if codec.pad is not None else n
     joint = policy.tensor()
     source_rows = joint.sum(axis=2)

@@ -174,8 +174,8 @@ def _chain_values(joint: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.
     (``_solve_stationary``, which marks singular, non-finite and clearly
     negative solutions), then a residual max|pi K - pi| of at most
     ``_RESIDUAL_GATE``. There is no power-iteration fallback and no
-    regularity check here; a kernel that fails scores -inf. The public
-    ``stationary`` stays the strict path, and ``finalize`` re-checks the
+    regularity check here; a kernel that fails scores -inf. The public rate
+    path's ``_steady_state`` stays strict, and ``finalize`` re-checks the
     winning policy through it.
     """
     kernel = _kernels(joint, cells)

@@ -30,9 +30,9 @@ from .battery import (
     BatterySpec,
     StatePolicy,
     _policy_kernel,
+    _steady_state,
     _tensor_cells,
     energy_profile,
-    stationary,
     transition_tensor,
 )
 from .breakdown import BINDING_TIE, RateBreakdown  # noqa: F401  (re-exported)
@@ -154,19 +154,17 @@ def _charge_law(model: Model, ch1: Optional[BinaryChannel],
 class _Scheme:
     """A per-level model with everything its rate needs besides the policy.
 
-    ``tensor`` is the read-only transition tensor of ``arrival`` on ``spec``,
-    built once for every policy the scheme rates, and ``cells`` its
-    ``_tensor_cells``, the layout every kernel is built from. ``penalty``
-    is the receiver's charge entropy given each source symbol; the
-    second-hop scheme, whose charge is the source symbol, has none.
+    ``cells`` is the ``_tensor_cells`` of the charge law's transition tensor
+    on ``spec``, read-only and built once for every policy the scheme rates:
+    the layout every kernel is built from. ``penalty`` is the receiver's
+    charge entropy given each source symbol; the second-hop scheme, whose
+    charge is the source symbol, has none.
     """
 
     model: Model
     spec: BatterySpec
     ch1: Optional[BinaryChannel]
     ch2: BinaryChannel
-    arrival: ArrivalModel
-    tensor: np.ndarray
     cells: np.ndarray
     penalty: Optional[np.ndarray]
 
@@ -193,20 +191,20 @@ def _scheme(model: Model, spec: BatterySpec, ch1: Optional[BinaryChannel] = None
         penalty = ch1.noise_bits
     else:
         penalty = loss_penalty_bits(arrival, spec)
-    tensor = transition_tensor(spec, arrival)
-    tensor.flags.writeable = False
-    return _Scheme(model, spec, ch1, ch2, arrival, tensor, _tensor_cells(tensor), penalty)
+    cells = _tensor_cells(transition_tensor(spec, arrival))
+    return _Scheme(model, spec, ch1, ch2, cells, penalty)
 
 
 def _policy_rate(scheme: _Scheme, policy: StatePolicy) -> RateBreakdown:
     """A scheme's rate at one policy: the batched bounds at B=1.
 
-    The steady state comes from the strict ``stationary``, so the policy's
-    chain must pass the regularity check. A second-hop policy is joint, the
-    others are product policies.
+    The kernel is built from the checked policy and so is valid already; its
+    steady state comes from the strict ``_steady_state``, so the chain must
+    pass the regularity check. A second-hop policy is joint, the others are
+    product policies.
     """
     kernel = _policy_kernel(scheme.spec, policy, scheme.cells)
-    pi = stationary(kernel).probs[None]
+    pi = _steady_state(kernel)[0].probs[None]
     if scheme.model is Model.SECOND_HOP:
         relay, receiver = second_hop_bounds(policy.tensor()[None], pi, scheme.ch2)
     else:

@@ -12,9 +12,11 @@ exactly the moved points it reads.
 The pair-chain oracle is the lift as first written: the transition split
 by relay symbol through ``einsum``, pairs found and filled by nested loops.
 The transition-tensor oracle is the four-deep loop the tensor was first
-built with. The pmf oracles are the validation as first written: every
-check on its own numpy call, an unconditional ``np.clip``, and policies
-validated one ``JointPmf`` or ``Pmf`` per level.
+built with. The regularity oracle is the graph analysis as first written:
+every communicating class labeled and scanned for exits. The pmf oracles
+are the validation as first written: every check on its own numpy call, an
+unconditional ``np.clip``, and policies validated one ``JointPmf`` or
+``Pmf`` per level.
 The Monte Carlo oracles are the scalar reference forms of the lab's
 lockstep kernels: one codec trial walked slot by slot from a refilling
 stock of uniforms, and the recharge simulation drawn as one full
@@ -47,7 +49,7 @@ from ehrelay import (
     substream,
     z_pmf,
 )
-from ehrelay.battery import energy_profile, transition_tensor
+from ehrelay.battery import RegularityReport, energy_profile, transition_tensor
 from ehrelay.errors import ValidationError
 from ehrelay.optimize import _STEP0, _STEP_FLOOR
 
@@ -451,6 +453,35 @@ def kernels_oracle(joint: np.ndarray, tensor: np.ndarray) -> np.ndarray:
             + joint[..., 0, 1, None] * tensor[:, 0, 1, :]
             + joint[..., 1, 0, None] * tensor[:, 1, 0, :]
             + joint[..., 1, 1, None] * tensor[:, 1, 1, :])
+
+
+def regularity_oracle(adj: np.ndarray) -> RegularityReport:
+    """The regularity report of adjacency ``adj`` as first written: every
+    communicating class labeled from the transitive closure, then each one
+    scanned for an edge that leaves it; one closed class is indecomposable."""
+    n = adj.shape[0]
+    reach = adj | np.eye(n, dtype=bool)
+    while True:
+        closure = reach | (reach @ reach)
+        if np.array_equal(closure, reach):
+            break
+        reach = closure
+    comm = reach & reach.T
+    seen = []
+    labels = np.full(n, -1, dtype=int)
+    for i in range(n):
+        if labels[i] >= 0:
+            continue
+        members = comm[i]
+        labels[members] = len(seen)
+        seen.append(members)
+    closed = 0
+    for members in seen:
+        if not np.any(adj[members][:, ~members]):
+            closed += 1
+    diag = np.diag(adj)
+    self_loop = int(np.argmax(diag)) if bool(diag.any()) else None
+    return RegularityReport(indecomposable=(closed == 1), self_loop_state=self_loop)
 
 
 def solve_stationary_oracle(k: np.ndarray) -> tuple:

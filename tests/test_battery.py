@@ -5,6 +5,7 @@ constructors' validation, the transition tensor and the regularity report
 are each compared bit for bit with the form they replaced."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -40,6 +41,7 @@ from ehrelay.battery import (
     STATIONARY_RESIDUAL,
     _forward_pass,
     _observation_table,
+    _tensor_cells,
     _word_length,
 )
 from ehrelay.mclab import sample_path
@@ -55,6 +57,7 @@ from conftest import (
     pair_chain_oracle,
     product_policy_oracle,
     random_joint_tables,
+    regularity_oracle,
     stationary_eig_oracle,
     transition_tensor_oracle,
     worked_policy,
@@ -96,7 +99,59 @@ class TestBatterySpec:
             BatterySpec(capacity=0, cost=2)
 
 
+def _worked_pair_chain(**kw):
+    spec, policy, arrival = worked_spec(), worked_policy(), ArrivalModel.deterministic()
+    return pair_chain(spec, policy, arrival, Pmf(WORKED_PI), **kw)
+
+
+# (call, error, text its message must hold): each input branch raises its documented error
+BAD_INPUTS = {
+    "capacity-not-an-integer": (lambda: BatterySpec(capacity=2.5, cost=2),
+                                ValidationError, "capacity must be an integer"),
+    "cost-a-string": (lambda: BatterySpec(capacity=2, cost="2"),
+                      ValidationError, "cost must be an integer"),
+    "arrival-unknown-kind": (lambda: ArrivalModel("bogus"),
+                             ValidationError, "unknown arrival kind 'bogus'"),
+    "arrival-deterministic-with-channel": (
+        lambda: ArrivalModel("deterministic", channel=BinaryChannel(0.9, 0.9)),
+        ValidationError, "deterministic arrivals take no channel or loss law"),
+    "arrival-channel-without-one": (lambda: ArrivalModel("channel"),
+                                    ValidationError, "channel arrivals need a channel"),
+    "arrival-lossy-without-loss-law": (
+        lambda: ArrivalModel("lossy", channel=BinaryChannel(0.9, 0.9)),
+        ValidationError, "lossy arrivals need both a channel and a loss law"),
+    "build-kernel-other-geometry": (
+        lambda: build_kernel(BatterySpec(capacity=3, cost=2), worked_policy(),
+                             ArrivalModel.deterministic()),
+        ValidationError, "policy was built for a different battery geometry"),
+    "regularity-non-square": (lambda: check_regularity([[0.5, 0.5]]),
+                              ValidationError, "kernel must be a square matrix"),
+    "regularity-negative": (lambda: check_regularity([[1.5, -0.5], [0.5, 0.5]]),
+                            ValidationError, "kernel entries must be finite and nonnegative"),
+    "pair-chain-disagreeing-kernel": (lambda: _worked_pair_chain(kernel=np.full((3, 3), 1 / 3)),
+                                      ValidationError, "supplied kernel disagrees"),
+    "pair-chain-pi-wrong-length": (
+        lambda: pair_chain(worked_spec(), worked_policy(), ArrivalModel.deterministic(),
+                           Pmf([0.5, 0.5])),
+        ValidationError, "steady state has the wrong number of levels"),
+    "forward-loglik-symbol-two": (lambda: forward_loglik(_worked_pair_chain(), None, [0, 2, 1]),
+                                  ValidationError, "observed symbols must be 0 or 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_raises_its_documented_error(case):
+    call, error, text = BAD_INPUTS[case]
+    with pytest.raises(error, match=re.escape(text)):
+        call()
+
+
 class TestStatePolicy:
+    def test_product_x1_row_is_the_source_law_at_every_level(self):
+        policy = StatePolicy.product_policy(worked_spec(), [0.3, 0.7], [[1, 0], [1, 0], [0.5, 0.5]])
+        for u in range(3):
+            assert policy.x1_row(u).tobytes() == policy.x1.probs.tobytes()
+
     def test_joint_tables_roundtrip(self):
         policy = worked_policy()
         assert policy.mode == "joint"
@@ -276,8 +331,38 @@ class TestRegularityMemo:
     @settings(max_examples=300, deadline=None)
     @given(patterned_kernels())
     def test_equals_the_uncached_core(self, kernel):
-        assert battery._regularity(kernel) == battery._graph_regularity(kernel > 0.0)
-        assert check_regularity(kernel) == battery._graph_regularity(kernel > 0.0)
+        assert battery._regularity(kernel) == regularity_oracle(kernel > 0.0)
+        assert check_regularity(kernel) == regularity_oracle(kernel > 0.0)
+
+    def test_every_pattern_of_up_to_three_states(self):
+        # Patterns with an empty row are no kernel; the graph test still
+        # sees them, and check_regularity sees them with that row's loop.
+        for n in (1, 2, 3):
+            for bits in range(2 ** (n * n)):
+                pattern = (bits >> np.arange(n * n) & 1).astype(bool).reshape(n, n)
+                assert battery._graph_regularity(pattern) == regularity_oracle(pattern)
+                kernel = _kernel_from_pattern(pattern, np.ones((n, n)))
+                assert check_regularity(kernel) == regularity_oracle(kernel > 0.0)
+
+    def test_seeded_random_patterns_of_four_to_twelve_states(self):
+        rng = np.random.default_rng(20)
+        verdicts = set()
+        for i in range(6000):
+            n = int(rng.integers(4, 13))
+            pattern = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+            if i % 3 == 1:  # block-diagonal: two closed classes once both blocks are live
+                cut = int(rng.integers(1, n))
+                pattern[:cut, cut:] = pattern[cut:, :cut] = False
+            elif i % 3 == 2:  # periodic: edges only from one group to the next
+                group = np.arange(n) % int(rng.integers(2, n + 1))
+                pattern &= group[None, :] == (group[:, None] + 1) % (group.max() + 1)
+            want = regularity_oracle(pattern)
+            assert battery._graph_regularity(pattern) == want
+            kernel = _kernel_from_pattern(pattern, rng.uniform(0.1, 1.0, (n, n)))
+            report = check_regularity(kernel)
+            assert report == regularity_oracle(kernel > 0.0)
+            verdicts.add((want.indecomposable, want.self_loop_state is None))
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_same_pattern_same_report_whatever_the_weights(self):
         rng = np.random.default_rng(5)
@@ -294,7 +379,7 @@ class TestRegularityMemo:
         for _ in range(_PATTERN_CACHE + 100):
             pattern = rng.random((8, 8)) < 0.5
             kernel = _kernel_from_pattern(pattern, np.ones((8, 8)))
-            assert battery._regularity(kernel) == battery._graph_regularity(kernel > 0.0)
+            assert battery._regularity(kernel) == regularity_oracle(kernel > 0.0)
             assert battery._pattern_regularity.cache_info().currsize <= _PATTERN_CACHE
 
     def test_large_kernels_are_not_kept(self):
@@ -347,10 +432,12 @@ class TestBuildKernelTensor:
 
     def test_schemes_share_one_read_only_tensor(self):
         spec = BatterySpec(capacity=4, cost=2)
-        scheme = _scheme(Model.BOTH_HOPS, spec, BinaryChannel(0.9, 0.9), BinaryChannel(0.8, 0.8))
-        assert not scheme.tensor.flags.writeable
-        assert scheme.tensor.tobytes() == transition_tensor_oracle(spec, scheme.arrival).tobytes()
-        assert _ProductProblem(scheme, 1e-6).scheme.tensor is scheme.tensor
+        ch1 = BinaryChannel(0.9, 0.9)
+        scheme = _scheme(Model.BOTH_HOPS, spec, ch1, BinaryChannel(0.8, 0.8))
+        assert not scheme.cells.flags.writeable
+        want = _tensor_cells(transition_tensor_oracle(spec, ArrivalModel.first_hop(ch1)))
+        assert scheme.cells.tobytes() == want.tobytes()
+        assert _ProductProblem(scheme, 1e-6).scheme.cells is scheme.cells
 
 
 class TestBuildKernel:
@@ -494,8 +581,8 @@ class TestStationary:
             assert np.max(np.abs(pi - want)) <= 1e-10
             assert np.max(np.abs(pi @ k - pi)) <= STATIONARY_RESIDUAL
 
-    def test_analyze_chain_checks_regularity_once(self, worked, monkeypatch):
-        # One graph analysis and one kernel validation per steady state.
+    @staticmethod
+    def _count_checks(monkeypatch) -> list:
         calls = []
         for name in ("_regularity", "_validate_kernel"):
             real = getattr(battery, name)
@@ -505,7 +592,18 @@ class TestStationary:
                 return real(kernel)
 
             monkeypatch.setattr(battery, name, counted)
+        return calls
+
+    def test_analyze_chain_checks_regularity_once(self, worked, monkeypatch):
+        # One graph analysis per steady state, and no validation of a kernel
+        # that was built from a checked policy.
+        calls = self._count_checks(monkeypatch)
         analyze_chain(*worked)
+        assert calls == ["_regularity"]
+
+    def test_stationary_validates_a_user_kernel_once(self, monkeypatch):
+        calls = self._count_checks(monkeypatch)
+        stationary(WORKED_KERNEL)
         assert sorted(calls) == ["_regularity", "_validate_kernel"]
 
     def test_analyze_chain_bundle(self, worked):

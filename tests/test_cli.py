@@ -68,6 +68,28 @@ policy:
     - [0.5, 0.5]
 """
 
+DEAD_FIRST_HOP_BOTH_HOPS = """\
+model: both-hops
+battery: {capacity: 2, cost: 2}
+channels:
+  first: {q1: 1.0, q2: 0.0}
+  second: {crossover: 0.1}
+"""
+
+NEVER_CHARGES = """\
+model: random-loss
+battery: {capacity: 2, cost: 2}
+channels:
+  first: {crossover: 0.05}
+loss:
+  given-zero: [1.0]
+  given-one: [1.0, 0.0]
+policy:
+  x1: [0.5, 0.5]
+  x2-given-level: [[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]]
+run: {n: 1000, seed: 7}
+"""
+
 DEAD_FIRST_HOP = """\
 model: timing
 battery: {capacity: 2, cost: 2}
@@ -118,6 +140,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == ("constraint error: no feasible policy found anywhere on the search grid"
                        " (first error: charge probability must be in (0, 1]; 0 never recharges)\n")
+
+    def test_both_hops_search_whose_first_hop_never_delivers_a_one(self, tmp_path, capsys):
+        # no policy recharges the relay, so every grid point fails its chain
+        path = tmp_path / "dead-first-hop-both-hops.yaml"
+        path.write_text(DEAD_FIRST_HOP_BOTH_HOPS)
+        assert main(["optimize", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "constraint error: no feasible policy found anywhere on the search grid\n")
+
+    def test_simulate_a_chain_that_never_charges(self, tmp_path, capsys):
+        # the level stays where it starts: the run is reported, without a steady state
+        path = tmp_path / "never-charges.yaml"
+        path.write_text(NEVER_CHARGES)
+        assert main(["simulate", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "level 0: frequency 1\n" in out
+        assert out.endswith("no steady state exists for this chain\n")
 
     def test_total_loss(self, tmp_path, capsys):
         path = tmp_path / "dead.yaml"
@@ -253,6 +292,9 @@ BAD_CONFIGS = {
     "policy-with-neither-form": ("rate", "rate-second-hop.yaml",
                                  {"policy": {"joint-given-level": DROP, "x1": [0.5, 0.5]}},
                                  "policy needs joint-given-level, or x1 plus x2-given-level"),
+    "both-hops-optimize-without-first-hop": ("optimize", "optimize-second-hop.yaml",
+                                             {"model": "both-hops"},
+                                             "the both-hops scheme needs the first-hop channel"),
     "timing-config-without-charge-p": ("timing", "rate-timing.yaml", {},
                                        "the timing command needs --cost and --charge-p"),
     "timing-config-without-cost-or-charge-p": ("timing", "rate-timing.yaml", {"battery": DROP},
@@ -581,6 +623,11 @@ class TestTimingCommand:
     def test_bias_whose_cumsum_ends_short_is_rated(self, capsys):
         assert main(["timing", "--cost", "3", "--charge-p", "0.04728146959597227"]) == 0
         assert "recharge time: mean" in capsys.readouterr().out
+
+    def test_sure_charge_with_overlap_fits_a_one_slot_horizon(self, capsys):
+        # every recharge takes one slot, so the law's range past zmax = 1 is empty
+        assert main(["timing", "--cost", "2", "--charge-p", "1", "--overlap", "--zmax", "1"]) == 0
+        assert "recharge time: mean 1, entropy 0 bits" in capsys.readouterr().out
 
     def test_truncating_horizon_is_one_numerical_line(self, capsys):
         assert main(["timing", "--cost", "2", "--charge-p", "0.5", "--zmax", "6"]) == 3

@@ -3,6 +3,7 @@ concentration, collision curves, recharge sampling, and the two codec-side
 experiments."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -153,6 +154,56 @@ class TestSimulateStates:
                             RunConfig(seed=1, n=10), initial_state=7)
 
 
+COLLISION_JOINT = JointPmf(np.array([[0.4, 0.1], [0.2, 0.3]]))
+COLLISION_RUN = RunConfig(seed=1, n=10, trials=5)
+NAN = float("nan")
+
+
+# (call, error, text its message must hold): each input branch raises its documented error
+BAD_INPUTS = {
+    "sample-path-non-square": (lambda: sample_path([[0.5, 0.5]], 0, 4, substream(0, "path")),
+                               ValidationError, "transition must be a square matrix"),
+    "sample-path-zero-steps": (lambda: sample_path(np.eye(2), 0, 0, substream(0, "path")),
+                               ValidationError, "path length must be positive"),
+    "collision-empty-grid": (lambda: collision_curve(COLLISION_JOINT, 10, (), COLLISION_RUN),
+                             ValidationError, "rate grid must be nonempty and nonnegative"),
+    "collision-n-over-cap": (
+        lambda: collision_curve(COLLISION_JOINT, mclab.MAX_STEPS + 1, (0.5,), COLLISION_RUN),
+        BudgetError, "exceeds the desk-scale cap"),
+    "collision-nan-rate": (lambda: collision_curve(COLLISION_JOINT, 10, (NAN,), COLLISION_RUN),
+                           ValidationError, "codebook rates must be finite, got (nan,)"),
+    "collision-nan-rate-materialize": (
+        lambda: collision_curve(COLLISION_JOINT, 10, (0.2, NAN), COLLISION_RUN,
+                                method="materialize"),
+        ValidationError, "codebook rates must be finite, got (0.2, nan)"),
+    "collision-infinite-rate": (
+        lambda: collision_curve(COLLISION_JOINT, 10, (float("inf"),), COLLISION_RUN),
+        ValidationError, "codebook rates must be finite, got (inf,)"),
+    "collision-nan-rate-auto": (
+        lambda: collision_experiment(COLLISION_JOINT, 10, NAN, COLLISION_RUN),
+        ValidationError, "codebook rates must be finite, got (nan,)"),
+    "collision-negative-length": (lambda: collision_curve(COLLISION_JOINT, -3, (0.5,), COLLISION_RUN),
+                                  ValidationError, "codeword length must be at least 1, got -3"),
+    "collision-zero-length": (lambda: collision_curve(COLLISION_JOINT, 0, (0.5,), COLLISION_RUN),
+                              ValidationError, "codeword length must be at least 1, got 0"),
+    "collision-zero-length-auto": (
+        lambda: collision_experiment(COLLISION_JOINT, 0, 0.5, COLLISION_RUN),
+        ValidationError, "codeword length must be at least 1, got 0"),
+    "codec-policy-other-geometry": (
+        lambda: CodecConfig(spec=BatterySpec(capacity=3, cost=2),
+                            policy=StatePolicy.joint_policy(worked_spec(), WORKED_TABLES),
+                            rate_bits=(0.5,) * 4, slack=0.1),
+        ValidationError, "policy was built for a different battery geometry"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_raises_its_documented_error(case):
+    call, error, text = BAD_INPUTS[case]
+    with pytest.raises(error, match=re.escape(text)):
+        call()
+
+
 class TestSamplePath:
     def test_follows_a_deterministic_kernel(self):
         kernel = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -288,6 +339,12 @@ class TestCollision:
         fallback = collision_experiment(self.JOINT, 30, 1.0, cfg,
                                         method="auto")
         assert fallback.method == "conditional"
+
+    def test_auto_picks_the_conditional_method_past_the_double_range(self):
+        # 2^(n R) for n R = 1,200 is past the double range; the choice is
+        # made on the exponent, so no overflow escapes
+        res = collision_experiment(self.JOINT, 2000, 0.6, RunConfig(seed=1, n=10, trials=5))
+        assert res.method == "conditional"
 
     def test_unknown_method(self):
         with pytest.raises(ValidationError):

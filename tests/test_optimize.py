@@ -3,6 +3,7 @@ policy draws, and its own coarser configurations, and sweeps must agree with
 single calls."""
 
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,29 @@ SPEC22 = BatterySpec(capacity=2, cost=2)
 
 SMALL = OptimizeOptions(grid_points=11, grid_budget=2000, refine_iters=80,
                         restarts=3, seed=0)
+
+
+# (call, error, text its message must hold): each input branch raises its documented error
+BAD_INPUTS = {
+    "refine-iters-zero": (lambda: OptimizeOptions(refine_iters=0),
+                          ValidationError, "refinement needs at least one iteration"),
+    "aux-size-zero": (lambda: OptimizeOptions(aux_sizes=(0,)),
+                      ValidationError, "aux alphabet sizes must be positive"),
+    "sweep-value-zero": (lambda: SweepSpec(models=(Model.SECOND_HOP,), parameter="cost",
+                                           values=(0,), ch2=CH2),
+                         ValidationError, "sweep values must be positive integers"),
+    "capacity-sweep-without-cost": (
+        lambda: SweepSpec(models=(Model.SECOND_HOP,), parameter="capacity", values=(2, 3),
+                          ch2=CH2),
+        ValidationError, "capacity sweeps need a fixed cost of at least 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_raises_its_documented_error(case):
+    call, error, text = BAD_INPUTS[case]
+    with pytest.raises(error, match=re.escape(text)):
+        call()
 
 
 class TestOptions:

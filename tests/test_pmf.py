@@ -6,6 +6,7 @@ kernels). Validation is compared in bytes with its one-call-per-check
 form, messages and warnings included."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -37,6 +38,20 @@ def pmfs(min_size=2, max_size=6):
         st.integers(min_value=1, max_value=997), min_size=min_size,
         max_size=max_size,
     ).map(lambda w: [x / sum(w) for x in w])
+
+
+# (call, text the ValidationError message must hold): each input branch raises its documented error
+BAD_INPUTS = {
+    "uniform-of-nothing": (lambda: Pmf.uniform(0), "uniform pmf needs at least one outcome"),
+    "point-past-the-end": (lambda: Pmf.point(2, 5), "point-mass index out of range"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_raises_its_documented_error(case):
+    call, text = BAD_INPUTS[case]
+    with pytest.raises(ValidationError, match=re.escape(text)):
+        call()
 
 
 class TestPmfConstruction:

@@ -30,13 +30,14 @@ from ehrelay import (
 )
 from ehrelay.battery import _kernels, _solve_stationary, _tensor_cells, transition_tensor
 from ehrelay.pmf import _h2
-from ehrelay.rates import _scheme
+from ehrelay.rates import _charge_law, _scheme
 from conftest import (
     ascend_oracle,
     h2_oracle,
     kernels_oracle,
     random_joint_tables,
     solve_stationary_oracle,
+    transition_tensor_oracle,
 )
 
 # The package attribute ``ehrelay.optimize`` is the function, not the module.
@@ -46,8 +47,9 @@ EPS = OptimizeOptions().eps_pos
 
 
 @st.composite
-def problems(draw):
-    """A search problem of any batched model on a random battery and channels."""
+def problems_and_charge_laws(draw):
+    """A search problem of any batched model on a random battery and channels,
+    with the charge law its scheme was built from."""
     model = draw(st.sampled_from([Model.SECOND_HOP, Model.BOTH_HOPS, Model.RANDOM_LOSS]))
     cost = draw(st.integers(2, 6))
     low = 2 if model is Model.SECOND_HOP else max(cost, 2)
@@ -61,9 +63,13 @@ def problems(draw):
         weights = [draw(st.integers(1, 99)) for _ in range(2 * cost)]
         loss = tuple(Pmf(np.array(w) / sum(w)) for w in (weights[:cost], weights[cost:]))
     scheme = _scheme(model, spec, ch1, ch2, loss)
-    if model is Model.SECOND_HOP:
-        return opt._SecondHopProblem(scheme, EPS)
-    return opt._ProductProblem(scheme, EPS)
+    problem = opt._SecondHopProblem if model is Model.SECOND_HOP else opt._ProductProblem
+    return problem(scheme, EPS), _charge_law(model, ch1, loss)
+
+
+def problems():
+    """A search problem of any batched model on a random battery and channels."""
+    return problems_and_charge_laws().map(lambda pair: pair[0])
 
 
 def _thetas(problem, seed: int, faces: bool = True, wide: bool = False,
@@ -107,10 +113,14 @@ class TestBatchedKernel:
             assert abs(breakdown.rate - value) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(problems(), st.integers(0, 2**32 - 1))
-    def test_chain_helpers_match_their_reference_forms(self, problem, seed):
-        # The kernels, the steady-state solve and the binary entropy of a
-        # scored batch, each bit for bit what its plain form gives.
+    @given(problems_and_charge_laws(), st.integers(0, 2**32 - 1))
+    def test_chain_helpers_match_their_reference_forms(self, case, seed):
+        # The scheme's cells, then the kernels, the steady-state solve and
+        # the binary entropy of a scored batch, each bit for bit what its
+        # plain form gives.
+        problem, arrival = case
+        tensor = transition_tensor_oracle(problem.scheme.spec, arrival)
+        assert problem.scheme.cells.tobytes() == _tensor_cells(tensor).tobytes()
         thetas = _thetas(problem, seed, wide=True)
         if thetas.shape[0] > 2:
             thetas[1, -1] = np.nan  # a row whose chain fails
@@ -120,7 +130,7 @@ class TestBatchedKernel:
         else:
             joint = problem.decode(thetas)
         kernel = _kernels(joint, problem.scheme.cells)
-        assert kernel.tobytes() == kernels_oracle(joint, problem.scheme.tensor).tobytes()
+        assert kernel.tobytes() == kernels_oracle(joint, tensor).tobytes()
         pi, ok = _solve_stationary(kernel)
         want_pi, want_ok = solve_stationary_oracle(kernel)
         assert pi.tobytes() == want_pi.tobytes() and ok.tolist() == want_ok.tolist()

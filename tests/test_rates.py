@@ -258,8 +258,20 @@ class TestFeasibilityCheck:
         assert violations
 
     def test_timing_model_has_no_per_level_policy(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="the timing scheme has no per-level policy to check"):
             feasibility_check(worked_policy(), Model.TIMING, worked_spec())
+        with pytest.raises(ValidationError, match="the timing scheme has no per-level policy"):
+            uniform_policy(Model.TIMING, worked_spec())
+
+    @pytest.mark.parametrize("policy, model, spec, want", [
+        (worked_policy, Model.SECOND_HOP, BatterySpec(3, 2),
+         "policy was built for a different battery geometry"),
+        (worked_policy, Model.BOTH_HOPS, None, "this scheme requires a product policy"),
+        (lambda: uniform_policy(Model.BOTH_HOPS, worked_spec()), Model.SECOND_HOP, None,
+         "second-hop scheme requires a joint per-level policy"),
+    ], ids=["other-geometry", "joint-under-both-hops", "product-under-second-hop"])
+    def test_refusals_are_listed(self, policy, model, spec, want):
+        assert feasibility_check(policy(), model, spec) == [want]
 
     def test_uniform_policies_are_feasible(self):
         for model in (Model.SECOND_HOP, Model.BOTH_HOPS, Model.RANDOM_LOSS):

@@ -4,6 +4,7 @@ reductions."""
 
 import hashlib
 import importlib
+import re
 from fractions import Fraction
 from math import comb
 
@@ -72,6 +73,30 @@ def z_pmf_oracle(cost, p1, overlap=False):
             probs = probs[:cut] / probs[:cut].sum()
             return np.arange(lo, lo + cut), probs / float(probs.sum()), doublings
         hi, doublings = 2 * hi, doublings + 1
+
+
+# (call, text the ValidationError message must hold): each input branch raises its documented error
+BAD_INPUTS = {
+    "integer-pmf-mismatched-lengths": (lambda: IntegerPmf([1, 2, 3], [0.5, 0.5]),
+                                       "values and probs must be matching 1-d arrays"),
+    "integer-pmf-negative-weight": (lambda: IntegerPmf([1, 2], [1.5, -0.5]),
+                                    "probabilities must be finite and nonnegative"),
+    "default-wait-table-no-aux": (lambda: default_wait_table(0, np.array([2, 3])),
+                                  "aux alphabet must be nonempty"),
+    "timing-scheme-1d-wait-table": (lambda: TimingScheme(Pmf.uniform(2), np.ones(2, dtype=int)),
+                                    "wait table must be 2-d (aux symbol by recharge time)"),
+    "timing-rate-three-letter-source": (
+        lambda: timing_rate(BatterySpec(capacity=2, cost=2), [0.2, 0.3, 0.5],
+                            BinaryChannel(0.95, 0.95)),
+        "source law must be binary"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_raises_its_documented_error(case):
+    call, text = BAD_INPUTS[case]
+    with pytest.raises(ValidationError, match=re.escape(text)):
+        call()
 
 
 class TestZNoise:
