@@ -11,26 +11,34 @@ from ehrelay import (
     ArrivalModel,
     BatterySpec,
     BinaryChannel,
+    CodecConfig,
     ConstraintError,
+    EhRelayError,
     Model,
     NumericalError,
     Pmf,
     RateBreakdown,
+    RunConfig,
     StatePolicy,
     ValidationError,
+    analyze_chain,
     both_hops_rate,
     build_kernel,
     entropy,
     feasibility_check,
+    pair_chain,
     per_level_receiver_bits,
     random_loss_rate,
+    relay_codec_trial,
     require_informative_second_hop,
     second_hop_rate,
+    simulate_states,
     timing_rate,
     uniform_policy,
 )
 from conftest import (
     ONE_MINUS_H_005,
+    WORKED_PI,
     WORKED_RECEIVER,
     WORKED_TABLES,
     mutual_information,
@@ -278,6 +286,41 @@ class TestFeasibilityCheck:
             for spec in (BatterySpec(2, 2), BatterySpec(5, 3)):
                 policy = uniform_policy(model, spec)
                 assert feasibility_check(policy, model, spec) == []
+
+
+# A caller's policy that the rate and lab entry points must refuse, with the
+# exact error each raises: spending below the cost, or another battery.
+BAD_POLICIES = {
+    "spends-at-level-0": (
+        lambda: StatePolicy.joint_policy(
+            worked_spec(), [[[0.4, 0.1], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]],
+                            [[0.25, 0.25], [0.25, 0.25]]], strict=False),
+        ConstraintError, "policy spends at level 0, below the transmission cost 2"),
+    "other-geometry": (lambda: uniform_policy(Model.SECOND_HOP, BatterySpec(3, 2)),
+                       ValidationError, "policy was built for a different battery geometry"),
+}
+DETERMINISTIC = ArrivalModel.deterministic()
+POLICY_ENTRIES = {
+    "build_kernel": lambda policy: build_kernel(worked_spec(), policy, DETERMINISTIC),
+    "analyze_chain": lambda policy: analyze_chain(worked_spec(), policy, DETERMINISTIC),
+    "pair_chain": lambda policy: pair_chain(worked_spec(), policy, DETERMINISTIC,
+                                            Pmf(WORKED_PI)),
+    "simulate_states": lambda policy: simulate_states(worked_spec(), policy, DETERMINISTIC,
+                                                      RunConfig(seed=0, n=10)),
+    "second_hop_rate": lambda policy: second_hop_rate(worked_spec(), policy, CH2),
+    "relay_codec_trial": lambda policy: relay_codec_trial(
+        CodecConfig(spec=worked_spec(), policy=policy, rate_bits=(0.5,) * 3, slack=0.1),
+        1, RunConfig(seed=0, n=10)),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(BAD_POLICIES))
+@pytest.mark.parametrize("entry", sorted(POLICY_ENTRIES))
+def test_entry_points_refuse_a_bad_policy(entry, policy):
+    build, error, text = BAD_POLICIES[policy]
+    with pytest.raises(EhRelayError) as caught:
+        POLICY_ENTRIES[entry](build())
+    assert (type(caught.value), str(caught.value)) == (error, text)
 
 
 class TestStructuralProperties:
