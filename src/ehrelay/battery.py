@@ -14,10 +14,11 @@ per-symbol energy loss), checks the sufficient conditions for a steady state
 (some state reachable from every state, so one closed communicating class,
 plus a self-loop), and exposes the lagged pair chain (u, u') whose
 deterministic emission is the relay symbol, with a forward-algorithm
-likelihood for observation sequences seen through a binary channel. A
-user's kernel is validated where it enters (``stationary``,
-``check_regularity``); a kernel built from a checked policy is valid by
-construction and is not validated again.
+likelihood for observation sequences seen through a binary channel. Input
+is checked once, where it enters: a caller's policy by ``_require_policy``
+(the strict constructors, ``build_kernel``), a user's kernel by
+``stationary`` and ``check_regularity``; a kernel built from a checked
+policy is valid by construction and is not validated again.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConstraintError, NumericalError, ValidationError
-from .pmf import INTERNAL_TOL, USER_TOL, BinaryChannel, JointPmf, Pmf, _stacked
+from .pmf import INTERNAL_TOL, USER_TOL, BinaryChannel, JointPmf, Pmf, _require_integers, _stacked
 
 STATIONARY_RESIDUAL = 1e-10
 _POWER_ITER_MAX = 1_000_000
@@ -53,10 +54,8 @@ class BatterySpec:
     cost: int
 
     def __post_init__(self):
-        if not isinstance(self.capacity, (int, np.integer)) or isinstance(self.capacity, bool):
-            raise ValidationError("capacity must be an integer")
-        if not isinstance(self.cost, (int, np.integer)) or isinstance(self.cost, bool):
-            raise ValidationError("cost must be an integer")
+        _require_integers("capacity must be an integer", self.capacity)
+        _require_integers("cost must be an integer", self.cost)
         if self.capacity < 1:
             raise ValidationError("capacity must be at least 1")
         if self.cost < 2:
@@ -161,7 +160,7 @@ class StatePolicy:
             )
         policy = cls(spec, "joint", tensor)
         if strict:
-            _require_no_underfunded_spending(policy)
+            _require_policy(spec, policy)
         return policy
 
     @classmethod
@@ -180,7 +179,7 @@ class StatePolicy:
         tensor = src.probs[None, :, None] * rows[:, None, :]  # np.outer per level
         policy = cls(spec, "product", tensor, x1=src, x2=x2)
         if strict:
-            _require_no_underfunded_spending(policy)
+            _require_policy(spec, policy)
         return policy
 
     def joint_table(self, u: int) -> np.ndarray:
@@ -203,14 +202,19 @@ class StatePolicy:
         return self._tensor
 
 
-def _require_no_underfunded_spending(policy: StatePolicy) -> None:
-    for u in range(policy.spec.cost):
-        if u >= policy.spec.states:
-            break
-        if float(policy.x2_row(u)[1]) != 0.0:
-            raise ConstraintError(
-                f"policy spends at level {u}, below the transmission cost {policy.spec.cost}"
-            )
+def _underfunded_levels(policy: StatePolicy) -> list[int]:
+    """The spending rule: the levels below the cost at which the policy spends."""
+    spec = policy.spec
+    return [u for u in range(min(spec.cost, spec.states)) if float(policy.x2_row(u)[1]) != 0.0]
+
+
+def _require_policy(spec: BatterySpec, policy: StatePolicy) -> None:
+    """Refuse a policy built for another battery, then one that spends below the cost."""
+    if policy.spec != spec:
+        raise ValidationError("policy was built for a different battery geometry")
+    if levels := _underfunded_levels(policy):
+        raise ConstraintError(
+            f"policy spends at level {levels[0]}, below the transmission cost {spec.cost}")
 
 
 def transition_tensor(spec: BatterySpec, arrival: ArrivalModel) -> np.ndarray:
@@ -271,19 +275,12 @@ def _kernels(joint: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
 
 def build_kernel(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel) -> np.ndarray:
-    """Battery-level transition matrix induced by a policy and a charge law."""
-    return _policy_kernel(spec, policy, _tensor_cells(transition_tensor(spec, arrival)))
+    """Battery-level transition matrix induced by a policy and a charge law.
 
-
-def _policy_kernel(spec: BatterySpec, policy: StatePolicy, cells: np.ndarray) -> np.ndarray:
-    """``build_kernel`` over the ``_tensor_cells`` the caller has already built.
-
-    Valid by construction: the tables and the charge law are checked and
-    renormalized when built, so with no underfunded spending each row sums
-    to one within a few ulps."""
-    if policy.spec != spec:
-        raise ValidationError("policy was built for a different battery geometry")
-    _require_no_underfunded_spending(policy)
+    Checks the charge law, then the policy; the tables and the charge law are
+    renormalized when built, so each row sums to one within a few ulps."""
+    cells = _tensor_cells(transition_tensor(spec, arrival))
+    _require_policy(spec, policy)
     return _kernels(policy.tensor(), cells)
 
 
@@ -420,7 +417,7 @@ def _steady_state(k: np.ndarray) -> tuple[Pmf, RegularityReport]:
     """Steady state of a valid kernel together with the regularity report that licenses it.
 
     ``k`` is a user's kernel that passed ``_validate_kernel`` or one that
-    ``_policy_kernel`` built from a checked policy; it is not checked again."""
+    ``_kernels`` built from a checked policy; it is not checked again."""
     report = _regularity(k)
     if not report.indecomposable or report.self_loop_state is None:
         parts = []

@@ -52,8 +52,7 @@ from .timing import TimingScheme, ZNoise, _timing_result, _wait_rule, t_pmf, tim
 _RATE_COLUMNS = ("model", "cost", "capacity", "relay_bound", "receiver_bound",
                  "rate", "achievable", "binding")
 _OPT_COLUMNS = _RATE_COLUMNS + ("policy_digest", "evaluations")
-_SWEEP_COLUMNS = ("model", "cost", "capacity", "relay_bound", "receiver_bound",
-                  "rate", "achievable", "binding", "policy_digest")
+_SWEEP_COLUMNS = _RATE_COLUMNS + ("policy_digest",)
 _SIM_COLUMNS = ("level", "frequency", "stationary", "abs_deviation")
 _AEP_COLUMNS = ("trial", "n", "marginal_bits_per_symbol", "joint_bits_per_symbol")
 _CODEC_COLUMNS = ("block", "n", "trials", "p_incomplete", "p_ambiguous", "p_either")

@@ -97,8 +97,7 @@ def sample_path(transition, init: int, n: int, rng: np.random.Generator) -> np.n
         path.append(state)
         stock = stocks[state]
         if not stock:
-            draws = np.searchsorted(cum[state], rng.random(chunks[state]), side="right")
-            stocks[state] = stock = np.minimum(draws, states - 1)[::-1].tolist()
+            stocks[state] = stock = _draw_index(cum[state], rng, chunks[state])[::-1].tolist()
             if chunks[state] < 65536:
                 chunks[state] *= 2
         state = stock.pop()

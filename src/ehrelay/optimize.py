@@ -29,7 +29,7 @@ import numpy as np
 
 from .battery import BatterySpec, StatePolicy, _kernels, _solve_stationary
 from .errors import ConstraintError, EhRelayError, ValidationError
-from .pmf import BinaryChannel, Pmf
+from .pmf import BinaryChannel, Pmf, _require_integers
 from .rates import (
     Model,
     RateBreakdown,
@@ -73,6 +73,9 @@ class OptimizeOptions:
     aux_sizes: tuple[int, ...] = (5,)
 
     def __post_init__(self):
+        _require_integers("grid_points, grid_budget, refine_iters, restarts, seed and aux_sizes "
+                          "must be integers", self.grid_points, self.grid_budget,
+                          self.refine_iters, self.restarts, self.seed, *self.aux_sizes)
         if self.grid_points < 2:
             raise ValidationError("grid must have at least two points per axis")
         if self.grid_budget < 1:
@@ -122,7 +125,7 @@ def _digest(parts) -> str:
 
 def _search_rng(opts: OptimizeOptions, label: str) -> np.random.Generator:
     tag = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
-    return np.random.default_rng(np.random.SeedSequence((opts.seed & (2**64 - 1), tag)))
+    return np.random.default_rng(np.random.SeedSequence((int(opts.seed) & (2**64 - 1), tag)))
 
 
 class _CubeProblem:
@@ -507,6 +510,19 @@ def _line_search(problem: _TimingProblem, opts: OptimizeOptions, label: str,
     return np.array([theta])
 
 
+def _searches(model: Model, spec: BatterySpec, ch1: Optional[BinaryChannel],
+              ch2: Optional[BinaryChannel], loss: Optional[tuple[Pmf, Pmf]], wait_rule: str,
+              wait_const: int, overlap: bool, opts: OptimizeOptions) -> list:
+    """The (label, problem) pairs of one ``optimize`` call; building them checks its inputs."""
+    label = f"optimize/{model.value}/cost={spec.cost}/capacity={spec.capacity}"
+    if model is Model.TIMING:
+        return [(f"{label}/aux={aux_size}",
+                 _TimingProblem(spec, ch1, aux_size, wait_rule, wait_const, overlap))
+                for aux_size in opts.aux_sizes]
+    kind = _SecondHopProblem if model is Model.SECOND_HOP else _ProductProblem
+    return [(label, kind(_scheme(model, spec, ch1, ch2, loss), opts.eps_pos))]
+
+
 def optimize(model, spec: BatterySpec, *, ch1: Optional[BinaryChannel] = None,
              ch2: Optional[BinaryChannel] = None,
              loss: Optional[tuple[Pmf, Pmf]] = None,
@@ -523,18 +539,10 @@ def optimize(model, spec: BatterySpec, *, ch1: Optional[BinaryChannel] = None,
     search), so it satisfies exactly the invariants they enforce.
     """
     model = Model(model)
-    label = f"optimize/{model.value}/cost={spec.cost}/capacity={spec.capacity}"
-    if model is Model.TIMING:
-        searches = [(f"{label}/aux={aux_size}",
-                     _TimingProblem(spec, ch1, aux_size, wait_rule, wait_const, overlap))
-                    for aux_size in opts.aux_sizes]
-    else:
-        scheme = _scheme(model, spec, ch1, ch2, loss)
-        kind = _SecondHopProblem if model is Model.SECOND_HOP else _ProductProblem
-        searches = [(label, kind(scheme, opts.eps_pos))]
     search = _line_search if model is Model.TIMING else _run_search
     best = None
-    for tag, problem in searches:
+    for tag, problem in _searches(model, spec, ch1, ch2, loss, wait_rule, wait_const,
+                                  overlap, opts):
         theta = search(problem, opts, tag, extra_starts)
         breakdown, extras = problem.finalize(theta)
         cand = OptimizeResult(model=model, breakdown=breakdown,
@@ -576,6 +584,8 @@ class SweepSpec:
     ``parameter`` is "cost" (capacity rides along, equal to the cost, so the
     spacing scheme stays admissible) or "capacity" (cost fixed via ``cost``;
     the spacing scheme is rejected because it needs capacity == cost).
+    Each cell's searches are built here, in sweep order, by ``optimize``'s
+    builder and thrown away, so bad input fails before any search runs.
     """
 
     models: tuple
@@ -593,10 +603,11 @@ class SweepSpec:
     def __post_init__(self):
         models = tuple(Model(m) for m in self.models)
         object.__setattr__(self, "models", models)
-        values = tuple(int(v) for v in self.values)
+        values = tuple(self.values)
+        _require_integers("sweep values must be positive integers", *values)
         if not values or any(v < 1 for v in values):
             raise ValidationError("sweep values must be positive integers")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", tuple(int(v) for v in values))
         if self.parameter == "cost":
             if any(v < 2 for v in values):
                 raise ValidationError("costs below 2 are outside the model")
@@ -612,26 +623,19 @@ class SweepSpec:
                 )
         else:
             raise ValidationError("sweep parameter must be 'cost' or 'capacity'")
-        # Bad or missing inputs fail here, not at the first cell of the model
-        # that needs them: first the wait rule and the loss law's values, then
-        # each model's requirements in sweep order, at the smallest swept spec.
-        smallest = self.spec_for(min(values))
-        if Model.TIMING in models:
-            _wait_rule(self.wait_rule, self.opts.aux_sizes[0], self.wait_const)
-        if Model.RANDOM_LOSS in models and self.loss is not None:
-            self.loss.pmfs(smallest.cost)
-        for model in models:
-            if model is Model.TIMING:
-                _timing_inputs(smallest, self.ch1)
-            else:
-                loss = self.loss.pmfs(smallest.cost) if (model is Model.RANDOM_LOSS
-                                                         and self.loss is not None) else None
-                _scheme(model, smallest, self.ch1, self.ch2, loss)
+        for model, spec in [(m, self.spec_for(v)) for m in models for v in sorted(values)]:
+            _searches(model, spec, **self._inputs(model, spec))
 
     def spec_for(self, value: int) -> BatterySpec:
         if self.parameter == "cost":
             return BatterySpec(capacity=value, cost=value)
         return BatterySpec(capacity=value, cost=self.cost)
+
+    def _inputs(self, model: Model, spec: BatterySpec) -> dict:
+        """A cell's keyword arguments for ``_searches`` and ``optimize``."""
+        loss = self.loss.pmfs(spec.cost) if model is Model.RANDOM_LOSS and self.loss else None
+        return dict(ch1=self.ch1, ch2=self.ch2, loss=loss, wait_rule=self.wait_rule,
+                    wait_const=self.wait_const, overlap=self.overlap, opts=self.opts)
 
 
 def sweep(plan: SweepSpec) -> list[dict]:
@@ -646,17 +650,13 @@ def sweep(plan: SweepSpec) -> list[dict]:
         prev_theta: Optional[np.ndarray] = None
         for value in sorted(plan.values):
             spec = plan.spec_for(value)
-            loss = plan.loss.pmfs(spec.cost) if (model is Model.RANDOM_LOSS
-                                                 and plan.loss is not None) else None
             extra = None
             if prev_theta is not None:
                 dims = _dims(model, spec)
                 padded = np.full(dims, prev_theta[-1])
                 padded[: min(dims, prev_theta.size)] = prev_theta[: min(dims, prev_theta.size)]
                 extra = [padded]
-            result = optimize(model, spec, ch1=plan.ch1, ch2=plan.ch2, loss=loss,
-                              wait_rule=plan.wait_rule, wait_const=plan.wait_const,
-                              overlap=plan.overlap, opts=plan.opts, extra_starts=extra)
+            result = optimize(model, spec, **plan._inputs(model, spec), extra_starts=extra)
             prev_theta = np.asarray(result.theta)
             rows.append({**_breakdown_row(model, spec, result.breakdown),
                          "policy_digest": result.policy_digest})

@@ -25,6 +25,12 @@ INTERNAL_TOL = 1e-12
 _LEAST = float(np.finfo(float).smallest_subnormal)
 
 
+def _require_integers(message: str, *values) -> None:
+    """Raise ``ValidationError(message)`` unless every value is an int or numpy integer, no bool."""
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+        raise ValidationError(message)
+
+
 def _validated_vector(values, tol: float, what: str) -> np.ndarray:
     p = np.array(values, dtype=float)
     if p.ndim != 1 or p.size == 0:

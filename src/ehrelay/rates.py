@@ -29,9 +29,11 @@ from .battery import (
     ArrivalModel,
     BatterySpec,
     StatePolicy,
-    _policy_kernel,
+    _kernels,
+    _require_policy,
     _steady_state,
     _tensor_cells,
+    _underfunded_levels,
     energy_profile,
     transition_tensor,
 )
@@ -135,10 +137,9 @@ def _charge_law(model: Model, ch1: Optional[BinaryChannel],
     Second-hop charges noiselessly, both-hops through the first hop, and
     random-loss through the first hop and the per-symbol loss laws. Needs no
     second hop, so the Monte Carlo commands can drive a chain without one.
+    No timing model gets here: its callers route it away or refuse it first.
     """
     model = Model(model)
-    if model is Model.TIMING:
-        raise ValidationError("the timing model has no per-level battery policy")
     if model is Model.SECOND_HOP:
         return ArrivalModel.deterministic()
     if ch1 is None:
@@ -198,12 +199,12 @@ def _scheme(model: Model, spec: BatterySpec, ch1: Optional[BinaryChannel] = None
 def _policy_rate(scheme: _Scheme, policy: StatePolicy) -> RateBreakdown:
     """A scheme's rate at one policy: the batched bounds at B=1.
 
-    The kernel is built from the checked policy and so is valid already; its
-    steady state comes from the strict ``_steady_state``, so the chain must
-    pass the regularity check. A second-hop policy is joint, the others are
-    product policies.
+    The policy was checked where it entered (strict constructor,
+    ``second_hop_rate`` or ``feasibility_check``), so its kernel is valid;
+    the strict ``_steady_state`` still requires a regular chain. A
+    second-hop policy is joint, the others are product policies.
     """
-    kernel = _policy_kernel(scheme.spec, policy, scheme.cells)
+    kernel = _kernels(policy.tensor(), scheme.cells)
     pi = _steady_state(kernel)[0].probs[None]
     if scheme.model is Model.SECOND_HOP:
         relay, receiver = second_hop_bounds(policy.tensor()[None], pi, scheme.ch2)
@@ -221,7 +222,9 @@ def second_hop_rate(spec: BatterySpec, policy: StatePolicy, ch2: BinaryChannel) 
     """
     if policy.mode != "joint":
         raise ValidationError("second-hop rate expects a joint per-level policy")
-    return _policy_rate(_scheme(Model.SECOND_HOP, spec, ch2=ch2), policy)
+    scheme = _scheme(Model.SECOND_HOP, spec, ch2=ch2)
+    _require_policy(spec, policy)
+    return _policy_rate(scheme, policy)
 
 
 def both_hops_rate(spec: BatterySpec, p_x1, x2_rows, ch1: BinaryChannel,
@@ -273,10 +276,7 @@ def feasibility_check(policy: StatePolicy, model: Model, spec: BatterySpec | Non
     model = Model(model)
     if model is Model.TIMING:
         raise ValidationError("the timing scheme has no per-level policy to check")
-    violations = []
-    for u in range(spec.states):
-        if u < spec.cost and float(policy.x2_row(u)[1]) != 0.0:
-            violations.append(f"spending below cost at level {u}")
+    violations = [f"spending below cost at level {u}" for u in _underfunded_levels(policy)]
     joint = model is Model.SECOND_HOP
     if policy.mode != ("joint" if joint else "product"):
         violations.append("second-hop scheme requires a joint per-level policy" if joint
@@ -299,12 +299,8 @@ def uniform_policy(model: Model, spec: BatterySpec) -> StatePolicy:
     """The fully symmetric interior policy, handy as an optimization floor."""
     model = Model(model)
     if model is Model.SECOND_HOP:
-        tables = []
-        for u in range(spec.states):
-            if u < spec.cost:
-                tables.append([[0.5, 0.0], [0.5, 0.0]])
-            else:
-                tables.append([[0.25, 0.25], [0.25, 0.25]])
+        tables = [[[0.5, 0.0], [0.5, 0.0]] if u < spec.cost else [[0.25, 0.25], [0.25, 0.25]]
+                  for u in range(spec.states)]
         return StatePolicy.joint_policy(spec, tables)
     if model is Model.TIMING:
         raise ValidationError("the timing scheme has no per-level policy")

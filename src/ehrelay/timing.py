@@ -20,7 +20,7 @@ import numpy as np
 from .battery import BatterySpec
 from .breakdown import RateBreakdown
 from .errors import ConstraintError, NumericalError, ValidationError
-from .pmf import BinaryChannel, Pmf, _entropy_bits, entropy
+from .pmf import BinaryChannel, Pmf, _entropy_bits, _require_integers, entropy
 
 MASS_TOL = 1e-12
 _SUPPORT_CAP = 1_000_000
@@ -243,6 +243,8 @@ def _wait_rule(rule: str, aux_size: int, wait_const: int):
     The builder maps a recharge support to the aux law and the wait table
     over that support, the two halves of the rule's ``TimingScheme``.
     """
+    _require_integers(f"aux alphabet size and constant wait must be integers, got {aux_size!r} "
+                      f"and {wait_const!r}", aux_size, wait_const)
     if rule == "mod":
         aux = Pmf.uniform(aux_size)
         return (lambda z: (aux, default_wait_table(aux_size, z)),

@@ -110,6 +110,8 @@ BAD_INPUTS = {
                                 ValidationError, "capacity must be an integer"),
     "cost-a-string": (lambda: BatterySpec(capacity=2, cost="2"),
                       ValidationError, "cost must be an integer"),
+    "capacity-a-bool": (lambda: BatterySpec(capacity=True, cost=2),
+                        ValidationError, "capacity must be an integer"),
     "arrival-unknown-kind": (lambda: ArrivalModel("bogus"),
                              ValidationError, "unknown arrival kind 'bogus'"),
     "arrival-deterministic-with-channel": (
@@ -580,6 +582,14 @@ class TestStationary:
             pi = stationary(k).probs
             assert np.max(np.abs(pi - want)) <= 1e-10
             assert np.max(np.abs(pi @ k - pi)) <= STATIONARY_RESIDUAL
+
+    def test_power_iteration_that_stops_short_is_a_numerical_error(self, monkeypatch):
+        # a failed direct solve and one power step leave the residual unmet
+        monkeypatch.setattr(battery, "_solve_stationary", lambda k: (np.zeros(k.shape[-1]), False))
+        monkeypatch.setattr(battery, "_POWER_ITER_MAX", 1)
+        with pytest.raises(NumericalError,
+                           match="stationary solve did not reach the required residual"):
+            stationary(WORKED_KERNEL)
 
     @staticmethod
     def _count_checks(monkeypatch) -> list:

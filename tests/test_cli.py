@@ -360,6 +360,20 @@ def test_missing_sweep_input_fails_before_any_cell(drop, expected, tmp_path, mon
     assert cells == []
 
 
+def test_sweep_floor_without_room_fails_before_any_search(tmp_path, monkeypatch, capsys):
+    searches = []
+    for name in ("_line_search", "_run_search"):
+        monkeypatch.setattr(opt, name, lambda *a, name=name: searches.append(name))
+    cfg = _patched("sweep-cost.yaml", {"sweep": {"models": ["timing", "second-hop"]},
+                                       "optimizer": {"eps-pos": 0.3}})
+    path = tmp_path / "floor.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "constraint error: positivity floor 0.3 leaves no room in a four-cell table\n")
+    assert searches == []
+
+
 EPS_CONFIG = """\
 model: second-hop
 battery: {{capacity: 2, cost: 2}}
@@ -633,6 +647,11 @@ class TestTimingCommand:
         assert main(["timing", "--cost", "2", "--charge-p", "0.5", "--zmax", "6"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error:") and err.count("\n") == 1
+
+    def test_recharge_support_past_the_cap_is_one_numerical_line(self, capsys):
+        assert main(["timing", "--cost", "2", "--charge-p", "1e-6"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical error: recharge-time support exceeds 1000000 points at p1=1e-06\n")
 
     def test_horizon_over_the_support_cap_is_rejected(self, capsys):
         from ehrelay.timing import _SUPPORT_CAP

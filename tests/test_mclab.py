@@ -346,6 +346,12 @@ class TestCollision:
         res = collision_experiment(self.JOINT, 2000, 0.6, RunConfig(seed=1, n=10, trials=5))
         assert res.method == "conditional"
 
+    def test_certain_word_always_collides(self):
+        # each row is deterministic, so every other word equals the reference
+        res = collision_curve(JointPmf([[0.5, 0.0], [0.0, 0.5]]), 8, (0.5,),
+                              RunConfig(seed=0, n=8, trials=20))
+        assert res.fraction == 1.0 and res.mean_probability[0] == 1.0
+
     def test_unknown_method(self):
         with pytest.raises(ValidationError):
             collision_experiment(self.JOINT, 10, 0.5,
@@ -561,6 +567,12 @@ class TestReceiverSmoke:
                                    RunConfig(seed=6, n=400, trials=60))
         assert res.message_bits == 3
         assert res.p_error <= 0.1
+
+    def test_pure_noise_channel_counts_its_errors(self):
+        # the destination sees nothing of the relay, so most books decode wrong
+        res = receiver_smoke_trial(worked_chain(), BinaryChannel.from_crossover(0.5), 4,
+                                   RunConfig(seed=0, n=16, trials=20))
+        assert res.p_error == 0.9
 
     def test_message_budget(self):
         chain = worked_chain()

@@ -39,12 +39,26 @@ SMALL = OptimizeOptions(grid_points=11, grid_budget=2000, refine_iters=80,
                         restarts=3, seed=0)
 
 
+COUNTS_MESSAGE = "grid_points, grid_budget, refine_iters, restarts, seed and aux_sizes must be integers"
+
 # (call, error, text its message must hold): each input branch raises its documented error
 BAD_INPUTS = {
     "refine-iters-zero": (lambda: OptimizeOptions(refine_iters=0),
                           ValidationError, "refinement needs at least one iteration"),
     "aux-size-zero": (lambda: OptimizeOptions(aux_sizes=(0,)),
                       ValidationError, "aux alphabet sizes must be positive"),
+    "sweep-value-fraction": (lambda: SweepSpec(models=(Model.SECOND_HOP,), parameter="cost",
+                                               values=(2.7,), ch2=CH2),
+                             ValidationError, "sweep values must be positive integers"),
+    "sweep-value-string": (lambda: SweepSpec(models=(Model.SECOND_HOP,), parameter="cost",
+                                             values=("3",), ch2=CH2),
+                           ValidationError, "sweep values must be positive integers"),
+    # each count was once used as given: truncated, rounded, or a numpy TypeError
+    **{f"options-{name}-{value!r}": (lambda kw={name: value}: OptimizeOptions(**kw),
+                                     ValidationError, COUNTS_MESSAGE)
+       for name, value in [("grid_points", 2.5), ("grid_budget", 100.5), ("refine_iters", 1.5),
+                           ("restarts", 2.0), ("restarts", True), ("seed", 0.5),
+                           ("aux_sizes", (5.0,))]},
     "sweep-value-zero": (lambda: SweepSpec(models=(Model.SECOND_HOP,), parameter="cost",
                                            values=(0,), ch2=CH2),
                          ValidationError, "sweep values must be positive integers"),
@@ -52,6 +66,14 @@ BAD_INPUTS = {
         lambda: SweepSpec(models=(Model.SECOND_HOP,), parameter="capacity", values=(2, 3),
                           ch2=CH2),
         ValidationError, "capacity sweeps need a fixed cost of at least 2"),
+    # the floor is checked by the search builder, so the timing cells before
+    # the second-hop ones cannot run first
+    "sweep-floor-without-room": (
+        lambda: SweepSpec(models=(Model.TIMING, Model.SECOND_HOP), parameter="cost",
+                          values=(2, 3), ch1=BinaryChannel.from_crossover(0.05),
+                          ch2=BinaryChannel.from_crossover(0.1),
+                          opts=OptimizeOptions(eps_pos=0.3)),
+        ConstraintError, "positivity floor 0.3 leaves no room in a four-cell table"),
 }
 
 
@@ -417,6 +439,17 @@ class TestSweep:
             assert row["rate"] == pytest.approx(
                 min(row["relay_bound"], row["receiver_bound"]), abs=1e-12)
             assert row["achievable"] == max(row["rate"], 0.0)
+
+    def test_numpy_integer_counts_run_as_python_ints(self):
+        def plan(i):
+            opts = OptimizeOptions(grid_points=i(5), grid_budget=i(200), refine_iters=i(10),
+                                   restarts=i(1), seed=i(0), aux_sizes=(i(3),))
+            return SweepSpec(models=(Model.TIMING, Model.SECOND_HOP), parameter="cost",
+                             values=(i(2), i(3)), ch1=CH1, ch2=CH2, wait_rule="const",
+                             wait_const=i(2), opts=opts)
+        numpy_plan = plan(np.int64)
+        assert numpy_plan.values == (2, 3) and {type(v) for v in numpy_plan.values} == {int}
+        assert sweep(numpy_plan) == sweep(plan(int))
 
     def test_timing_cannot_sweep_capacity(self):
         with pytest.raises(ConstraintError):

@@ -216,6 +216,19 @@ class TestConditionalEntropy:
         assert conditional_entropy(j) <= entropy(Pmf(j.table.sum(axis=1))) + 1e-12
 
 
+class TestRepr:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(lambda w: sum(w) > 0))
+    def test_repr_holds_the_exact_bits(self, weights):
+        # the benchmark fingerprints outputs through these reprs, so equal
+        # reprs must mean equal values
+        pmf = Pmf(np.asarray(weights) / sum(weights))
+        joint = JointPmf(np.outer(pmf.probs, pmf.probs[::-1]))
+        for obj, held in ((pmf, pmf.probs), (joint, joint.table)):
+            values = eval(repr(obj), {type(obj).__name__: np.array})
+            assert values.tobytes() == held.tobytes()
+
+
 class TestJointPmf:
     def test_rejects_bad_total(self):
         with pytest.raises(ValidationError):

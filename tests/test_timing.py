@@ -89,6 +89,15 @@ BAD_INPUTS = {
         lambda: timing_rate(BatterySpec(capacity=2, cost=2), [0.2, 0.3, 0.5],
                             BinaryChannel(0.95, 0.95)),
         "source law must be binary"),
+    # a fractional wait was once truncated to a whole slot, silently
+    "timing-rate-fractional-constant-wait": (
+        lambda: timing_rate(BatterySpec(capacity=2, cost=2), [0.5, 0.5],
+                            BinaryChannel(0.95, 0.95), wait_rule="const", wait_const=1.9),
+        "aux alphabet size and constant wait must be integers, got 5 and 1.9"),
+    "timing-rate-fractional-aux-size": (
+        lambda: timing_rate(BatterySpec(capacity=2, cost=2), [0.5, 0.5],
+                            BinaryChannel(0.95, 0.95), aux_size=2.5),
+        "aux alphabet size and constant wait must be integers, got 2.5 and 1"),
 }
 
 
