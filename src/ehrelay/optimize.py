@@ -534,6 +534,7 @@ def optimize(model, spec: BatterySpec, *, ch1: Optional[BinaryChannel] = None,
     Required ingredients by model: second-hop needs ``ch2``; timing needs
     ``ch1`` (and capacity equal to cost); both-hops needs both channels;
     random-loss needs both channels plus the pair of per-symbol loss laws.
+    ``_searches`` checks them before any search runs; ``SweepSpec`` calls it too.
     The reported breakdown is recomputed at the winning policy through the
     path the public rate functions take (``timing_rate``'s for the timing
     search), so it satisfies exactly the invariants they enforce.

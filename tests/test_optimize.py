@@ -39,7 +39,8 @@ SMALL = OptimizeOptions(grid_points=11, grid_budget=2000, refine_iters=80,
                         restarts=3, seed=0)
 
 
-COUNTS_MESSAGE = "grid_points, grid_budget, refine_iters, restarts, seed and aux_sizes must be integers"
+COUNTS_MESSAGE = ("grid_points, grid_budget, refine_iters, restarts, seed and aux_sizes "
+                  "must be integers")
 
 # (call, error, text its message must hold): each input branch raises its documented error
 BAD_INPUTS = {
