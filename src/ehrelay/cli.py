@@ -253,14 +253,6 @@ def _battery(cfg: dict) -> BatterySpec:
         return BatterySpec(capacity=capacity, cost=cost)
 
 
-def _model(name: str) -> Model:
-    try:
-        return Model(name)
-    except ValueError as exc:
-        choices = ", ".join(m.value for m in Model)
-        raise ValidationError(f"unknown model {name!r} (choose from: {choices})") from exc
-
-
 def _loss(cfg: dict) -> LossShape:
     given = _need(cfg, "loss.given-zero"), _need(cfg, "loss.given-one")
     with _section("loss"):
@@ -373,7 +365,7 @@ def _breakdown_pretty(model: Model, spec: BatterySpec, breakdown: RateBreakdown)
 
 def _cmd_rate(cfg: dict, args):
     _reject_timing(cfg, "rate", "charge-p")
-    model = _model(_need(cfg, "model"))
+    model = Model(_need(cfg, "model"))
     spec = _battery(cfg)
     if _need(cfg, "policy") == "optimize":
         raise ValidationError("the rate command evaluates a fixed policy; "
@@ -395,7 +387,7 @@ def _cmd_rate(cfg: dict, args):
 
 
 def _cmd_optimize(cfg: dict, args):
-    model = _model(_need(cfg, "model"))
+    model = Model(_need(cfg, "model"))
     spec = _battery(cfg)
     result = optimize(model, spec, **_ingredients(model, cfg, spec), opts=_optimizer(cfg, args),
                       **_search_timing(cfg, "optimize", (model,)))
@@ -409,9 +401,7 @@ def _cmd_optimize(cfg: dict, args):
 
 
 def _cmd_sweep(cfg: dict, args):
-    models = tuple(_model(m) for m in _need(cfg, "sweep.models"))
-    if not models:
-        raise ValidationError("sweep.models must not be empty")
+    models = tuple(Model(m) for m in _need(cfg, "sweep.models"))
     _need(cfg, "sweep.values")
     ch = _channels(cfg)
     plan = SweepSpec(**{"parameter": "cost", **_kwargs(cfg["sweep"]), "models": models},
@@ -425,7 +415,7 @@ def _cmd_sweep(cfg: dict, args):
 
 
 def _cmd_simulate(cfg: dict, args):
-    model = _model(_need(cfg, "model"))
+    model = Model(_need(cfg, "model"))
     spec = _battery(cfg)
     policy = _explicit_policy(cfg, spec)
     _gate_feasibility(policy, model, spec)
@@ -456,13 +446,13 @@ def _cmd_simulate(cfg: dict, args):
 
 
 def _cmd_aep(cfg: dict, args):
-    model = _model(_need(cfg, "model"))
+    model = Model(_need(cfg, "model"))
     spec = _battery(cfg)
     policy = _explicit_policy(cfg, spec)
     _gate_feasibility(policy, model, spec)
     arrival = _arrival_for(model, cfg, spec)
     analysis = analyze_chain(spec, policy, arrival)
-    chain = pair_chain(spec, policy, arrival, analysis.pi, kernel=analysis.kernel)
+    chain = pair_chain(spec, policy, arrival, analysis.pi)
     noiseless = cfg.get("aep", {}).get("noiseless", False)
     second = None if noiseless else _channels(cfg, "second")["second"]
     run = _run_config(cfg, args, default_n=10_000)

@@ -29,11 +29,12 @@ from .battery import (
     StatePolicy,
     _forward_pass,
     _observation_table,
+    _require_policy,
     _steady_state,
     build_kernel,
 )
 from .errors import BudgetError, NumericalError, ValidationError
-from .pmf import BinaryChannel, JointPmf
+from .pmf import BinaryChannel, JointPmf, _require_integers
 from .timing import ZNoise, z_pmf
 
 MAX_STEPS = 10_000_000
@@ -53,6 +54,8 @@ class RunConfig:
     trials: int = 1
 
     def __post_init__(self):
+        _require_integers(f"run seed, n and trials must be integers, got {self.seed!r}, "
+                          f"{self.n!r} and {self.trials!r}", self.seed, self.n, self.trials)
         if self.n < 1:
             raise ValidationError("need at least one step or sample")
         if self.n > MAX_STEPS:
@@ -68,8 +71,15 @@ def substream(seed: int, label: str, index: int = 0) -> np.random.Generator:
     when their numeric parameters coincide; the trial index keeps parallel
     trials reproducible regardless of execution order.
     """
+    return _seeded_rng(seed, label, index)
+
+
+def _seeded_rng(seed: int, label: str, *tail: int) -> np.random.Generator:
+    """The lab's and the optimizer's one seeding rule: seed mod 2^64, label hash, tail."""
+    _require_integers(f"seeds and stream indices must be integers, got {(seed, *tail)}", seed, *tail)
     tag = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
-    return np.random.default_rng(np.random.SeedSequence((seed & (2**64 - 1), tag, index)))
+    entropy = (int(seed) & (2**64 - 1), tag, *map(int, tail))
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def sample_path(transition, init: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -79,6 +89,8 @@ def sample_path(transition, init: int, n: int, rng: np.random.Generator) -> np.n
     and consumed as the path visits that state, which keeps the per-step
     work to a list pop plus an integer copy.
     """
+    _require_integers(f"initial state and path length must be integers, got {init!r} and {n!r}",
+                      init, n)
     t = np.asarray(transition, dtype=np.float64)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValidationError("transition must be a square matrix")
@@ -284,6 +296,7 @@ def collision_curve(joint: JointPmf, n: int, rate_grid, cfg: RunConfig,
         raise ValidationError("rate grid must be nonempty and nonnegative")
     if not all(math.isfinite(r) for r in grid):
         raise ValidationError(f"codebook rates must be finite, got {grid}")
+    _require_integers(f"codeword length must be an integer, got {n!r}", n)
     if n < 1:
         raise ValidationError(f"codeword length must be at least 1, got {n}")
     if n > MAX_STEPS:
@@ -473,8 +486,7 @@ class CodecConfig:
     def __post_init__(self):
         if self.policy.mode != "joint":
             raise ValidationError("the codec experiment drives a joint per-level policy")
-        if self.policy.spec != self.spec:
-            raise ValidationError("policy was built for a different battery geometry")
+        _require_policy(self.spec, self.policy)
         rates = tuple(float(r) for r in self.rate_bits)
         if len(rates) != self.spec.states:
             raise ValidationError("need one subcodebook rate per battery level")
@@ -531,6 +543,7 @@ def relay_codec_trial(codec: CodecConfig, blocks: int, cfg: RunConfig) -> CodecR
     call. Trials then walk in lockstep, in groups whose stock fits a fixed
     budget, so each slot is a handful of array operations over the group.
     """
+    _require_integers(f"block count must be an integer, got {blocks!r}", blocks)
     if blocks < 1:
         raise ValidationError("need at least one block")
     spec, policy = codec.spec, codec.policy
@@ -640,6 +653,7 @@ def receiver_smoke_trial(chain: PairChain, ch2: BinaryChannel, message_bits: int
     and scored in one forward pass. Capped at 12 message bits; this is a
     smoke test, not a rate claim.
     """
+    _require_integers(f"message bits must be an integer, got {message_bits!r}", message_bits)
     if message_bits < 1 or message_bits > 12:
         raise BudgetError("receiver smoke test supports 1..12 message bits")
     words = 1 << message_bits

@@ -13,9 +13,10 @@ that ``timing_rate`` takes, then a golden-section refine (Kiefer,
 "Sequential minimax search for a maximum", 1953) of the bracket around each
 of the best local maxima among them.
 
-Runs are reproducible: the only randomness is a generator seeded from the
-options plus a label describing the problem, and ties between equal-value
-optima break lexicographically on the packed parameters.
+Runs are reproducible: the only randomness is a generator seeded, by the
+Monte Carlo lab's rule, from the options plus a label describing the problem,
+and ties between equal-value optima break lexicographically on the packed
+parameters.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from .battery import BatterySpec, StatePolicy, _kernels, _solve_stationary
 from .errors import ConstraintError, EhRelayError, ValidationError
+from .mclab import _seeded_rng
 from .pmf import BinaryChannel, Pmf, _require_integers
 from .rates import (
     Model,
@@ -121,11 +123,6 @@ def _digest(parts) -> str:
     for part in parts:
         h.update(np.ascontiguousarray(np.round(np.asarray(part, dtype=np.float64), 12)).tobytes())
     return h.hexdigest()[:12]
-
-
-def _search_rng(opts: OptimizeOptions, label: str) -> np.random.Generator:
-    tag = int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "big")
-    return np.random.default_rng(np.random.SeedSequence((int(opts.seed) & (2**64 - 1), tag)))
 
 
 class _CubeProblem:
@@ -443,7 +440,7 @@ def _ascend(problem: _CubeProblem, starts: np.ndarray, values: np.ndarray, iters
 def _run_search(problem: _CubeProblem, opts: OptimizeOptions, label: str,
                 extra_starts) -> np.ndarray:
     """The winning point: the best final value, ties to the smallest point."""
-    rng = _search_rng(opts, label)
+    rng = _seeded_rng(opts.seed, label)
     starts = _start_points(problem.dims, opts, rng, extra_starts)
     values = problem(starts)
     if not np.isfinite(values).any():
@@ -493,7 +490,7 @@ def _line_search(problem: _TimingProblem, opts: OptimizeOptions, label: str,
     neighbours (a boundary point brackets with itself). The winner is the
     best refined value, ties to the smallest point.
     """
-    rng = _search_rng(opts, label)
+    rng = _seeded_rng(opts.seed, label)
     xs = np.unique(_start_points(1, opts, rng, extra_starts)[:, 0])
     values = problem(xs[:, None])
     if not np.isfinite(values).any():
@@ -603,6 +600,8 @@ class SweepSpec:
 
     def __post_init__(self):
         models = tuple(Model(m) for m in self.models)
+        if not models:
+            raise ValidationError("sweep.models must not be empty")
         object.__setattr__(self, "models", models)
         values = tuple(self.values)
         _require_integers("sweep values must be positive integers", *values)

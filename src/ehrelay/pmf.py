@@ -31,8 +31,16 @@ def _require_integers(message: str, *values) -> None:
         raise ValidationError(message)
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """A fresh float array of ``values``; a string or ragged entry is a ``ValidationError``."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be an array of numbers") from exc
+
+
 def _validated_vector(values, tol: float, what: str) -> np.ndarray:
-    p = np.array(values, dtype=float)
+    p = _float_array(values, what)
     if p.ndim != 1 or p.size == 0:
         raise ValidationError(f"{what} must be a nonempty 1-d vector")
     return _normalized(p, tol, what)
@@ -115,6 +123,7 @@ class Pmf:
 
     @classmethod
     def uniform(cls, k: int) -> "Pmf":
+        _require_integers(f"uniform pmf needs an integer number of outcomes, got {k!r}", k)
         if k < 1:
             raise ValidationError("uniform pmf needs at least one outcome")
         return cls(np.full(k, 1.0 / k), tol=INTERNAL_TOL)
@@ -150,7 +159,7 @@ class JointPmf:
     __slots__ = ("table",)
 
     def __init__(self, table, tol: float = USER_TOL):
-        t = np.array(table, dtype=float)
+        t = _float_array(table, "joint pmf")
         if t.ndim != 2 or t.size == 0:
             raise ValidationError("joint pmf must be a nonempty 2-d table")
         self.table = _normalized(t, tol, "joint pmf")

@@ -37,11 +37,11 @@ from .battery import (
     energy_profile,
     transition_tensor,
 )
-from .breakdown import BINDING_TIE, RateBreakdown  # noqa: F401  (re-exported)
 from .errors import ConstraintError, ValidationError
-from .pmf import BinaryChannel, Pmf, _h2, entropy
+from .pmf import BinaryChannel, Pmf, _entropy_bits, _h2
 
 CHANNEL_CLASS_TOL = 1e-9
+BINDING_TIE = 1e-9
 
 
 class Model(str, Enum):
@@ -49,6 +49,34 @@ class Model(str, Enum):
     TIMING = "timing"
     BOTH_HOPS = "both-hops"
     RANDOM_LOSS = "random-loss"
+
+    @classmethod
+    def _missing_(cls, value):
+        choices = ", ".join(m.value for m in cls)
+        raise ValidationError(f"unknown model {value!r} (choose from: {choices})")
+
+
+@dataclass(frozen=True)
+class RateBreakdown:
+    """Both bounds, their min, the clamp at zero, and which side binds."""
+
+    relay_bound: float
+    receiver_bound: float
+    rate: float
+    achievable: float
+    binding: str
+
+    @classmethod
+    def from_bounds(cls, relay: float, receiver: float) -> "RateBreakdown":
+        rate = min(relay, receiver)
+        if abs(relay - receiver) <= BINDING_TIE:
+            binding = "both"
+        elif receiver < relay:
+            binding = "receiver"
+        else:
+            binding = "relay"
+        return cls(relay_bound=relay, receiver_bound=receiver, rate=rate,
+                   achievable=max(rate, 0.0), binding=binding)
 
 
 def require_informative_second_hop(ch2: BinaryChannel) -> None:
@@ -126,8 +154,7 @@ def product_bounds(src: np.ndarray, rows: np.ndarray, pi: np.ndarray,
 def loss_penalty_bits(arrival: ArrivalModel, spec: BatterySpec) -> np.ndarray:
     """H(extracted energy | source symbol) for each source symbol, in bits."""
     profile = energy_profile(arrival, spec)
-    return np.array([entropy(Pmf(profile[0], tol=1e-12)),
-                     entropy(Pmf(profile[1], tol=1e-12))])
+    return np.array([_entropy_bits(row / row.sum()) for row in profile])
 
 
 def _charge_law(model: Model, ch1: Optional[BinaryChannel],

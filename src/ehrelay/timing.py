@@ -18,9 +18,9 @@ from math import comb, exp, lgamma, log
 import numpy as np
 
 from .battery import BatterySpec
-from .breakdown import RateBreakdown
 from .errors import ConstraintError, NumericalError, ValidationError
-from .pmf import BinaryChannel, Pmf, _entropy_bits, _require_integers, entropy
+from .pmf import BinaryChannel, Pmf, _entropy_bits, _require_integers
+from .rates import RateBreakdown
 
 MASS_TOL = 1e-12
 _SUPPORT_CAP = 1_000_000
@@ -69,7 +69,7 @@ class IntegerPmf:
         return float(self.values @ self.probs)
 
     def entropy_bits(self) -> float:
-        return entropy(Pmf(self.probs, tol=1e-9))
+        return _entropy_bits(_renormalized(self.probs))
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,8 @@ class ZNoise:
     zmax: int | None = None
 
     def __post_init__(self):
+        _require_integers(f"cost and zmax must be integers, got {self.cost!r} and {self.zmax!r}",
+                          self.cost, *([] if self.zmax is None else [self.zmax]))
         if self.cost < 2:
             raise ValidationError("cost must be at least 2")
         if not (0.0 < self.p1 <= 1.0):

@@ -165,9 +165,18 @@ def transition_tensor_oracle(spec: BatterySpec, arrival: ArrivalModel) -> np.nda
     return tensor
 
 
+def float_array_oracle(values, what: str) -> np.ndarray:
+    """The float array of ``values``; entries that are not numbers, or rows
+    of unequal length, are a ``ValidationError``."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be an array of numbers") from None
+
+
 def validated_vector_oracle(values, tol: float, what: str) -> np.ndarray:
     """``Pmf``'s checks and renormalization, one numpy call per check."""
-    p = np.array(values, dtype=float)
+    p = float_array_oracle(values, what)
     if p.ndim != 1 or p.size == 0:
         raise ValidationError(f"{what} must be a nonempty 1-d vector")
     if not np.all(np.isfinite(p)):
@@ -184,7 +193,7 @@ def validated_vector_oracle(values, tol: float, what: str) -> np.ndarray:
 
 def joint_table_oracle(table, tol: float) -> np.ndarray:
     """``JointPmf``'s checks and renormalization, one numpy call per check."""
-    t = np.array(table, dtype=float)
+    t = float_array_oracle(table, "joint pmf")
     if t.ndim != 2 or t.size == 0:
         raise ValidationError("joint pmf must be a nonempty 2-d table")
     if not np.all(np.isfinite(t)):

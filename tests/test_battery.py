@@ -235,6 +235,9 @@ def _joint_table_sets(spec: BatterySpec, rng: np.random.Generator) -> list:
         tables = list(good)
         tables[u], tables[v] = bad_tables[names[first]], bad_tables[names[second]]
         sets.append(tables)
+    # a cell that is not a number: alone, and after an earlier level's fault
+    sets.append(good[:-1] + [[["a", 0.0], [1.0, 0.0]]])
+    sets.append([bad_tables["sum"]] + good[1:-1] + [[["a", 0.0], [1.0, 0.0]]])
     return sets
 
 
@@ -260,6 +263,8 @@ def _product_row_sets(spec: BatterySpec, rng: np.random.Generator) -> list:
         rows = list(good)
         rows[u], rows[v] = bad_rows[names[first]], bad_rows[names[second]]
         sets.append(rows)
+    sets.append(good[:-1] + [["a", 1.0]])
+    sets.append([bad_rows["sum"]] + good[1:-1] + [["a", 1.0]])
     return sets
 
 

@@ -2,6 +2,7 @@
 concentration, collision curves, recharge sampling, and the two codec-side
 experiments."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -93,6 +94,46 @@ class TestSubstream:
     def test_wide_seeds_accepted(self):
         gen = substream(2**70 + 5, "alpha", 0)
         assert isinstance(gen, np.random.Generator)
+
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**63 - 1])
+    def test_numpy_integers_draw_the_int_stream(self, seed):
+        want = substream(seed, "alpha", 3).random(8)
+        for kind in (np.int64, np.uint64) if seed >= 0 else (np.int64,):
+            got = substream(kind(seed), "alpha", kind(3)).random(8)
+            assert np.array_equal(got, want)
+
+
+def _lab_runs(cfg: RunConfig) -> dict:
+    """Every lab experiment, small, run from ``cfg``."""
+    spec = worked_spec()
+    policy = StatePolicy.joint_policy(spec, WORKED_TABLES)
+    codec = CodecConfig(spec=spec, policy=policy, rate_bits=(0.4,) * 3, slack=0.1)
+    ch2 = BinaryChannel(0.9, 0.8)
+    return {
+        "simulate_states": simulate_states(spec, policy, ArrivalModel.deterministic(), cfg),
+        "empirical_aep": empirical_aep(worked_chain(), ch2, cfg),
+        "collision_curve": collision_curve(COLLISION_JOINT, 12, (0.2, 0.9), cfg),
+        "collision_materialize": collision_curve(COLLISION_JOINT, 12, (0.2, 0.5), cfg,
+                                                 method="materialize"),
+        "z_empirical": z_empirical(3, 0.3, True, cfg),
+        "relay_codec_trial": relay_codec_trial(codec, 2, cfg),
+        "receiver_smoke_trial": receiver_smoke_trial(worked_chain(), ch2, 3, cfg),
+    }
+
+
+def _same(a, b) -> bool:
+    """Equal field by field, arrays exactly, nested results too."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    return bool(np.array_equal(a, b)) if isinstance(a, np.ndarray) else a == b
+
+
+def test_numpy_integer_run_configs_give_the_int_results():
+    want = _lab_runs(RunConfig(seed=7, n=60, trials=3))
+    got = _lab_runs(RunConfig(seed=np.int64(7), n=np.int64(60), trials=np.int64(3)))
+    for name, result in want.items():
+        assert _same(got[name], result), name
 
 
 class TestRunConfig:
@@ -194,6 +235,43 @@ BAD_INPUTS = {
                             policy=StatePolicy.joint_policy(worked_spec(), WORKED_TABLES),
                             rate_bits=(0.5,) * 4, slack=0.1),
         ValidationError, "policy was built for a different battery geometry"),
+    # each count was once used as given and ended in a numpy or Python TypeError
+    "run-config-fractional-n": (lambda: RunConfig(0, 2.5), ValidationError,
+                                "run seed, n and trials must be integers, got 0, 2.5 and 1"),
+    "run-config-fractional-trials": (lambda: RunConfig(0, 10, 1.5), ValidationError,
+                                     "run seed, n and trials must be integers, got 0, 10 and 1.5"),
+    "run-config-bool-seed": (lambda: RunConfig(True, 10), ValidationError,
+                             "run seed, n and trials must be integers, got True, 10 and 1"),
+    "substream-bool-seed": (lambda: substream(True, "x"), ValidationError,
+                            "seeds and stream indices must be integers, got (True, 0)"),
+    "substream-fractional-index": (lambda: substream(0, "x", 1.5), ValidationError,
+                                   "seeds and stream indices must be integers, got (0, 1.5)"),
+    "sample-path-fractional-length": (
+        lambda: sample_path(np.eye(2), 0, 2.5, substream(0, "path")),
+        ValidationError, "initial state and path length must be integers, got 0 and 2.5"),
+    "sample-path-fractional-start": (
+        lambda: sample_path(np.eye(2), 0.5, 4, substream(0, "path")),
+        ValidationError, "initial state and path length must be integers, got 0.5 and 4"),
+    "collision-fractional-length": (
+        lambda: collision_curve(COLLISION_JOINT, 2.5, (0.2,), COLLISION_RUN),
+        ValidationError, "codeword length must be an integer, got 2.5"),
+    "collision-fractional-length-materialize": (
+        lambda: collision_curve(COLLISION_JOINT, 2.5, (0.2,), COLLISION_RUN,
+                                method="materialize"),
+        ValidationError, "codeword length must be an integer, got 2.5"),
+    "codec-fractional-blocks": (
+        lambda: relay_codec_trial(
+            CodecConfig(spec=worked_spec(), rate_bits=(0.5,) * 3, slack=0.1,
+                        policy=StatePolicy.joint_policy(worked_spec(), WORKED_TABLES)),
+            1.5, RunConfig(seed=0, n=10)),
+        ValidationError, "block count must be an integer, got 1.5"),
+    "receiver-fractional-bits": (
+        lambda: receiver_smoke_trial(worked_chain(), BinaryChannel(0.9, 0.9), 2.5,
+                                     RunConfig(seed=0, n=10)),
+        ValidationError, "message bits must be an integer, got 2.5"),
+    "z-empirical-fractional-cost": (
+        lambda: z_empirical(2.5, 0.3, False, RunConfig(seed=0, n=10)),
+        ValidationError, "cost and zmax must be integers, got 2.5 and None"),
 }
 
 

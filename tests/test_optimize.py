@@ -24,6 +24,7 @@ from ehrelay import (
     second_hop_rate,
     sweep,
     timing_rate,
+    uniform_policy,
 )
 from ehrelay.optimize import _TimingProblem
 from conftest import ascend_oracle, random_joint_tables
@@ -39,6 +40,8 @@ SMALL = OptimizeOptions(grid_points=11, grid_budget=2000, refine_iters=80,
                         restarts=3, seed=0)
 
 
+UNKNOWN_MODEL = ("unknown model 'bogus' "
+                 "(choose from: second-hop, timing, both-hops, random-loss)")
 COUNTS_MESSAGE = ("grid_points, grid_budget, refine_iters, restarts, seed and aux_sizes "
                   "must be integers")
 
@@ -75,6 +78,20 @@ BAD_INPUTS = {
                           ch2=BinaryChannel.from_crossover(0.1),
                           opts=OptimizeOptions(eps_pos=0.3)),
         ConstraintError, "positivity floor 0.3 leaves no room in a four-cell table"),
+    "sweep-no-models": (lambda: SweepSpec(models=(), parameter="cost", values=(2,), ch2=CH2),
+                        ValidationError, "sweep.models must not be empty"),
+    # Model refuses an unknown name itself, with the text the CLI prints
+    "model-unknown": (lambda: Model("bogus"), ValidationError, UNKNOWN_MODEL),
+    "optimize-unknown-model": (lambda: optimize("bogus", SPEC22, ch2=CH2),
+                               ValidationError, UNKNOWN_MODEL),
+    "sweep-unknown-model": (lambda: SweepSpec(models=("second-hop", "bogus"), parameter="cost",
+                                              values=(2,), ch2=CH2),
+                            ValidationError, UNKNOWN_MODEL),
+    "feasibility-unknown-model": (
+        lambda: feasibility_check(uniform_policy(Model.SECOND_HOP, SPEC22), "bogus"),
+        ValidationError, UNKNOWN_MODEL),
+    "uniform-policy-unknown-model": (lambda: uniform_policy("bogus", SPEC22),
+                                     ValidationError, UNKNOWN_MODEL),
 }
 
 

@@ -44,6 +44,13 @@ def pmfs(min_size=2, max_size=6):
 BAD_INPUTS = {
     "uniform-of-nothing": (lambda: Pmf.uniform(0), "uniform pmf needs at least one outcome"),
     "point-past-the-end": (lambda: Pmf.point(2, 5), "point-mass index out of range"),
+    # each was once a numpy TypeError or ValueError
+    "uniform-of-a-fraction": (lambda: Pmf.uniform(2.5),
+                              "uniform pmf needs an integer number of outcomes, got 2.5"),
+    "pmf-of-strings": (lambda: Pmf(["a", "b"]), "pmf must be an array of numbers"),
+    "pmf-ragged": (lambda: Pmf([[0.5], [0.25, 0.25]]), "pmf must be an array of numbers"),
+    "joint-pmf-of-strings": (lambda: JointPmf([["a", "b"], ["c", "d"]]),
+                             "joint pmf must be an array of numbers"),
 }
 
 

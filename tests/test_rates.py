@@ -70,10 +70,9 @@ class TestRateBreakdown:
 
     def test_one_class_under_every_import_path(self):
         import ehrelay
-        from ehrelay import breakdown, rates, timing
+        from ehrelay import rates, timing
 
-        assert ehrelay.RateBreakdown is rates.RateBreakdown is breakdown.RateBreakdown
-        assert rates.BINDING_TIE == breakdown.BINDING_TIE
+        assert ehrelay.RateBreakdown is rates.RateBreakdown is timing.RateBreakdown
         result = timing.timing_rate(BatterySpec(2, 2), [0.5, 0.5], BinaryChannel(0.95, 0.95))
         assert type(result.breakdown) is RateBreakdown
 
@@ -311,6 +310,9 @@ POLICY_ENTRIES = {
     "relay_codec_trial": lambda policy: relay_codec_trial(
         CodecConfig(spec=worked_spec(), policy=policy, rate_bits=(0.5,) * 3, slack=0.1),
         1, RunConfig(seed=0, n=10)),
+    # the config is refused when it is built, not when a trial runs
+    "CodecConfig": lambda policy: CodecConfig(spec=worked_spec(), policy=policy,
+                                              rate_bits=(0.5,) * 3, slack=0.1),
 }
 
 

@@ -98,6 +98,11 @@ BAD_INPUTS = {
         lambda: timing_rate(BatterySpec(capacity=2, cost=2), [0.5, 0.5],
                             BinaryChannel(0.95, 0.95), aux_size=2.5),
         "aux alphabet size and constant wait must be integers, got 2.5 and 1"),
+    # a fractional cost was once a numpy TypeError where the law was built
+    "z-noise-fractional-cost": (lambda: ZNoise(cost=2.5, p1=0.3),
+                                "cost and zmax must be integers, got 2.5 and None"),
+    "z-noise-fractional-zmax": (lambda: ZNoise(cost=2, p1=0.3, zmax=20.5),
+                                "cost and zmax must be integers, got 2 and 20.5"),
 }
 
 
