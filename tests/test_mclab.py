@@ -235,7 +235,7 @@ BAD_INPUTS = {
                             policy=StatePolicy.joint_policy(worked_spec(), WORKED_TABLES),
                             rate_bits=(0.5,) * 4, slack=0.1),
         ValidationError, "policy was built for a different battery geometry"),
-    # each count was once used as given and ended in a numpy or Python TypeError
+    # each was once used as given: accepted, or a numpy or Python TypeError
     "run-config-fractional-n": (lambda: RunConfig(0, 2.5), ValidationError,
                                 "run seed, n and trials must be integers, got 0, 2.5 and 1"),
     "run-config-fractional-trials": (lambda: RunConfig(0, 10, 1.5), ValidationError,
