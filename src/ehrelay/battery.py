@@ -263,7 +263,8 @@ def _kernels(joint: np.ndarray, cells: np.ndarray) -> np.ndarray:
     ``joint`` stacks per-level tables with shape (..., L, 2, 2) and
     ``cells`` is ``_tensor_cells`` of the transition tensor; returns
     (..., L, L). Each table entry is spread along its level's kernel row,
-    so all the products are one multiply, and the four cells are added in
+    so all the products are one multiply, made in place so that a large
+    stack holds one temporary, and the four cells are added in
     their fixed order (a reduction over an axis that is not the last adds
     one term at a time), so a kernel does not depend on the batch it is
     built in.
@@ -271,7 +272,8 @@ def _kernels(joint: np.ndarray, cells: np.ndarray) -> np.ndarray:
     states = joint.shape[-3]
     lead = joint.shape[:-3]
     spread = joint.reshape(lead + (4 * states,)).take(_cell_index(states), axis=-1)
-    return np.add.reduce(spread * cells, axis=-2).reshape(lead + (states, states))
+    np.multiply(spread, cells, out=spread)
+    return np.add.reduce(spread, axis=-2).reshape(lead + (states, states))
 
 
 def build_kernel(spec: BatterySpec, policy: StatePolicy, arrival: ArrivalModel) -> np.ndarray:
@@ -387,10 +389,11 @@ def _solve_stationary(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 pass
     # The common case: with every entry positive and every row sum finite,
     # the masking below changes nothing, so only the renormalization runs.
-    if pi.min() > 0.0:
-        total = pi.sum(axis=-1)
-        if total.max() < np.inf:
-            return pi / total[..., None], np.ones(pi.shape[:-1], dtype=bool)
+    if np.minimum.reduce(pi, axis=None) > 0.0:
+        total = np.add.reduce(pi, axis=-1)
+        ok = total < np.inf
+        if np.logical_and.reduce(ok, axis=None):
+            return pi / total[..., None], ok
     ok = np.isfinite(pi).all(axis=-1)
     pi = np.where(ok[..., None], pi, 0.0)
     ok &= pi.min(axis=-1) >= -1e-9

@@ -424,7 +424,8 @@ def z_empirical(cost: int, p1: float, overlap: bool, cfg: RunConfig) -> ZEmpiric
     cdf = np.cumsum(reference.probs)
     at = min(int(np.searchsorted(cdf, _Z_HORIZON_QUANTILE)), cdf.size - 1)
     horizon = int(reference.values[at])
-    label = f"recharge/cost={cost}/p1={p1!r}/overlap={overlap}"
+    # float() so that a numpy float names the stream its Python value names
+    label = f"recharge/cost={cost}/p1={float(p1)!r}/overlap={overlap}"
     rng = substream(cfg.seed, label)
     out = np.empty(samples, dtype=np.int64)
     filled = 0

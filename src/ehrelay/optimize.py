@@ -22,6 +22,7 @@ parameters.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import sqrt
 from typing import Optional
@@ -132,8 +133,9 @@ class _CubeProblem:
     (B,), with -inf for an infeasible point. ``score`` runs ``values`` in
     chunks of at most ``_CHUNK`` rows, so memory stays flat however many
     points a search hands it; calling the problem scores the same way and
-    counts one evaluation per point. ``_ascend`` scores ahead through
-    ``score`` and counts only the points its walk reads.
+    counts one evaluation per point. ``_ascend`` scores each ascent's whole
+    neighbourhood through ``score`` and counts only the points its walk
+    reads, once per read.
     """
 
     dims: int
@@ -373,67 +375,86 @@ def _ascend(problem: _CubeProblem, starts: np.ndarray, values: np.ndarray, iters
     the step floor or after ``iters`` sweeps.
 
     Each round scores, in one uncounted ``score`` call, every running
-    ascent's moves from its sweep position to the end of its sweep, from its
-    current point; moves the clip keeps in place are not scored. Each ascent
-    then advances to its first better move, or to its sweep's end, and
-    resumes from there in the next round. So a search makes as many calls as
-    its busiest ascent would make alone. Every row is scored on its own, so
-    the walk reads the values a move-by-move walk would, and ``evaluations``
-    grows only by the moves it reads. Returns the final points and their
-    values, one row per start.
+    ascent's whole neighbourhood: all 2 * dims moves from its current point,
+    less those the clip keeps in place. Each ascent then reads on from its
+    sweep position to its first better move, or to its sweep's end. A sweep
+    that ends after a move was taken is followed, if another sweep is
+    allowed, by one from the same point at the same step, whose values are
+    already scored: the ascent goes on reading them from move 0 in the same
+    round, re-reading (and counting) the moves from its old position on,
+    which are no better. So a round ends for an ascent when it takes a move,
+    halves its step or stops, and a search makes as many calls as its
+    busiest ascent would make alone. Every row is scored on its own, so the
+    walk reads the values a move-by-move walk would, and ``evaluations``
+    grows only by the moves it reads. The rounds' bookkeeping is per ascent,
+    in Python lists; the points stay in arrays. Returns the final points and
+    their values, one row per start.
     """
     thetas = starts.astype(np.float64)
     best = values.astype(np.float64)
     problem.evaluations += len(thetas)
     count, dims = thetas.shape
     width = 2 * dims
-    ks = np.arange(width)
-    sign = np.where(ks % 2 == 0, 1.0, -1.0)
-    # The running ascents' state, one row each, compacted as ascents stop.
-    live = np.arange(count if iters > 0 else 0)
-    point, value = thetas[live], best[live]
-    steps = np.full(live.size, _STEP0)
-    shift = sign * steps[:, None]  # each move's shift, renewed when a step halves
-    at = np.zeros(live.size, dtype=np.int64)  # each ascent's next move in its sweep
-    sweeps = np.zeros(live.size, dtype=np.int64)
-    improved = np.zeros(live.size, dtype=bool)
-    while live.size:
+    sign = np.where(np.arange(width) % 2 == 0, 1.0, -1.0)
+    # The running ascents' state, one row or entry each, compacted as they stop.
+    live = list(range(count if iters > 0 else 0))
+    point = thetas[live]
+    shift = np.repeat(sign[None] * _STEP0, len(live), axis=0)  # each move's shift
+    value = best[live].tolist()
+    steps = [_STEP0] * len(live)
+    at = [0] * len(live)  # each ascent's next move in its sweep
+    sweeps = [0] * len(live)
+    improved = [False] * len(live)
+    while live:
         old = point.repeat(2, axis=1)  # move k shifts coordinate k // 2
         new = np.minimum(np.maximum(old + shift, 0.0), 1.0)
-        moved = (new != old) & (ks >= at[:, None])
+        moved = new != old
         rows, cols = moved.nonzero()
-        # A move left unscored stays at -inf; the last column, at +inf, is
-        # where the argmax lands when no move is better.
-        ahead = np.full((live.size, width + 1), -np.inf)
-        ahead[:, width] = np.inf
-        if rows.size:
-            points = point[rows]
-            points[np.arange(rows.size), cols // 2] = new[moved]
-            ahead[rows, cols] = problem.score(points)
-        first = (ahead > value[:, None]).argmax(axis=1)
-        problem.evaluations += int(np.count_nonzero(cols <= first[rows]))
-        took = (first < width).nonzero()[0]
-        if took.size:
-            k = first[took]
-            value[took] = ahead[took, k]
-            point[took, k // 2] = new[took, k]
-            improved[took] = True
-        at = first + 1
-        ended = at >= width
-        if not np.count_nonzero(ended):
-            continue
-        steps[ended & ~improved] *= 0.5
-        shift = sign * steps[:, None]
-        sweeps += ended
-        at[ended] = 0
-        improved &= ~ended
-        done = (sweeps >= iters) | (steps < _STEP_FLOOR)
-        if np.count_nonzero(done):
-            thetas[live[done]] = point[done]
-            best[live[done]] = value[done]
-            keep = ~done
-            live, point, value, shift = live[keep], point[keep], value[keep], shift[keep]
-            steps, at, sweeps, improved = steps[keep], at[keep], sweeps[keep], improved[keep]
+        points = point[rows]
+        points[np.arange(rows.size), cols // 2] = new[moved]
+        scored = problem.score(points).tolist()
+        rows, cols = rows.tolist(), cols.tolist()
+        reads, done, lo = 0, [], 0
+        for j in range(len(live)):
+            stop = bisect_right(rows, j, lo)
+            ks, vs = cols[lo:stop], scored[lo:stop]
+            lo, n = stop, stop - lo
+            i = bisect_left(ks, at[j])
+            hit = next((t for t in range(i, n) if vs[t] > value[j]), n)
+            reads += min(hit + 1, n) - i
+            if hit == n and improved[j] and sweeps[j] + 1 < iters:
+                # The sweep ends after a move was taken, and the next one starts
+                # from this point at this step: its values were just scored, and
+                # those from the old position on are no better.
+                sweeps[j] += 1
+                improved[j] = False
+                hit = next((t for t in range(n) if vs[t] > value[j]), n)
+                reads += min(hit + 1, n)
+            if hit < n:
+                k = ks[hit]
+                value[j] = vs[hit]
+                point[j, k // 2] = new[j, k]
+                improved[j] = True
+                at[j] = k + 1
+                if at[j] < width:
+                    continue
+            elif not improved[j]:
+                steps[j] *= 0.5
+                shift[j] = sign * steps[j]
+            sweeps[j] += 1
+            at[j] = 0
+            improved[j] = False
+            if sweeps[j] >= iters or steps[j] < _STEP_FLOOR:
+                done.append(j)
+        problem.evaluations += reads
+        if done:
+            idx = [live[j] for j in done]
+            thetas[idx] = point[done]
+            best[idx] = [value[j] for j in done]
+            keep = [j for j in range(len(live)) if j not in done]
+            point, shift = point[keep], shift[keep]
+            live, value, steps, at, sweeps, improved = (
+                [seq[j] for j in keep] for seq in (live, value, steps, at, sweeps, improved))
     return thetas, best
 
 

@@ -130,6 +130,8 @@ class Pmf:
 
     @classmethod
     def point(cls, k: int, index: int) -> "Pmf":
+        _require_integers(f"point mass needs integer size and index, got {k!r} and {index!r}",
+                          k, index)
         if not 0 <= index < k:
             raise ValidationError("point-mass index out of range")
         p = np.zeros(k)

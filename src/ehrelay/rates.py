@@ -87,13 +87,20 @@ def require_informative_second_hop(ch2: BinaryChannel) -> None:
         )
 
 
+def _output_zero(laws: np.ndarray, ch: BinaryChannel) -> np.ndarray:
+    """P(output 0) of ``ch`` under each binary input law on the last axis."""
+    return laws[..., 0] * ch.q1 + laws[..., 1] * (1.0 - ch.q2)
+
+
+def _noise_given_input(laws: np.ndarray, ch: BinaryChannel) -> np.ndarray:
+    """H(output | input) of ``ch`` under each binary input law on the last axis."""
+    noise = ch.noise_bits
+    return laws[..., 0] * noise[0] + laws[..., 1] * noise[1]
+
+
 def per_level_receiver_bits(x2_rows: np.ndarray, ch2: BinaryChannel) -> np.ndarray:
     """I(relay symbol; destination symbol) at each level, over any leading batch axes."""
-    noise = ch2.noise_bits
-    zero, one = x2_rows[..., 0], x2_rows[..., 1]
-    out0 = zero * ch2.q1 + one * (1.0 - ch2.q2)
-    cond = zero * noise[0] + one * noise[1]
-    return np.maximum(_h2(out0) - cond, 0.0)
+    return np.maximum(_h2(_output_zero(x2_rows, ch2)) - _noise_given_input(x2_rows, ch2), 0.0)
 
 
 def per_level_source_entropy_bits(joint: np.ndarray) -> np.ndarray:
@@ -143,11 +150,14 @@ def product_bounds(src: np.ndarray, rows: np.ndarray, pi: np.ndarray,
     bound is I(source; first-hop output). The receiver bound averages the
     per-level second-hop information and pays ``penalty``, the entropy of
     the charge given each source symbol, which the relay cannot predict.
-    Both come back with shape (B,), each row computed on its own.
+    Both come back with shape (B,), each row computed on its own. The
+    first-hop output law and the per-level second-hop ones share one binary
+    entropy call; the per-level terms are ``per_level_receiver_bits``'s.
     """
-    out0 = src[:, 0] * ch1.q1 + src[:, 1] * (1.0 - ch1.q2)
-    relay = np.maximum(_h2(out0) - _dot_rows(src, ch1.noise_bits), 0.0)
-    receiver = _dot_rows(pi, per_level_receiver_bits(rows, ch2)) - _dot_rows(src, penalty)
+    h = _h2(np.concatenate([_output_zero(src, ch1)[:, None], _output_zero(rows, ch2)], axis=1))
+    relay = np.maximum(h[:, 0] - _dot_rows(src, ch1.noise_bits), 0.0)
+    levels = np.maximum(h[:, 1:] - _noise_given_input(rows, ch2), 0.0)
+    receiver = _dot_rows(pi, levels) - _dot_rows(src, penalty)
     return relay, receiver
 
 

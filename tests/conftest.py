@@ -6,6 +6,9 @@ likelihood oracle enumerates battery paths outright, and the closed-form
 entropy constants were frozen from direct evaluation of the definitions,
 and the binary-channel information measures go through a validated output
 ``Pmf`` and ``entropy`` instead of the rate kernels' array formulas.
+The product-bound and steady-state oracles are those two scorer steps as
+they were before their binary entropies were merged and their reductions
+called as ufuncs.
 The ascent oracle is the optimizer's lockstep coordinate ascent as it was
 before it scored ahead: one call per (sweep, coordinate, direction) with
 exactly the moved points it reads.
@@ -419,7 +422,7 @@ def z_empirical_oracle(cost: int, p1: float, overlap: bool, cfg) -> np.ndarray:
     law = z_pmf(ZNoise(cost=cost, p1=p1, overlap=overlap))
     first = int(np.searchsorted(np.cumsum(law.probs), 0.9))
     horizon = int(law.values[min(first, law.values.size - 1)])
-    rng = substream(cfg.seed, f"recharge/cost={cost}/p1={p1!r}/overlap={overlap}")
+    rng = substream(cfg.seed, f"recharge/cost={cost}/p1={float(p1)!r}/overlap={overlap}")
     out = []
     while len(out) < cfg.n:
         batch = min(65536, cfg.n - len(out))
@@ -454,6 +457,62 @@ def h2_oracle(p) -> np.ndarray:
     np.log2(arr, out=log_arr, where=arr > 0.0)
     np.log2(comp, out=log_comp, where=comp > 0.0)
     return (0.0 - arr * log_arr) - comp * log_comp
+
+
+def per_level_receiver_bits_oracle(x2_rows: np.ndarray, ch2) -> np.ndarray:
+    """``per_level_receiver_bits`` as first written, with its own binary entropy call."""
+    noise = ch2.noise_bits
+    zero, one = x2_rows[..., 0], x2_rows[..., 1]
+    out0 = zero * ch2.q1 + one * (1.0 - ch2.q2)
+    cond = zero * noise[0] + one * noise[1]
+    return np.maximum(h2_oracle(out0) - cond, 0.0)
+
+
+def _dot_rows_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def product_bounds_oracle(src: np.ndarray, rows: np.ndarray, pi: np.ndarray, ch1, ch2,
+                          penalty: np.ndarray) -> tuple:
+    """``product_bounds`` before its binary entropies were merged: one call for
+    the first-hop output law, one inside the per-level receiver bits."""
+    out0 = src[:, 0] * ch1.q1 + src[:, 1] * (1.0 - ch1.q2)
+    relay = np.maximum(h2_oracle(out0) - _dot_rows_oracle(src, ch1.noise_bits), 0.0)
+    receiver = (_dot_rows_oracle(pi, per_level_receiver_bits_oracle(rows, ch2))
+                - _dot_rows_oracle(src, penalty))
+    return relay, receiver
+
+
+def solve_stationary_epilogue_oracle(k: np.ndarray) -> tuple:
+    """``_solve_stationary`` before its positive-case epilogue took ufunc
+    reductions: the stacked solve, then ``ndarray.min``, ``sum`` and ``max``
+    and an ``np.ones`` verdict."""
+    n = k.shape[-1]
+    b = np.zeros((n, 1))
+    b[-1, 0] = 1.0
+    a = k.swapaxes(-1, -2) - np.eye(n)
+    a[..., -1, :] = 1.0
+    try:
+        pi = np.linalg.solve(a, b.reshape((1,) * (a.ndim - 2) + b.shape))[..., 0]
+    except np.linalg.LinAlgError:
+        pi = np.full(a.shape[:-1], np.nan)
+        for idx in np.ndindex(a.shape[:-2]):
+            try:
+                pi[idx] = np.linalg.solve(a[idx], b)[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+    if pi.min() > 0.0:
+        total = pi.sum(axis=-1)
+        if total.max() < np.inf:
+            return pi / total[..., None], np.ones(pi.shape[:-1], dtype=bool)
+    ok = np.isfinite(pi).all(axis=-1)
+    pi = np.where(ok[..., None], pi, 0.0)
+    ok &= pi.min(axis=-1) >= -1e-9
+    pi = np.clip(pi, 0.0, None)
+    total = pi.sum(axis=-1)
+    ok &= total > 0.0
+    pi = pi / np.where(ok, total, 1.0)[..., None]
+    return pi, ok
 
 
 def kernels_oracle(joint: np.ndarray, tensor: np.ndarray) -> np.ndarray:

@@ -539,6 +539,14 @@ class TestZEmpirical:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_a_numpy_float_draws_the_python_float_stream(self):
+        cfg = RunConfig(seed=0, n=200)
+        res = z_empirical(3, 0.3, False, cfg)
+        again = z_empirical(3, np.float64(0.3), False, cfg)
+        assert np.array_equal(again.values, res.values)
+        assert np.array_equal(again.counts, res.counts)
+        assert again.mean == res.mean
+
     def test_reference_is_the_exact_pmf(self):
         res = z_empirical(2, 0.5, False, RunConfig(seed=3, n=500))
         want = z_pmf(ZNoise(cost=2, p1=0.5))

@@ -47,6 +47,12 @@ BAD_INPUTS = {
     # each was once a numpy TypeError or ValueError
     "uniform-of-a-fraction": (lambda: Pmf.uniform(2.5),
                               "uniform pmf needs an integer number of outcomes, got 2.5"),
+    "point-of-a-fraction": (lambda: Pmf.point(2.5, 0),
+                            "point mass needs integer size and index, got 2.5 and 0"),
+    "point-at-a-fraction": (lambda: Pmf.point(3, 1.0),
+                            "point mass needs integer size and index, got 3 and 1.0"),
+    "point-of-a-bool": (lambda: Pmf.point(True, 0),
+                        "point mass needs integer size and index, got True and 0"),
     "pmf-of-strings": (lambda: Pmf(["a", "b"]), "pmf must be an array of numbers"),
     "pmf-ragged": (lambda: Pmf([[0.5], [0.25, 0.25]]), "pmf must be an array of numbers"),
     "joint-pmf-of-strings": (lambda: JointPmf([["a", "b"], ["c", "d"]]),
@@ -82,6 +88,7 @@ class TestPmfConstruction:
         assert np.array_equal(Pmf.binary(0.3).probs, [0.7, 0.3])
         assert np.array_equal(Pmf.uniform(4).probs, [0.25] * 4)
         assert np.array_equal(Pmf.point(3, 1).probs, [0.0, 1.0, 0.0])
+        assert np.array_equal(Pmf.point(np.int64(3), np.int64(1)).probs, [0.0, 1.0, 0.0])
 
 
 class TestBinaryChannel:

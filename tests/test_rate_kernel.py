@@ -1,9 +1,9 @@
 """The batched rate kernel shared by the public rate functions and the
 optimizer: a policy's value must not depend on the batch it is scored in,
 must match the public rate at the decoded policy, and a singular kernel in a
-stack must cost only its own row. The ascent that scores each sweep's moves
-ahead must walk exactly as the one that scores them position by position,
-and its ascents must wait only on their own moves."""
+stack must cost only its own row. The ascent that scores each ascent's whole
+neighbourhood per round must walk exactly as the one that scores its moves
+position by position, and its ascents must wait only on their own moves."""
 
 import hashlib
 import importlib
@@ -30,12 +30,14 @@ from ehrelay import (
 )
 from ehrelay.battery import _kernels, _solve_stationary, _tensor_cells, transition_tensor
 from ehrelay.pmf import _h2
-from ehrelay.rates import _charge_law, _scheme
+from ehrelay.rates import _charge_law, _scheme, product_bounds
 from conftest import (
     ascend_oracle,
     h2_oracle,
     kernels_oracle,
+    product_bounds_oracle,
     random_joint_tables,
+    solve_stationary_epilogue_oracle,
     solve_stationary_oracle,
     transition_tensor_oracle,
 )
@@ -77,7 +79,7 @@ def _thetas(problem, seed: int, faces: bool = True, wide: bool = False,
     """1 to ``most`` random cube points; with ``faces``, a fifth of the
     coordinates sit on 0 or 1, where decoding puts probabilities on the
     floor. With ``wide``, a quarter of the draws take 17-600 points instead,
-    the sizes of an ascent's look-ahead calls (up to restarts x 2 dims rows)
+    the sizes of an ascent round's calls (up to restarts x 2 dims rows)
     and past one ``_CHUNK``."""
     rng = np.random.default_rng(seed)
     low, high = (17, 601) if wide and rng.random() < 0.25 else (1, most + 1)
@@ -135,6 +137,34 @@ class TestBatchedKernel:
         want_pi, want_ok = solve_stationary_oracle(kernel)
         assert pi.tobytes() == want_pi.tobytes() and ok.tolist() == want_ok.tolist()
         assert _h2(joint).tobytes() == h2_oracle(joint).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(problems(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_merged_scorer_steps_match_their_forms_before(self, problem, seed, one):
+        # One row, as the public rates score, or a stack with points on the
+        # cube faces; levels below the cost hold zero cells (no spending), and
+        # a NaN row's chain fails. The steady state of a single kernel, the
+        # public path's, is checked too.
+        thetas = _thetas(problem, seed, wide=not one)[:1 if one else None]
+        if len(thetas) > 2:
+            thetas[1, 0] = np.nan
+        product = isinstance(problem, opt._ProductProblem)
+        if product:
+            src, rows = problem.decode(thetas)
+            joint = src[:, None, :, None] * rows[:, :, None, :]
+        else:
+            joint = problem.decode(thetas)
+        kernel = _kernels(joint, problem.scheme.cells)
+        for k in (kernel[0], kernel):
+            pi, ok = _solve_stationary(k)
+            want_pi, want_ok = solve_stationary_epilogue_oracle(k)
+            assert pi.tobytes() == want_pi.tobytes()
+            assert np.asarray(ok).tobytes() == want_ok.tobytes()
+        if product:
+            s = problem.scheme
+            got = product_bounds(src, rows, pi, s.ch1, s.ch2, s.penalty)
+            want = product_bounds_oracle(src, rows, pi, s.ch1, s.ch2, s.penalty)
+            assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
 
     def test_h2_equals_binary_entropy(self):
         tiny = np.finfo(float).smallest_subnormal
@@ -234,6 +264,28 @@ def assert_ascents_wait_only_on_their_own_moves(problem, starts, values, iters):
 BENCH_CELLS = [("timing", 2, 2), ("timing", 6, 6), ("second-hop", 2, 2), ("both-hops", 2, 2),
                ("random-loss", 2, 2), ("both-hops", 2, 6), ("random-loss", 2, 8)]
 
+# The work of each bench cell at seed 0: (scorer calls, rows scored,
+# evaluations). The evaluations are those of the ascent that scored each
+# sweep's moves from its position on; the calls and rows are the look-back's.
+BENCH_WORK = {
+    ("timing", 2, 2): (40, 65, 65),
+    ("timing", 6, 6): (40, 65, 65),
+    ("second-hop", 2, 2): (52, 4_656, 4_661),
+    ("both-hops", 2, 2): (61, 1_486, 1_407),
+    ("random-loss", 2, 2): (62, 1_618, 1_527),
+    ("both-hops", 2, 6): (110, 6_918, 4_136),
+    ("random-loss", 2, 8): (137, 10_413, 5_015),
+}
+
+
+def _optimize_bench_cell(model: str, cost: int, capacity: int):
+    """A bench sweep cell's ``optimize`` call at seed 0, with the benchmark's options."""
+    loss = (Pmf([1.0] + [0.0] * (cost - 1)), Pmf([0.1, 0.9] + [0.0] * (cost - 2)))
+    return optimize(model, BatterySpec(capacity=capacity, cost=cost),
+                    ch1=BinaryChannel.from_crossover(0.05), ch2=BinaryChannel.from_crossover(0.1),
+                    loss=loss if model == "random-loss" else None,
+                    opts=OptimizeOptions(grid_budget=4000, restarts=4, seed=0))
+
 
 class TestAscentScheduling:
     @settings(max_examples=40, deadline=None)
@@ -255,11 +307,7 @@ class TestAscentScheduling:
             return real(problem, starts, values, iters)
 
         monkeypatch.setattr(opt, "_ascend", recorded)
-        loss = (Pmf([1.0] + [0.0] * (cost - 1)), Pmf([0.1, 0.9] + [0.0] * (cost - 2)))
-        optimize(model, BatterySpec(capacity=capacity, cost=cost),
-                 ch1=BinaryChannel.from_crossover(0.05), ch2=BinaryChannel.from_crossover(0.1),
-                 loss=loss if model == "random-loss" else None,
-                 opts=OptimizeOptions(grid_budget=4000, restarts=4, seed=0))
+        _optimize_bench_cell(model, cost, capacity)
         monkeypatch.undo()
         if model == "timing":  # the timing search is a line search and runs no ascent
             assert ascents == []
@@ -267,6 +315,19 @@ class TestAscentScheduling:
         (problem, starts, values, iters), = ascents
         assert len(starts) == 5
         assert_ascents_wait_only_on_their_own_moves(problem, starts, values, iters)
+
+    @pytest.mark.parametrize("model, cost, capacity", BENCH_CELLS)
+    def test_benchmark_sweep_cell_work_is_pinned(self, monkeypatch, model, cost, capacity):
+        work = [0, 0]
+        for kind in (opt._SecondHopProblem, opt._ProductProblem, opt._TimingProblem):
+            def counted(problem, thetas, real=kind.values):
+                work[0] += 1
+                work[1] += len(thetas)
+                return real(problem, thetas)
+
+            monkeypatch.setattr(kind, "values", counted)
+        result = _optimize_bench_cell(model, cost, capacity)
+        assert (*work, result.evaluations) == BENCH_WORK[model, cost, capacity]
 
 
 class TestSingularRows:
