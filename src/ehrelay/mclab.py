@@ -34,7 +34,7 @@ from .battery import (
     build_kernel,
 )
 from .errors import BudgetError, NumericalError, ValidationError
-from .pmf import BinaryChannel, JointPmf, _require_integers
+from .pmf import BinaryChannel, JointPmf, _require_integers, _require_reals
 from .timing import ZNoise, z_pmf
 
 MAX_STEPS = 10_000_000
@@ -488,6 +488,7 @@ class CodecConfig:
         if self.policy.mode != "joint":
             raise ValidationError("the codec experiment drives a joint per-level policy")
         _require_policy(self.spec, self.policy)
+        _require_reals("subcodebook rate", *self.rate_bits)
         rates = tuple(float(r) for r in self.rate_bits)
         if len(rates) != self.spec.states:
             raise ValidationError("need one subcodebook rate per battery level")
@@ -496,10 +497,13 @@ class CodecConfig:
                 raise ValidationError(
                     f"subcodebook rates must lie in [0, 1] bit per symbol, got {r!r}")
         object.__setattr__(self, "rate_bits", rates)
+        _require_reals("occupancy slack", self.slack)
         if not 0.0 < self.slack < 1.0:
             raise ValidationError("occupancy slack must lie in (0, 1)")
-        if self.pad is not None and self.pad < 0:
-            raise ValidationError("pad length must be nonnegative")
+        if self.pad is not None:
+            _require_integers(f"pad length must be an integer, got {self.pad!r}", self.pad)
+            if self.pad < 0:
+                raise ValidationError("pad length must be nonnegative")
 
     def plan(self, n: int, pi: np.ndarray):
         """Subcodeword lengths and allocated bits at block length n."""

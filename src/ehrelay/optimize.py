@@ -22,7 +22,7 @@ parameters.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import sqrt
 from typing import Optional
@@ -32,7 +32,7 @@ import numpy as np
 from .battery import BatterySpec, StatePolicy, _kernels, _solve_stationary
 from .errors import ConstraintError, EhRelayError, ValidationError
 from .mclab import _seeded_rng
-from .pmf import BinaryChannel, Pmf, _require_integers
+from .pmf import BinaryChannel, Pmf, _require_integers, _require_reals
 from .rates import (
     Model,
     RateBreakdown,
@@ -87,6 +87,7 @@ class OptimizeOptions:
             raise ValidationError("refinement needs at least one iteration")
         if self.restarts < 0:
             raise ValidationError("restarts must not be negative")
+        _require_reals("positivity floor", self.eps_pos)
         if not 0.0 < self.eps_pos < 0.5:
             raise ValidationError("positivity floor must lie in (0, 0.5)")
         if not self.aux_sizes or any(a < 1 for a in self.aux_sizes):
@@ -133,9 +134,9 @@ class _CubeProblem:
     (B,), with -inf for an infeasible point. ``score`` runs ``values`` in
     chunks of at most ``_CHUNK`` rows, so memory stays flat however many
     points a search hands it; calling the problem scores the same way and
-    counts one evaluation per point. ``_ascend`` scores each ascent's whole
-    neighbourhood through ``score`` and counts only the points its walk
-    reads, once per read.
+    counts one evaluation per point. ``_ascend`` scores the neighbourhoods
+    its walks ask for through ``score``, and each ``_walk`` counts only the
+    points it reads, once per read.
     """
 
     dims: int
@@ -362,99 +363,82 @@ def _start_points(dims: int, opts: OptimizeOptions, rng: np.random.Generator,
     return np.vstack(blocks)
 
 
+def _walk(problem: _CubeProblem, point: np.ndarray, value: float, iters: int):
+    """Cyclic coordinate ascent with a halving step from one start, inside the unit cube.
+
+    A sweep tries the 2 * dims moves in a fixed order: move k shifts
+    coordinate k // 2 up (even k) or down (odd k) by the step, clipped to the
+    cube, and the walk takes a move only if it is strictly better. A sweep
+    that takes no move halves the step; the walk stops at the step floor or
+    after ``iters`` sweeps and returns its value. ``point`` is updated in
+    place. ``iters`` must be at least one, so that the walk yields before it
+    returns.
+
+    Whenever its point or step has changed, the walk yields its step and is
+    sent its whole neighbourhood there: the moves the clip does not keep in
+    place, as the round's shared lists of move indices, values and moved
+    coordinates, with the bounds of its share. A sweep that restarts from the
+    same point at the same step still holds its values. Every move the walk
+    reads counts one evaluation, so ``evaluations`` grows as it would for a
+    move-by-move walk.
+    """
+    width, step, held = 2 * len(point), _STEP0, None
+    for _ in range(iters):
+        k, taken = 0, False  # the sweep's next move, and whether it took one
+        while k < width:
+            if held is None:
+                held = yield step
+            ks, vs, xs, lo, hi = held
+            i = bisect_left(ks, k, lo, hi)
+            hit = next((t for t in range(i, hi) if vs[t] > value), hi)
+            problem.evaluations += min(hit + 1, hi) - i
+            if hit == hi:
+                break
+            value, point[ks[hit] // 2], k = vs[hit], xs[hit], ks[hit] + 1
+            taken, held = True, None
+        if not taken:
+            step, held = step * 0.5, None
+            if step < _STEP_FLOOR:
+                break
+    return value
+
+
 def _ascend(problem: _CubeProblem, starts: np.ndarray, values: np.ndarray, iters: int):
-    """Cyclic coordinate ascent with a halving step, inside the unit cube.
+    """One ``_walk`` from each start, all batched into one scorer call per round.
 
     ``values`` holds the starts' values, which the caller has scored; they
-    count once more in ``evaluations`` as the ascents begin from them. Each
-    start climbs exactly as if it ran alone, with its own point, step, sweep
-    position and exit. A sweep walks the 2 * dims moves in a fixed order:
-    move k shifts coordinate k // 2 up (even k) or down (odd k) by the step,
-    clipped to the cube, and the ascent takes a move only if it is strictly
-    better. A sweep that takes no move halves the step; an ascent stops at
-    the step floor or after ``iters`` sweeps.
-
-    Each round scores, in one uncounted ``score`` call, every running
-    ascent's whole neighbourhood: all 2 * dims moves from its current point,
-    less those the clip keeps in place. Each ascent then reads on from its
-    sweep position to its first better move, or to its sweep's end. A sweep
-    that ends after a move was taken is followed, if another sweep is
-    allowed, by one from the same point at the same step, whose values are
-    already scored: the ascent goes on reading them from move 0 in the same
-    round, re-reading (and counting) the moves from its old position on,
-    which are no better. So a round ends for an ascent when it takes a move,
-    halves its step or stops, and a search makes as many calls as its
-    busiest ascent would make alone. Every row is scored on its own, so the
-    walk reads the values a move-by-move walk would, and ``evaluations``
-    grows only by the moves it reads. The rounds' bookkeeping is per ascent,
-    in Python lists; the points stay in arrays. Returns the final points and
-    their values, one row per start.
+    count once more in ``evaluations`` as the walks begin from them. Each
+    round scores, in one uncounted ``score`` call, the whole neighbourhood of
+    every walk that has yielded, in start order, and sends each walk its
+    share; every row is scored on its own, so each walk reads what it would
+    read alone, and a search makes as many calls as its busiest walk needs.
+    Returns the final points and values, one row per start.
     """
     thetas = starts.astype(np.float64)
     best = values.astype(np.float64)
     problem.evaluations += len(thetas)
-    count, dims = thetas.shape
-    width = 2 * dims
-    sign = np.where(np.arange(width) % 2 == 0, 1.0, -1.0)
-    # The running ascents' state, one row or entry each, compacted as they stop.
-    live = list(range(count if iters > 0 else 0))
-    point = thetas[live]
-    shift = np.repeat(sign[None] * _STEP0, len(live), axis=0)  # each move's shift
-    value = best[live].tolist()
-    steps = [_STEP0] * len(live)
-    at = [0] * len(live)  # each ascent's next move in its sweep
-    sweeps = [0] * len(live)
-    improved = [False] * len(live)
-    while live:
+    sign = np.tile([1.0, -1.0], thetas.shape[1])
+    walks = [_walk(problem, theta, value, iters) for theta, value in zip(thetas, best.tolist())]
+    steps = {i: next(walk) for i, walk in enumerate(walks)}
+    while steps:
+        live = list(steps)
+        point = thetas.take(live, axis=0)
         old = point.repeat(2, axis=1)  # move k shifts coordinate k // 2
+        shift = np.multiply.outer(list(steps.values()), sign)  # each move's shift
         new = np.minimum(np.maximum(old + shift, 0.0), 1.0)
         moved = new != old
         rows, cols = moved.nonzero()
-        points = point[rows]
-        points[np.arange(rows.size), cols // 2] = new[moved]
-        scored = problem.score(points).tolist()
-        rows, cols = rows.tolist(), cols.tolist()
-        reads, done, lo = 0, [], 0
-        for j in range(len(live)):
-            stop = bisect_right(rows, j, lo)
-            ks, vs = cols[lo:stop], scored[lo:stop]
-            lo, n = stop, stop - lo
-            i = bisect_left(ks, at[j])
-            hit = next((t for t in range(i, n) if vs[t] > value[j]), n)
-            reads += min(hit + 1, n) - i
-            if hit == n and improved[j] and sweeps[j] + 1 < iters:
-                # The sweep ends after a move was taken, and the next one starts
-                # from this point at this step: its values were just scored, and
-                # those from the old position on are no better.
-                sweeps[j] += 1
-                improved[j] = False
-                hit = next((t for t in range(n) if vs[t] > value[j]), n)
-                reads += min(hit + 1, n)
-            if hit < n:
-                k = ks[hit]
-                value[j] = vs[hit]
-                point[j, k // 2] = new[j, k]
-                improved[j] = True
-                at[j] = k + 1
-                if at[j] < width:
-                    continue
-            elif not improved[j]:
-                steps[j] *= 0.5
-                shift[j] = sign * steps[j]
-            sweeps[j] += 1
-            at[j] = 0
-            improved[j] = False
-            if sweeps[j] >= iters or steps[j] < _STEP_FLOOR:
-                done.append(j)
-        problem.evaluations += reads
-        if done:
-            idx = [live[j] for j in done]
-            thetas[idx] = point[done]
-            best[idx] = [value[j] for j in done]
-            keep = [j for j in range(len(live)) if j not in done]
-            point, shift = point[keep], shift[keep]
-            live, value, steps, at, sweeps, improved = (
-                [seq[j] for j in keep] for seq in (live, value, steps, at, sweeps, improved))
+        points, xs = point.take(rows, axis=0), new[moved]
+        points[np.arange(rows.size), cols // 2] = xs
+        shared = cols.tolist(), problem.score(points).tolist(), xs.tolist()
+        hi = 0
+        for i, count in zip(live, np.bincount(rows, minlength=len(live)).tolist()):
+            lo, hi = hi, hi + count
+            try:
+                steps[i] = walks[i].send((*shared, lo, hi))
+            except StopIteration as stop:
+                best[i] = stop.value
+                del steps[i]
     return thetas, best
 
 

@@ -31,6 +31,32 @@ def _require_integers(message: str, *values) -> None:
         raise ValidationError(message)
 
 
+def _require_reals(what: str, *values) -> None:
+    """Raise a ``ValidationError`` naming ``what`` unless every value is a real number, no bool.
+
+    A real number is a Python or numpy int or float. The message is built
+    only on failure, since channels are checked on every rate call.
+    """
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            raise ValidationError(f"{what} must be a number, got {v!r}")
+
+
+def _integer_array(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; an entry that is not an integer is a ``ValidationError``.
+
+    Arrays of every numpy integer dtype pass; floats, strings, bools and
+    ragged rows are refused rather than cast.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise ValidationError(f"{what} must be an array of integers") from exc
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise ValidationError(f"{what} must be an array of integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def _float_array(values, what: str) -> np.ndarray:
     """A fresh float array of ``values``; a string or ragged entry is a ``ValidationError``."""
     try:
@@ -218,12 +244,14 @@ class BinaryChannel:
 
     def __post_init__(self):
         for name, q in (("q1", self.q1), ("q2", self.q2)):
+            _require_reals(f"channel {name}", q)
             if not np.isfinite(q) or not 0.0 <= q <= 1.0:
                 raise ValidationError(f"channel {name} must lie in [0, 1], got {q!r}")
 
     @classmethod
     def from_crossover(cls, p: float) -> "BinaryChannel":
         """Symmetric channel that flips either symbol with probability p."""
+        _require_reals("channel crossover", p)
         if not np.isfinite(p) or not 0.0 <= p <= 1.0:
             raise ValidationError(f"channel crossover must lie in [0, 1], got {p!r}")
         return cls(1.0 - p, 1.0 - p)

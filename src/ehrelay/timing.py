@@ -19,7 +19,8 @@ import numpy as np
 
 from .battery import BatterySpec
 from .errors import ConstraintError, NumericalError, ValidationError
-from .pmf import BinaryChannel, Pmf, _entropy_bits, _require_integers
+from .pmf import (BinaryChannel, Pmf, _entropy_bits, _float_array, _integer_array,
+                  _require_integers, _require_reals)
 from .rates import RateBreakdown
 
 MASS_TOL = 1e-12
@@ -35,8 +36,8 @@ class IntegerPmf:
     probs: np.ndarray
 
     def __init__(self, values, probs):
-        vals = np.asarray(values, dtype=np.int64)
-        pr = np.asarray(probs, dtype=np.float64)
+        vals = _integer_array(values, "values")
+        pr = _float_array(probs, "probabilities")
         if vals.ndim != 1 or pr.shape != vals.shape or vals.size == 0:
             raise ValidationError("values and probs must be matching 1-d arrays")
         if np.any(np.diff(vals) <= 0):
@@ -88,6 +89,7 @@ class ZNoise:
     def __post_init__(self):
         _require_integers(f"cost and zmax must be integers, got {self.cost!r} and {self.zmax!r}",
                           self.cost, *([] if self.zmax is None else [self.zmax]))
+        _require_reals("charge probability", self.p1)
         if self.cost < 2:
             raise ValidationError("cost must be at least 2")
         if not (0.0 < self.p1 <= 1.0):
@@ -208,13 +210,16 @@ def z_pmf(noise: ZNoise) -> IntegerPmf:
 
 def default_wait_table(aux_size: int, z_values: np.ndarray) -> np.ndarray:
     """Wait rule v(a, z) = ((a - z) mod aux_size) + 1, one row per aux symbol."""
+    _require_integers(f"aux alphabet size must be an integer, got {aux_size!r}", aux_size)
     if aux_size < 1:
         raise ValidationError("aux alphabet must be nonempty")
     a = np.arange(aux_size, dtype=np.int64)[:, None]
-    return (a - np.asarray(z_values, dtype=np.int64)[None, :]) % aux_size + 1
+    return (a - _integer_array(z_values, "recharge times")[None, :]) % aux_size + 1
 
 
 def constant_wait_table(value: int, aux_size: int, z_values: np.ndarray) -> np.ndarray:
+    _require_integers(f"constant wait and aux alphabet size must be integers, got {value!r} "
+                      f"and {aux_size!r}", value, aux_size)
     if value < 1:
         raise ValidationError("waits must be at least one slot")
     return np.full((aux_size, len(z_values)), value, dtype=np.int64)
@@ -228,7 +233,7 @@ class TimingScheme:
     wait: np.ndarray
 
     def __post_init__(self):
-        wait = np.asarray(self.wait, dtype=np.int64)
+        wait = _integer_array(self.wait, "wait table")
         if wait.ndim != 2:
             raise ValidationError("wait table must be 2-d (aux symbol by recharge time)")
         if wait.shape[0] != len(self.aux):

@@ -11,7 +11,10 @@ they were before their binary entropies were merged and their reductions
 called as ufuncs.
 The ascent oracle is the optimizer's lockstep coordinate ascent as it was
 before it scored ahead: one call per (sweep, coordinate, direction) with
-exactly the moved points it reads.
+exactly the moved points it reads. The look-back ascent oracle is the
+round-by-round ascent as it was before it became one walk per start: the
+ascents' state in parallel lists, compacted as they stop, and a sweep that
+restarts from the same point reading its scored values in a branch of its own.
 The pair-chain oracle is the lift as first written: the transition split
 by relay symbol through ``einsum``, pairs found and filled by nested loops.
 The transition-tensor oracle is the four-deep loop the tensor was first
@@ -32,6 +35,7 @@ integer recurrence rerun on every call.
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from math import comb, exp, lgamma, log
 
 import numpy as np
@@ -603,6 +607,102 @@ def ascend_oracle(problem, starts: np.ndarray, iters: int):
         stalled = running & ~improved
         steps[stalled] *= 0.5
         running &= ~(stalled & (steps < _STEP_FLOOR))
+    return thetas, best
+
+
+def lookback_ascend_oracle(problem, starts: np.ndarray, values: np.ndarray, iters: int):
+    """Cyclic coordinate ascent with a halving step, inside the unit cube.
+
+    ``values`` holds the starts' values, which the caller has scored; they
+    count once more in ``evaluations`` as the ascents begin from them. Each
+    start climbs exactly as if it ran alone, with its own point, step, sweep
+    position and exit. A sweep walks the 2 * dims moves in a fixed order:
+    move k shifts coordinate k // 2 up (even k) or down (odd k) by the step,
+    clipped to the cube, and the ascent takes a move only if it is strictly
+    better. A sweep that takes no move halves the step; an ascent stops at
+    the step floor or after ``iters`` sweeps.
+
+    Each round scores, in one uncounted ``score`` call, every running
+    ascent's whole neighbourhood: all 2 * dims moves from its current point,
+    less those the clip keeps in place. Each ascent then reads on from its
+    sweep position to its first better move, or to its sweep's end. A sweep
+    that ends after a move was taken is followed, if another sweep is
+    allowed, by one from the same point at the same step, whose values are
+    already scored: the ascent goes on reading them from move 0 in the same
+    round, re-reading (and counting) the moves from its old position on,
+    which are no better. So a round ends for an ascent when it takes a move,
+    halves its step or stops, and a search makes as many calls as its
+    busiest ascent would make alone. Every row is scored on its own, so the
+    walk reads the values a move-by-move walk would, and ``evaluations``
+    grows only by the moves it reads. The rounds' bookkeeping is per ascent,
+    in Python lists; the points stay in arrays. Returns the final points and
+    their values, one row per start.
+    """
+    thetas = starts.astype(np.float64)
+    best = values.astype(np.float64)
+    problem.evaluations += len(thetas)
+    count, dims = thetas.shape
+    width = 2 * dims
+    sign = np.where(np.arange(width) % 2 == 0, 1.0, -1.0)
+    # The running ascents' state, one row or entry each, compacted as they stop.
+    live = list(range(count if iters > 0 else 0))
+    point = thetas[live]
+    shift = np.repeat(sign[None] * _STEP0, len(live), axis=0)  # each move's shift
+    value = best[live].tolist()
+    steps = [_STEP0] * len(live)
+    at = [0] * len(live)  # each ascent's next move in its sweep
+    sweeps = [0] * len(live)
+    improved = [False] * len(live)
+    while live:
+        old = point.repeat(2, axis=1)  # move k shifts coordinate k // 2
+        new = np.minimum(np.maximum(old + shift, 0.0), 1.0)
+        moved = new != old
+        rows, cols = moved.nonzero()
+        points = point[rows]
+        points[np.arange(rows.size), cols // 2] = new[moved]
+        scored = problem.score(points).tolist()
+        rows, cols = rows.tolist(), cols.tolist()
+        reads, done, lo = 0, [], 0
+        for j in range(len(live)):
+            stop = bisect_right(rows, j, lo)
+            ks, vs = cols[lo:stop], scored[lo:stop]
+            lo, n = stop, stop - lo
+            i = bisect_left(ks, at[j])
+            hit = next((t for t in range(i, n) if vs[t] > value[j]), n)
+            reads += min(hit + 1, n) - i
+            if hit == n and improved[j] and sweeps[j] + 1 < iters:
+                # The sweep ends after a move was taken, and the next one starts
+                # from this point at this step: its values were just scored, and
+                # those from the old position on are no better.
+                sweeps[j] += 1
+                improved[j] = False
+                hit = next((t for t in range(n) if vs[t] > value[j]), n)
+                reads += min(hit + 1, n)
+            if hit < n:
+                k = ks[hit]
+                value[j] = vs[hit]
+                point[j, k // 2] = new[j, k]
+                improved[j] = True
+                at[j] = k + 1
+                if at[j] < width:
+                    continue
+            elif not improved[j]:
+                steps[j] *= 0.5
+                shift[j] = sign * steps[j]
+            sweeps[j] += 1
+            at[j] = 0
+            improved[j] = False
+            if sweeps[j] >= iters or steps[j] < _STEP_FLOOR:
+                done.append(j)
+        problem.evaluations += reads
+        if done:
+            idx = [live[j] for j in done]
+            thetas[idx] = point[done]
+            best[idx] = [value[j] for j in done]
+            keep = [j for j in range(len(live)) if j not in done]
+            point, shift = point[keep], shift[keep]
+            live, value, steps, at, sweeps, improved = (
+                [seq[j] for j in keep] for seq in (live, value, steps, at, sweeps, improved))
     return thetas, best
 
 

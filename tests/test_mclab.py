@@ -269,6 +269,20 @@ BAD_INPUTS = {
         lambda: receiver_smoke_trial(worked_chain(), BinaryChannel(0.9, 0.9), 2.5,
                                      RunConfig(seed=0, n=10)),
         ValidationError, "message bits must be an integer, got 2.5"),
+    # a fractional pad was once accepted from the API, a string slack or rate
+    # Python's TypeError or ValueError, and a string rate such as "0.5" parsed
+    "codec-fractional-pad": (
+        lambda: CodecConfig(spec=worked_spec(), rate_bits=(0.5,) * 3, slack=0.1, pad=2.5,
+                            policy=StatePolicy.joint_policy(worked_spec(), WORKED_TABLES)),
+        ValidationError, "pad length must be an integer, got 2.5"),
+    "codec-string-slack": (
+        lambda: CodecConfig(spec=worked_spec(), rate_bits=(0.5,) * 3, slack="x",
+                            policy=StatePolicy.joint_policy(worked_spec(), WORKED_TABLES)),
+        ValidationError, "occupancy slack must be a number, got 'x'"),
+    "codec-string-rate": (
+        lambda: CodecConfig(spec=worked_spec(), rate_bits=(0.5, "0.5", 0.5), slack=0.1,
+                            policy=StatePolicy.joint_policy(worked_spec(), WORKED_TABLES)),
+        ValidationError, "subcodebook rate must be a number, got '0.5'"),
     "z-empirical-fractional-cost": (
         lambda: z_empirical(2.5, 0.3, False, RunConfig(seed=0, n=10)),
         ValidationError, "cost and zmax must be integers, got 2.5 and None"),

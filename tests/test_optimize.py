@@ -78,6 +78,9 @@ BAD_INPUTS = {
                           ch2=BinaryChannel.from_crossover(0.1),
                           opts=OptimizeOptions(eps_pos=0.3)),
         ConstraintError, "positivity floor 0.3 leaves no room in a four-cell table"),
+    # a string floor was once Python's TypeError
+    "options-eps-pos-string": (lambda: OptimizeOptions(eps_pos="x"), ValidationError,
+                               "positivity floor must be a number, got 'x'"),
     "sweep-no-models": (lambda: SweepSpec(models=(), parameter="cost", values=(2,), ch2=CH2),
                         ValidationError, "sweep.models must not be empty"),
     # Model refuses an unknown name itself, with the text the CLI prints

@@ -57,6 +57,11 @@ BAD_INPUTS = {
     "pmf-ragged": (lambda: Pmf([[0.5], [0.25, 0.25]]), "pmf must be an array of numbers"),
     "joint-pmf-of-strings": (lambda: JointPmf([["a", "b"], ["c", "d"]]),
                              "joint pmf must be an array of numbers"),
+    # each was once a numpy TypeError from np.isfinite
+    "channel-string-q1": (lambda: BinaryChannel("a", 0.5), "channel q1 must be a number, got 'a'"),
+    "channel-bool-q2": (lambda: BinaryChannel(0.5, True), "channel q2 must be a number, got True"),
+    "channel-string-crossover": (lambda: BinaryChannel.from_crossover("0.1"),
+                                 "channel crossover must be a number, got '0.1'"),
 }
 
 
@@ -65,6 +70,15 @@ def test_bad_input_raises_its_documented_error(case):
     call, text = BAD_INPUTS[case]
     with pytest.raises(ValidationError, match=re.escape(text)):
         call()
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, FutureWarning])
+def test_deprecations_raised_from_the_package_fail_the_suite(category):
+    # pyproject.toml turns them into errors for the package's modules only
+    with pytest.raises(category):
+        warnings.warn_explicit("deprecated", category, "ehrelay/pmf.py", 1, module="ehrelay.pmf")
+    with warnings.catch_warnings(record=True):
+        warnings.warn_explicit("deprecated", category, "elsewhere.py", 1, module="elsewhere")
 
 
 class TestPmfConstruction:

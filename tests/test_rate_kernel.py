@@ -1,9 +1,10 @@
 """The batched rate kernel shared by the public rate functions and the
 optimizer: a policy's value must not depend on the batch it is scored in,
 must match the public rate at the decoded policy, and a singular kernel in a
-stack must cost only its own row. The ascent that scores each ascent's whole
-neighbourhood per round must walk exactly as the one that scores its moves
-position by position, and its ascents must wait only on their own moves."""
+stack must cost only its own row. The walks batched into one call per round
+must walk exactly as the ascent that scores its moves position by position,
+score the rows the round-by-round ascent they replaced scored, call for call,
+and wait only on their own moves."""
 
 import hashlib
 import importlib
@@ -35,6 +36,7 @@ from conftest import (
     ascend_oracle,
     h2_oracle,
     kernels_oracle,
+    lookback_ascend_oracle,
     product_bounds_oracle,
     random_joint_tables,
     solve_stationary_epilogue_oracle,
@@ -210,6 +212,33 @@ class TestLookAheadAscent:
         assert np.array_equal(got_values, values)
         assert values[-1] == -np.inf
         assert problem.evaluations == evaluations
+
+    @settings(max_examples=40, deadline=None)
+    @given(problems(), st.integers(0, 2**32 - 1), st.one_of(st.integers(1, 12), st.just(200)))
+    def test_scores_the_batches_of_the_lookback_ascent(self, problem, seed, iters):
+        # The walks, batched by their driver, score the same rows in the same
+        # calls as the round-by-round ascent they replaced, and end alike.
+        starts = _thetas(problem, seed, most=9)
+        failed = starts[:1].copy()
+        failed[0, 0] = np.nan
+        starts = np.vstack([starts, failed])
+        values = problem.score(starts)
+        real, runs = problem.values, []
+        for ascend in (lookback_ascend_oracle, opt._ascend):
+            calls = []
+
+            def recorded(thetas, calls=calls):
+                calls.append((len(thetas), thetas.tobytes()))
+                return real(thetas)
+
+            problem.values, problem.evaluations = recorded, 0
+            runs.append((calls, *ascend(problem, starts, values, iters), problem.evaluations))
+        problem.values = real
+        (want_calls, want_thetas, want_values, want), (calls, thetas, finals, got) = runs
+        assert calls == want_calls
+        assert np.array_equal(thetas, want_thetas, equal_nan=True)
+        assert np.array_equal(finals, want_values, equal_nan=True)
+        assert got == want
 
     def test_a_start_with_a_singular_chain_climbs_out_as_the_oracle(self):
         # With no positivity floor, zero source biases keep levels 0 and 1

@@ -103,6 +103,37 @@ BAD_INPUTS = {
                                 "cost and zmax must be integers, got 2.5 and None"),
     "z-noise-fractional-zmax": (lambda: ZNoise(cost=2, p1=0.3, zmax=20.5),
                                 "cost and zmax must be integers, got 2 and 20.5"),
+    # a string charge probability was once Python's TypeError
+    "z-noise-string-p1": (lambda: ZNoise(2, "a"), "charge probability must be a number, got 'a'"),
+    # fractional values, waits and counts were once truncated to integers,
+    # silently; a NaN wait was a numpy cast warning, a string a bare ValueError
+    "integer-pmf-fractional-values": (lambda: IntegerPmf([1.5, 2.5], [0.5, 0.5]),
+                                      "values must be an array of integers"),
+    "integer-pmf-string-value": (lambda: IntegerPmf([1, "a"], [0.5, 0.5]),
+                                 "values must be an array of integers"),
+    "integer-pmf-bool-values": (lambda: IntegerPmf([False, True], [0.5, 0.5]),
+                                "values must be an array of integers"),
+    "integer-pmf-string-weight": (lambda: IntegerPmf([1, 2], ["a", 0.5]),
+                                  "probabilities must be an array of numbers"),
+    "timing-scheme-fractional-waits": (
+        lambda: TimingScheme(Pmf.uniform(2), [[1.5, 2.7], [1.2, 3.9]]),
+        "wait table must be an array of integers"),
+    "timing-scheme-nan-wait": (lambda: TimingScheme(Pmf.uniform(2), [[np.nan, 2], [1, 3]]),
+                               "wait table must be an array of integers"),
+    "timing-scheme-string-wait": (lambda: TimingScheme(Pmf.uniform(2), [["a", 2], [1, 3]]),
+                                  "wait table must be an array of integers"),
+    "timing-scheme-ragged-waits": (lambda: TimingScheme(Pmf.uniform(2), [[1, 2], [3]]),
+                                   "wait table must be an array of integers"),
+    "constant-wait-table-fractional-wait": (
+        lambda: constant_wait_table(1.5, 2, np.array([2, 3])),
+        "constant wait and aux alphabet size must be integers, got 1.5 and 2"),
+    "constant-wait-table-fractional-aux": (
+        lambda: constant_wait_table(1, 2.5, np.array([2, 3])),
+        "constant wait and aux alphabet size must be integers, got 1 and 2.5"),
+    "default-wait-table-fractional-aux": (lambda: default_wait_table(2.5, np.array([2, 3])),
+                                          "aux alphabet size must be an integer, got 2.5"),
+    "default-wait-table-fractional-times": (lambda: default_wait_table(2, [2.5, 3.0]),
+                                            "recharge times must be an array of integers"),
 }
 
 
@@ -571,6 +602,16 @@ class TestIntegerPmf:
             assert got.values.tobytes() == want.values.tobytes()
             assert got.probs.tobytes() == want.probs.tobytes()
             assert not got.values.flags.writeable and not got.probs.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint32, np.int64,
+                                       np.uint64])
+    def test_takes_every_integer_dtype(self, dtype):
+        dist = IntegerPmf(np.array([1, 3], dtype=dtype), [0.5, 0.5])
+        table = default_wait_table(3, np.array([2, 3], dtype=dtype))
+        scheme = TimingScheme(Pmf.uniform(3), table.astype(dtype))
+        assert dist.values.dtype == table.dtype == scheme.wait.dtype == np.int64
+        assert dist.values.tolist() == [1, 3]
+        assert table.tolist() == scheme.wait.tolist() == default_wait_table(3, [2, 3]).tolist()
 
     def test_moments(self):
         dist = IntegerPmf(np.array([1, 3]), np.array([0.5, 0.5]))
