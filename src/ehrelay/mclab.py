@@ -30,18 +30,18 @@ from .battery import (
     _forward_pass,
     _observation_table,
     _require_policy,
+    _rows_sum_to_one,
     _steady_state,
     build_kernel,
 )
 from .errors import BudgetError, NumericalError, ValidationError
-from .pmf import BinaryChannel, JointPmf, _require_integers, _require_reals
+from .pmf import (USER_TOL, BinaryChannel, JointPmf, _float_array, _require_integers,
+                  _require_reals)
 from .timing import ZNoise, z_pmf
 
 MAX_STEPS = 10_000_000
 MAX_CODEBOOK = 2**20
 _LN2 = math.log(2.0)
-_Z_BLOCK_ROWS = 1024
-_Z_HORIZON_QUANTILE = 0.9  # z_empirical's round length: about one row in ten runs a second round
 _CODEC_STOCK_BUDGET = 2**22  # uniforms pre-drawn per lockstep group of codec trials
 
 
@@ -87,11 +87,13 @@ def sample_path(transition, init: int, n: int, rng: np.random.Generator) -> np.n
 
     Next-state draws are pre-generated per current state in growing blocks
     and consumed as the path visits that state, which keeps the per-step
-    work to a list pop plus an integer copy.
+    work to a list pop plus an integer copy. The matrix is checked (square,
+    finite, nonnegative, rows summing to one within ``USER_TOL``) and
+    sampled as given, not renormalized.
     """
     _require_integers(f"initial state and path length must be integers, got {init!r} and {n!r}",
                       init, n)
-    t = np.asarray(transition, dtype=np.float64)
+    t = _float_array(transition, "transition")
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValidationError("transition must be a square matrix")
     states = t.shape[0]
@@ -99,8 +101,11 @@ def sample_path(transition, init: int, n: int, rng: np.random.Generator) -> np.n
         raise ValidationError("initial state out of range")
     if n < 1:
         raise ValidationError("path length must be positive")
-    cum = np.cumsum(t, axis=1)
-    cum[:, -1] = 1.0
+    if not (np.isfinite(t).all() and t.min() >= 0.0):
+        raise ValidationError("transition entries must be finite and nonnegative")
+    if not _rows_sum_to_one(t, USER_TOL):
+        raise ValidationError(f"transition rows must sum to one within {USER_TOL}")
+    cum = np.cumsum(t, axis=1)  # a uniform past a row's last edge is capped at its last state
     stocks: list[list[int]] = [[] for _ in range(states)]
     chunks = [1024] * states
     path = []
@@ -287,11 +292,13 @@ def collision_curve(joint: JointPmf, n: int, rate_grid, cfg: RunConfig,
     coin serves every grid point, so the reported fractions are monotone in
     the rate by construction. The materialize method draws the book
     explicitly and is capped at 2^20 words. ``n`` must be at least 1 and
-    every rate finite and nonnegative.
+    every rate a finite, nonnegative number.
     """
     if method not in ("conditional", "materialize"):
         raise ValidationError(f"unknown collision method {method!r}")
-    grid = tuple(float(r) for r in rate_grid)
+    rates = tuple(rate_grid)
+    _require_reals("codebook rate", *rates)
+    grid = tuple(float(r) for r in rates)
     if not grid or any(r < 0.0 for r in grid):
         raise ValidationError("rate grid must be nonempty and nonnegative")
     if not all(math.isfinite(r) for r in grid):
@@ -385,6 +392,7 @@ def _collision_from_exponent(log_total: float) -> float:
 def collision_experiment(joint: JointPmf, n: int, rate_bits: float, cfg: RunConfig,
                          method: str = "auto") -> CollisionResult:
     """Single-rate collision run; auto materializes when the book fits 2^20."""
+    _require_reals("codebook rate", rate_bits)
     if method == "auto":
         method = "materialize" if n * rate_bits <= math.log2(MAX_CODEBOOK) else "conditional"
     return collision_curve(joint, n, (rate_bits,), cfg, method=method)
@@ -401,60 +409,26 @@ class ZEmpiricalResult:
 
 
 def z_empirical(cost: int, p1: float, overlap: bool, cfg: RunConfig) -> ZEmpiricalResult:
-    """Per-slot simulation of the recharge time against its closed form.
+    """Simulated recharge times against their closed form.
 
-    Slots draw Bernoulli(p1) charge arrivals until the battery holds the
-    cost; the histogram of slot counts is compared to ``z_pmf`` by total
-    variation (the reference truncation error is far below the tolerance of
-    interest). Each round draws ``horizon`` slots for every pending sample,
-    where ``horizon`` is the reference law's 0.9 quantile: the smallest
-    support point whose cumulative probability reaches 0.9, capped at the
-    last. Rows that fall short run further rounds, so about one sample in
-    ten takes a second round and a few take more. Rounds are drawn in blocks
-    of 1,024 samples; uniforms are drawn row-major, so the blocks consume
-    the stream exactly as one (pending, horizon) draw would, and memory is
-    bounded by 1,024 * horizon. A block's hits are found once, in row-major
-    order: each row's hit count and the offset of its first hit give the
-    slot of the hit that completes its charge, and a row that falls short
-    carries its count into the next round.
+    With Bernoulli(p1) charge slots each charge's wait is Geometric(p1), so
+    a sample is the sum of ``cost`` waits, the last left out when the overlap
+    coin lands (probability p1). The histogram is compared to ``z_pmf`` by
+    total variation. Blocks of 65,536 samples draw their coins, then their
+    ``cost`` columns of waits, one at a time.
     """
-    noise = ZNoise(cost=cost, p1=p1, overlap=overlap)
-    reference = z_pmf(noise)
+    reference = z_pmf(ZNoise(cost=cost, p1=p1, overlap=overlap))
     samples = cfg.n
-    cdf = np.cumsum(reference.probs)
-    at = min(int(np.searchsorted(cdf, _Z_HORIZON_QUANTILE)), cdf.size - 1)
-    horizon = int(reference.values[at])
     # float() so that a numpy float names the stream its Python value names
     label = f"recharge/cost={cost}/p1={float(p1)!r}/overlap={overlap}"
     rng = substream(cfg.seed, label)
-    out = np.empty(samples, dtype=np.int64)
-    filled = 0
-    while filled < samples:
-        batch = min(65536, samples - filled)
-        if overlap:
-            targets = np.where(rng.random(batch) < p1, cost - 1, cost).astype(np.int64)
-        else:
-            targets = np.full(batch, cost, dtype=np.int64)
-        done = np.zeros(batch, dtype=bool)
-        z = np.zeros(batch, dtype=np.int64)
-        successes = np.zeros(batch, dtype=np.int64)
-        while not done.all():
-            pending = np.flatnonzero(~done)
-            for lo in range(0, pending.size, _Z_BLOCK_ROWS):
-                idx = pending[lo:lo + _Z_BLOCK_ROWS]
-                flat = np.flatnonzero(rng.random((idx.size, horizon)) < p1)
-                counts = np.bincount(flat // horizon, minlength=idx.size)
-                need = targets[idx] - successes[idx]
-                found = counts >= need
-                # the need-th hit of each found row, counted from its first
-                nth = (np.cumsum(counts) - counts + need - 1)[found]
-                z[idx[found]] += flat[nth] % horizon + 1
-                done[idx[found]] = True
-                rest = idx[~found]
-                z[rest] += horizon
-                successes[rest] += counts[~found]
-        out[filled:filled + batch] = z
-        filled += batch
+    out = np.zeros(samples, dtype=np.int64)
+    for first in range(0, samples, 65536):
+        z = out[first:first + 65536]
+        keep_last = rng.random(z.size) >= p1 if overlap else True
+        for _ in range(cost - 1):
+            z += rng.geometric(p1, z.size)
+        z += rng.geometric(p1, z.size) * keep_last
     lo = int(min(out.min(), reference.values[0]))
     hi = int(max(out.max(), reference.values[-1]))
     values = np.arange(lo, hi + 1, dtype=np.int64)

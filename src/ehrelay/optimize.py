@@ -30,9 +30,10 @@ from typing import Optional
 import numpy as np
 
 from .battery import BatterySpec, StatePolicy, _kernels, _solve_stationary
-from .errors import ConstraintError, EhRelayError, ValidationError
-from .mclab import _seeded_rng
-from .pmf import BinaryChannel, Pmf, _require_integers, _require_reals
+from .errors import BudgetError, ConstraintError, EhRelayError, ValidationError
+from .mclab import MAX_STEPS, _seeded_rng
+from .pmf import (BinaryChannel, Pmf, _require_bool, _require_integers, _require_reals,
+                  _sequence)
 from .rates import (
     Model,
     RateBreakdown,
@@ -76,9 +77,10 @@ class OptimizeOptions:
     aux_sizes: tuple[int, ...] = (5,)
 
     def __post_init__(self):
+        aux_sizes = _sequence(self.aux_sizes, "aux_sizes")
         _require_integers("grid_points, grid_budget, refine_iters, restarts, seed and aux_sizes "
                           "must be integers", self.grid_points, self.grid_budget,
-                          self.refine_iters, self.restarts, self.seed, *self.aux_sizes)
+                          self.refine_iters, self.restarts, self.seed, *aux_sizes)
         if self.grid_points < 2:
             raise ValidationError("grid must have at least two points per axis")
         if self.grid_budget < 1:
@@ -90,7 +92,7 @@ class OptimizeOptions:
         _require_reals("positivity floor", self.eps_pos)
         if not 0.0 < self.eps_pos < 0.5:
             raise ValidationError("positivity floor must lie in (0, 0.5)")
-        if not self.aux_sizes or any(a < 1 for a in self.aux_sizes):
+        if not aux_sizes or any(a < 1 for a in aux_sizes):
             raise ValidationError("aux alphabet sizes must be positive")
 
 
@@ -314,6 +316,7 @@ class _TimingProblem(_CubeProblem):
                  wait_rule: str, wait_const: int, overlap: bool):
         super().__init__()
         _timing_inputs(spec, ch1)
+        _require_bool("overlap", overlap)
         self.rule, _ = _wait_rule(wait_rule, aux_size, wait_const)
         self.spec, self.ch1, self.overlap = spec, ch1, overlap
         self.dims = _dims(Model.TIMING, spec)
@@ -516,6 +519,10 @@ def _searches(model: Model, spec: BatterySpec, ch1: Optional[BinaryChannel],
               ch2: Optional[BinaryChannel], loss: Optional[tuple[Pmf, Pmf]], wait_rule: str,
               wait_const: int, overlap: bool, opts: OptimizeOptions) -> list:
     """The (label, problem) pairs of one ``optimize`` call; building them checks its inputs."""
+    starts, dims = 1 + opts.grid_budget + opts.restarts, _dims(model, spec)
+    if starts * dims > MAX_STEPS:
+        raise BudgetError(f"{starts} starts of {dims} coordinates exceed the desk-scale cap "
+                          f"of {MAX_STEPS} doubles")
     label = f"optimize/{model.value}/cost={spec.cost}/capacity={spec.capacity}"
     if model is Model.TIMING:
         return [(f"{label}/aux={aux_size}",
@@ -608,7 +615,7 @@ class SweepSpec:
         if not models:
             raise ValidationError("sweep.models must not be empty")
         object.__setattr__(self, "models", models)
-        values = tuple(self.values)
+        values = _sequence(self.values, "sweep values")
         _require_integers("sweep values must be positive integers", *values)
         if not values or any(v < 1 for v in values):
             raise ValidationError("sweep values must be positive integers")

@@ -42,6 +42,20 @@ def _require_reals(what: str, *values) -> None:
             raise ValidationError(f"{what} must be a number, got {v!r}")
 
 
+def _require_bool(what: str, value) -> None:
+    """Raise a ``ValidationError`` naming ``what`` unless ``value`` is a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{what} must be true or false, got {value!r}")
+
+
+def _sequence(values, what: str) -> tuple:
+    """``values`` as a tuple; a scalar is a ``ValidationError`` naming ``what``."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence of integers, got {values!r}") from None
+
+
 def _integer_array(values, what: str) -> np.ndarray:
     """``values`` as an int64 array; an entry that is not an integer is a ``ValidationError``.
 

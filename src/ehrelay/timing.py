@@ -20,7 +20,7 @@ import numpy as np
 from .battery import BatterySpec
 from .errors import ConstraintError, NumericalError, ValidationError
 from .pmf import (BinaryChannel, Pmf, _entropy_bits, _float_array, _integer_array,
-                  _require_integers, _require_reals)
+                  _require_bool, _require_integers, _require_reals)
 from .rates import RateBreakdown
 
 MASS_TOL = 1e-12
@@ -90,6 +90,7 @@ class ZNoise:
         _require_integers(f"cost and zmax must be integers, got {self.cost!r} and {self.zmax!r}",
                           self.cost, *([] if self.zmax is None else [self.zmax]))
         _require_reals("charge probability", self.p1)
+        _require_bool("overlap", self.overlap)
         if self.cost < 2:
             raise ValidationError("cost must be at least 2")
         if not (0.0 < self.p1 <= 1.0):

@@ -48,13 +48,11 @@ from ehrelay import (
     JointPmf,
     Pmf,
     StatePolicy,
-    ZNoise,
     binary_entropy,
     build_kernel,
     entropy,
     stationary,
     substream,
-    z_pmf,
 )
 from ehrelay.battery import RegularityReport, energy_profile, transition_tensor
 from ehrelay.errors import ValidationError
@@ -417,39 +415,6 @@ def sample_path_oracle(transition, init: int, n: int, rng: np.random.Generator) 
                 chunks[state] *= 2
         state = stock.pop()
     return path
-
-
-def z_empirical_oracle(cost: int, p1: float, overlap: bool, cfg) -> np.ndarray:
-    """Every recharge-time sample ``z_empirical`` draws, each round's pending
-    samples drawn as one (pending, horizon) matrix, with the horizon at the
-    reference law's 0.9 quantile."""
-    law = z_pmf(ZNoise(cost=cost, p1=p1, overlap=overlap))
-    first = int(np.searchsorted(np.cumsum(law.probs), 0.9))
-    horizon = int(law.values[min(first, law.values.size - 1)])
-    rng = substream(cfg.seed, f"recharge/cost={cost}/p1={float(p1)!r}/overlap={overlap}")
-    out = []
-    while len(out) < cfg.n:
-        batch = min(65536, cfg.n - len(out))
-        if overlap:
-            targets = np.where(rng.random(batch) < p1, cost - 1, cost)
-        else:
-            targets = np.full(batch, cost)
-        done = np.zeros(batch, dtype=bool)
-        z = np.zeros(batch, dtype=np.int64)
-        successes = np.zeros(batch, dtype=np.int64)
-        while not done.all():
-            idx = np.flatnonzero(~done)
-            cumhits = np.cumsum(rng.random((idx.size, horizon)) < p1, axis=1)
-            cumhits += successes[idx][:, None]
-            reached = cumhits >= targets[idx][:, None]
-            found = reached.any(axis=1)
-            z[idx[found]] += np.argmax(reached, axis=1)[found] + 1
-            done[idx[found]] = True
-            z[idx[~found]] += horizon
-            successes[idx[~found]] = cumhits[~found, -1]
-        z[targets == 0] = 0
-        out.extend(z.tolist())
-    return np.array(out, dtype=np.int64)
 
 
 def h2_oracle(p) -> np.ndarray:

@@ -299,6 +299,10 @@ BAD_CONFIGS = {
                                        "the timing command needs --cost and --charge-p"),
     "timing-config-without-cost-or-charge-p": ("timing", "rate-timing.yaml", {"battery": DROP},
                                                "config is missing battery.capacity"),
+    # refused before any start is drawn: 2,000,005 starts of 8 coordinates
+    "optimize-starts-over-cap": ("optimize", "optimize-second-hop.yaml",
+                                 {"optimizer": {"grid-budget": 2_000_000}},
+                                 "starts of 8 coordinates exceed the desk-scale cap"),
 }
 
 

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sys
 
@@ -19,7 +20,6 @@ from ehrelay import (
     BinaryChannel,
     BudgetError,
     CodecConfig,
-    IntegerPmf,
     JointPmf,
     Pmf,
     RunConfig,
@@ -40,7 +40,6 @@ from ehrelay import (
     z_pmf,
     ZNoise,
 )
-import conftest
 from conftest import (
     WORKED_KERNEL,
     WORKED_PAIR_ENTROPY,
@@ -49,7 +48,6 @@ from conftest import (
     relay_codec_oracle,
     sample_path_oracle,
     worked_spec,
-    z_empirical_oracle,
 )
 
 # sparse-pulse chain whose level sequence reveals every emission: charging is
@@ -283,6 +281,29 @@ BAD_INPUTS = {
         lambda: CodecConfig(spec=worked_spec(), rate_bits=(0.5, "0.5", 0.5), slack=0.1,
                             policy=StatePolicy.joint_policy(worked_spec(), WORKED_TABLES)),
         ValidationError, "subcodebook rate must be a number, got '0.5'"),
+    # a string overlap flag was once taken for its truth value
+    "z-empirical-string-overlap": (lambda: z_empirical(3, 0.3, "yes", RunConfig(seed=0, n=10)),
+                                   ValidationError, "overlap must be true or false, got 'yes'"),
+    # a row off one was once sampled as if its last entry took the rest, a NaN
+    # row stuck at its state, and a string was numpy's ValueError
+    "sample-path-string-entry": (
+        lambda: sample_path([["a", "b"], ["c", "d"]], 0, 4, substream(0, "path")),
+        ValidationError, "transition must be an array of numbers"),
+    "sample-path-nan-entry": (
+        lambda: sample_path([[NAN, NAN], [0.5, 0.5]], 0, 4, substream(0, "path")),
+        ValidationError, "transition entries must be finite and nonnegative"),
+    "sample-path-negative-entry": (
+        lambda: sample_path([[-0.25, 1.25], [0.5, 0.5]], 0, 4, substream(0, "path")),
+        ValidationError, "transition entries must be finite and nonnegative"),
+    "sample-path-row-off-one": (
+        lambda: sample_path([[0.2, 0.2], [0.5, 0.5]], 0, 4, substream(0, "path")),
+        ValidationError, "transition rows must sum to one within 1e-09"),
+    # a string rate was once numpy's ValueError, or Python's TypeError
+    "collision-string-rate": (lambda: collision_curve(COLLISION_JOINT, 10, ["a"], COLLISION_RUN),
+                              ValidationError, "codebook rate must be a number, got 'a'"),
+    "collision-string-rate-auto": (
+        lambda: collision_experiment(COLLISION_JOINT, 10, "x", COLLISION_RUN),
+        ValidationError, "codebook rate must be a number, got 'x'"),
     "z-empirical-fractional-cost": (
         lambda: z_empirical(2.5, 0.3, False, RunConfig(seed=0, n=10)),
         ValidationError, "cost and zmax must be integers, got 2.5 and None"),
@@ -468,81 +489,56 @@ class TestZEmpirical:
         res = z_empirical(2, 0.6, True, RunConfig(seed=9, n=50000))
         assert res.values[res.counts > 0].min() == 1
 
-    @pytest.mark.parametrize("case", [(4, 0.3, False), (6, 0.08, True),
-                                      (2, 0.6, True), (5, 0.02, True)])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_the_full_matrix_draw(self, case, seed):
-        cfg = RunConfig(seed=seed, n=5000)  # four full blocks of rows and a partial one
-        res = z_empirical(*case, cfg)
-        want = z_empirical_oracle(*case, cfg)
-        assert res.values[0] <= want.min() and want.max() <= res.values[-1]
-        assert np.array_equal(res.counts,
-                              np.bincount(want - res.values[0], minlength=res.values.size))
-        assert res.mean == float(want.mean())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(cost=st.integers(2, 8), p1=st.floats(0.05, 1.0), overlap=st.booleans())
+    @example(cost=2, p1=1.0, overlap=False)
+    @example(cost=8, p1=1.0, overlap=True)
+    def test_samples_follow_the_exact_law(self, cost, p1, overlap):
+        n = 4000
+        res = z_empirical(cost, p1, overlap, RunConfig(seed=0, n=n))
+        law = res.reference
+        seen = res.values[res.counts > 0]
+        # the law is cut where its tail weighs under 1e-12
+        assert np.isin(seen, law.values).all()
+        # E|count_k / n - p_k| <= sqrt(p_k / n) bounds the expected TV, and one
+        # sample moves the TV by at most 1 / n, so it passes that bound by 0.05
+        # with probability at most e^(-2 n 0.05^2) = e^-20 (McDiarmid)
+        assert res.tv_distance <= 0.5 * np.sqrt(law.probs / n).sum() + 0.05
+        # the relative error of the mean stays within five standard errors
+        mean = float(law.values @ law.probs)
+        sd = math.sqrt(float((law.values - mean) ** 2 @ law.probs))
+        assert abs(res.mean - mean) / mean <= 5.0 * sd / (mean * math.sqrt(n))
+        if p1 == 1.0:
+            assert np.array_equal(seen, [cost - overlap]) and res.mean == cost - overlap
 
-    @pytest.mark.parametrize("case", [(4, 0.3, False), (6, 0.08, True),
-                                      (2, 0.6, True), (5, 0.02, True)])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_hit_counts_carry_across_rounds(self, monkeypatch, case, seed):
-        # A reference law cut at cost + 3 puts the horizon at or below cost + 3,
-        # far below most of these recharge times, so rows run several rounds;
-        # a recharge time past cost + 11 took at least three.
-        exact = z_pmf
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_draws_cost_waits_per_sample_in_blocks(self, monkeypatch, overlap):
+        drawn = []
 
-        def cut(noise):
-            law = exact(noise)
-            keep = law.values <= noise.cost + 3
-            return IntegerPmf(law.values[keep], law.probs[keep] / law.probs[keep].sum())
-
-        monkeypatch.setattr(mclab, "z_pmf", cut)
-        monkeypatch.setattr(conftest, "z_pmf", cut)
-        cfg = RunConfig(seed=seed, n=5000)
-        res = z_empirical(*case, cfg)
-        want = z_empirical_oracle(*case, cfg)
-        if case[1] < 0.5:
-            assert want.max() > case[0] + 11  # some row needed a later round
-        assert np.array_equal(res.counts,
-                              np.bincount(want - res.values[0], minlength=res.values.size))
-        assert res.mean == float(want.mean())
-
-    @staticmethod
-    def counted_substream(monkeypatch):
-        """Patch ``mclab.substream`` so the uniforms each call draws are summed."""
-        drawn = [0]
-
-        class Counted:
+        class Recorded:
             def __init__(self, rng):
                 self.rng = rng
 
             def random(self, size):
-                drawn[0] += int(np.prod(size))
+                drawn.append(("coin", size))
                 return self.rng.random(size)
 
+            def geometric(self, p, size):
+                drawn.append(("wait", size))
+                return self.rng.geometric(p, size)
+
         real = mclab.substream
-        monkeypatch.setattr(mclab, "substream", lambda *args: Counted(real(*args)))
-        return drawn
+        monkeypatch.setattr(mclab, "substream", lambda *args: Recorded(real(*args)))
+        z_empirical(3, 0.4, overlap, RunConfig(seed=0, n=70_000))
+        want = [draw for size in (65_536, 4_464)
+                for draw in [("coin", size)] * overlap + [("wait", size)] * 3]
+        assert drawn == want
 
-    @pytest.mark.parametrize("case, cap", [((6, 0.08, True), 3_000_000),
-                                           ((4, 0.3, False), 600_000)])
-    def test_uniforms_drawn_stay_near_the_quantile_horizon(self, monkeypatch, case, cap):
-        # a horizon at the support's last point + 8 draws 10.18M and 2.26M
-        drawn = self.counted_substream(monkeypatch)
-        z_empirical(*case, RunConfig(seed=0, n=20000))
-        assert 0 < drawn[0] <= cap
-
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_sure_arrivals_finish_in_one_round(self, monkeypatch, overlap):
-        cost, cfg = 4, RunConfig(seed=5, n=3000)
-        drawn = self.counted_substream(monkeypatch)
-        res = z_empirical(cost, 1.0, overlap, cfg)
-        want = z_empirical_oracle(cost, 1.0, overlap, cfg)
-        assert np.array_equal(res.counts,
-                              np.bincount(want - res.values[0], minlength=res.values.size))
-        # every slot charges, so the horizon is the one recharge time and each
-        # row draws it once, after its overlap target draw
-        horizon = cost - 1 if overlap else cost
-        assert np.array_equal(np.unique(want), [horizon])
-        assert drawn[0] == cfg.n * (horizon + overlap)
+    def test_a_numpy_bool_draws_the_python_bool_stream(self):
+        cfg = RunConfig(seed=0, n=200)
+        res = z_empirical(3, 0.3, True, cfg)
+        again = z_empirical(3, 0.3, np.True_, cfg)
+        assert np.array_equal(again.counts, res.counts) and again.mean == res.mean
 
     def test_memory_is_bounded_by_the_row_block(self):
         tracemalloc.start()

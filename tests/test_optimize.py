@@ -11,6 +11,7 @@ import pytest
 from ehrelay import (
     BatterySpec,
     BinaryChannel,
+    BudgetError,
     ConstraintError,
     EhRelayError,
     Model,
@@ -83,6 +84,28 @@ BAD_INPUTS = {
                                "positivity floor must be a number, got 'x'"),
     "sweep-no-models": (lambda: SweepSpec(models=(), parameter="cost", values=(2,), ch2=CH2),
                         ValidationError, "sweep.models must not be empty"),
+    # a scalar where a sequence belongs was once Python's TypeError
+    "options-scalar-aux-sizes": (lambda: OptimizeOptions(aux_sizes=5), ValidationError,
+                                 "aux_sizes must be a sequence of integers, got 5"),
+    "sweep-scalar-values": (lambda: SweepSpec(models=(Model.SECOND_HOP,), parameter="cost",
+                                              values=3, ch2=CH2),
+                            ValidationError, "sweep values must be a sequence of integers, got 3"),
+    # a string overlap flag was once taken for its truth value
+    "optimize-string-overlap": (lambda: optimize(Model.TIMING, SPEC22, ch1=CH1, overlap="no"),
+                                ValidationError, "overlap must be true or false, got 'no'"),
+    "sweep-string-overlap": (lambda: SweepSpec(models=(Model.TIMING,), parameter="cost",
+                                               values=(2,), ch1=CH1, overlap="no"),
+                             ValidationError, "overlap must be true or false, got 'no'"),
+    # the starts are one array of (1 + grid_budget + restarts) x dims doubles:
+    # 500,009 x 23 at capacity 8, 5,000,009 x 5 at cost 2
+    "optimize-starts-over-cap": (
+        lambda: optimize(Model.SECOND_HOP, BatterySpec(capacity=8, cost=2), ch2=CH2,
+                         opts=OptimizeOptions(grid_budget=500_000)),
+        BudgetError, "500009 starts of 23 coordinates exceed the desk-scale cap of 10000000"),
+    "sweep-starts-over-cap": (
+        lambda: SweepSpec(models=(Model.SECOND_HOP,), parameter="cost", values=(2,), ch2=CH2,
+                          opts=OptimizeOptions(grid_budget=5_000_000)),
+        BudgetError, "5000009 starts of 5 coordinates exceed the desk-scale cap of 10000000"),
     # Model refuses an unknown name itself, with the text the CLI prints
     "model-unknown": (lambda: Model("bogus"), ValidationError, UNKNOWN_MODEL),
     "optimize-unknown-model": (lambda: optimize("bogus", SPEC22, ch2=CH2),

@@ -105,6 +105,13 @@ BAD_INPUTS = {
                                 "cost and zmax must be integers, got 2 and 20.5"),
     # a string charge probability was once Python's TypeError
     "z-noise-string-p1": (lambda: ZNoise(2, "a"), "charge probability must be a number, got 'a'"),
+    # a string or integer overlap flag was once taken for its truth value
+    "z-noise-integer-overlap": (lambda: ZNoise(cost=3, p1=0.3, overlap=1),
+                                "overlap must be true or false, got 1"),
+    "timing-rate-string-overlap": (
+        lambda: timing_rate(BatterySpec(capacity=2, cost=2), [0.5, 0.5],
+                            BinaryChannel.from_crossover(0.05), overlap="false"),
+        "overlap must be true or false, got 'false'"),
     # fractional values, waits and counts were once truncated to integers,
     # silently; a NaN wait was a numpy cast warning, a string a bare ValueError
     "integer-pmf-fractional-values": (lambda: IntegerPmf([1.5, 2.5], [0.5, 0.5]),
